@@ -1,4 +1,4 @@
-"""Fleet throughput: loopback worker daemons vs the process pool.
+"""Fleet throughput: loopback worker daemons vs local process workers.
 
 Launches 1/2/4 ``repro worker`` daemons on loopback, drives the same
 warm-cache sweep through ``backend="fleet"`` at each fleet size plus

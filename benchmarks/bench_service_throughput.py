@@ -5,8 +5,8 @@ Measures the orchestration layer's claims directly:
 * a warm compile cache + machine pool executes a sweep at least 2x
   faster than the per-point recompile-and-rebuild baseline (the seed
   repo's behavior: every point built a fresh QuMA and re-assembled);
-* the multiprocessing worker pool returns results numerically identical
-  to serial execution, in submission order.
+* the process backend's local workers return results numerically
+  identical to serial execution, in submission order.
 """
 
 import json
@@ -98,44 +98,6 @@ def test_worker_pool_matches_serial(benchmark):
     benchmark.extra_info["serial_jobs_per_s"] = round(serial.jobs_per_second, 1)
     benchmark.extra_info["process_jobs_per_s"] = round(
         parallel.jobs_per_second, 1)
-
-
-def test_async_queue_matches_process(benchmark):
-    """Async-vs-process data point: same warm throughput class, same bits.
-
-    The asyncio job queue adds a queue hop and an event-loop thread over
-    the same process workers; this pins its parity (bit-identical to
-    serial) and records the throughput of both concurrent backends
-    side by side.
-    """
-    specs = _specs(seed=11)
-    serial = ExperimentService(backend="serial").run_batch(specs)
-
-    with ExperimentService(backend="process", workers=2) as service:
-        service.run_batch(specs)  # warm the workers
-        process_sweep = service.run_batch(specs)
-
-    with ExperimentService(backend="async", workers=2) as service:
-        service.run_batch(specs)  # warm the workers
-        async_sweep = benchmark.pedantic(lambda: service.run_batch(specs),
-                                         rounds=1, iterations=1,
-                                         warmup_rounds=0)
-
-    emit(format_table(
-        ["backend", "time (s)", "jobs/s"],
-        [["process", f"{process_sweep.elapsed_s:.3f}",
-          f"{process_sweep.jobs_per_second:.1f}"],
-         ["async", f"{async_sweep.elapsed_s:.3f}",
-          f"{async_sweep.jobs_per_second:.1f}"]],
-        title=f"Async vs process ({N_POINTS}-point Rabi sweep, 2 workers)"))
-
-    for s, a, p in zip(serial, async_sweep, process_sweep):
-        assert np.array_equal(s.averages, a.averages)
-        assert np.array_equal(s.averages, p.averages)
-    benchmark.extra_info["async_jobs_per_s"] = round(
-        async_sweep.jobs_per_second, 1)
-    benchmark.extra_info["process_jobs_per_s"] = round(
-        process_sweep.jobs_per_second, 1)
 
 
 def test_session_streaming_fit_overhead(benchmark):

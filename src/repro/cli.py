@@ -512,10 +512,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "address entangling experiments ('0-1,1-2' sweeps "
                         "two pairs, '0-1-2' one GHZ chain)")
     p.add_argument("--backend",
-                   choices=("serial", "process", "async", "fleet"),
+                   choices=("serial", "process", "fleet"),
                    default="serial")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the process/async backends")
+                   help="worker processes for the process backend")
     p.add_argument("--fleet-workers", default=None, dest="fleet_workers",
                    metavar="HOST:PORT,...",
                    help="worker daemon addresses for --backend fleet "
@@ -564,10 +564,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="disable the round-replay fast path "
                         "(full event-driven simulation of every round)")
     p.add_argument("--backend",
-                   choices=("serial", "process", "async", "fleet"),
+                   choices=("serial", "process", "fleet"),
                    default="serial")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the process/async backends")
+                   help="worker processes for the process backend")
     p.add_argument("--fleet-workers", default=None, dest="fleet_workers",
                    metavar="HOST:PORT,...",
                    help="worker daemon addresses for --backend fleet "

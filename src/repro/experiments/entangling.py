@@ -25,7 +25,7 @@ Register jobs take the joint round-replay fast path by default
 event kernel while the joint-outcome Markov chain is recorded and
 verified, the rest replay as vectorized multiplexed-readout batches, and
 a cached plan replays every round — bit-identical with replay off, so
-serial/process/async backends stay interchangeable through the usual
+serial/process/fleet backends stay interchangeable through the usual
 pure-function-of-the-spec contract.  Pass ``replay=False`` (a shared
 experiment param) to force the full event-driven simulation.
 """

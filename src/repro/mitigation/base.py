@@ -18,7 +18,7 @@ three points of an experiment's life:
 subset of techniques through these hooks, so mitigated sweeps stay pure
 functions of their specs — expansion and reduction both happen in the
 submitting process with explicitly derived seeds, which is what keeps
-them bit-identical across the serial/process/async/fleet backends.
+them bit-identical across the serial/process/fleet backends.
 
 Module-level counters land in :data:`MITIGATION_METRICS` (folded specs,
 confusion-matrix builds, inversions); the service-side scheduler

@@ -7,7 +7,7 @@ through the :class:`~repro.mitigation.base.Mitigator` hooks:
   noise scale (ZNE gate folding, deterministic seeded selection), each
   with a parent-derived run seed, so the expanded sweep remains a pure
   function of its specs and stays bit-identical across the
-  serial/process/async/fleet backends;
+  serial/process/fleet backends;
 * **analysis** — the per-scale jobs of each group are corrected
   (confusion-matrix inversion of the joint histogram), extrapolated to
   zero noise, and synthesized back into one *virtual*

@@ -14,11 +14,11 @@ job's future resolves) anchors the job epoch on the submitter's clock::
     span'     = span shifted by job_start
     queue-wait = [submitted_at, job_start]     # submit -> start latency
 
-so serial, process, and async backends all report the same span shape on
+so serial, process, and fleet backends all report the same span shape on
 one coherent parent-clock timeline.  The queue-wait span (and the
 ``JobResult.queue_wait_s`` scalar) therefore includes pickling/dispatch
 overhead — it is the honest submit-to-start latency, which is exactly
-the number the process/async backends were blind to.
+the number the worker backends would otherwise be blind to.
 """
 
 from __future__ import annotations

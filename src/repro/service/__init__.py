@@ -6,15 +6,15 @@ compile cache reuses codegen and assembly across sweep points (and can
 spill to disk so cold processes start warm); a machine pool reuses
 :class:`~repro.core.quma.QuMA` control stacks across jobs with compatible
 configs; and an :class:`ExperimentService` routes specs through pluggable
-executor backends — serial, multiprocessing, or an asyncio job queue —
-with deterministic per-job seeding, plus a heterogeneous ``baseline``
+executor backends — serial, local worker processes, or remote worker
+daemons — with deterministic per-job seeding, plus a heterogeneous ``baseline``
 route running APS2 cost-model jobs next to QuMA sweeps.
 
 Quick use::
 
     from repro.service import ExperimentService, JobSpec, grid
 
-    service = ExperimentService(backend="async", workers=4)
+    service = ExperimentService(backend="process", workers=4)
     for spec in (make_job(p) for p in grid(amplitude=amps)):
         service.submit(spec)
     for result in service.iter_completed():   # completion order
@@ -24,7 +24,6 @@ Quick use::
 """
 
 from repro.service.backends import (
-    AsyncBackend,
     BaselineBackend,
     ExecutorBackend,
     FleetBackend,
@@ -68,7 +67,6 @@ from repro.service.scheduler import (
 )
 
 __all__ = [
-    "AsyncBackend",
     "BaselineBackend",
     "CompileCache",
     "DEFAULT_RETRYABLE",

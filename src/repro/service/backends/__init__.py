@@ -7,19 +7,20 @@ and the service composes them through a
 :class:`~repro.service.dispatch.Dispatcher`.
 
 * :class:`SerialBackend` — in-process reference implementation;
-* :class:`ProcessBackend` — persistent multiprocessing worker pool;
-* :class:`AsyncBackend` — asyncio job queue over process workers,
-  resolving futures in completion order;
+* :class:`ProcessBackend` — local worker processes on the fleet
+  transport (one socketpair each);
 * :class:`FleetBackend` / :class:`RemoteBackend` — remote worker
-  daemons over the fleet socket protocol (``repro worker``), with
-  least-outstanding sharding and cross-host ``WorkerLost`` recovery;
+  daemons over the fleet socket protocol (``repro worker``);
 * :class:`BaselineBackend` — the APS2 cost model as a heterogeneous
   dispatch route.
+
+``ProcessBackend`` and ``FleetBackend`` share one dispatch path (one
+job in flight per worker slot, the rest held client-side) and one
+``WorkerLost`` recovery path.
 """
 
 from __future__ import annotations
 
-from repro.service.backends.async_queue import AsyncBackend
 from repro.service.backends.base import (
     ExecutorBackend,
     execute_job,
@@ -27,9 +28,9 @@ from repro.service.backends.base import (
     retry_call,
 )
 from repro.service.backends.baseline import BaselineBackend
-from repro.service.backends.process import ProcessBackend, default_workers
 from repro.service.backends.serial import SerialBackend
 from repro.service.fleet.backend import FleetBackend, RemoteBackend
+from repro.service.fleet.local import ProcessBackend, default_workers
 from repro.utils.errors import ConfigurationError
 
 #: Selectable QuMA execution backends, by ``ExperimentService(backend=...)``
@@ -39,7 +40,6 @@ from repro.utils.errors import ConfigurationError
 QUMA_BACKENDS = {
     SerialBackend.name: SerialBackend,
     ProcessBackend.name: ProcessBackend,
-    AsyncBackend.name: AsyncBackend,
     FleetBackend.name: FleetBackend,
 }
 
@@ -56,7 +56,6 @@ def create_backend(name: str, **kwargs) -> ExecutorBackend:
 
 
 __all__ = [
-    "AsyncBackend",
     "BaselineBackend",
     "ExecutorBackend",
     "FleetBackend",

@@ -101,8 +101,8 @@ def execute_job(spec: JobSpec, pool: MachinePool, cache: CompileCache,
     kernel.  Replayed and fully-simulated jobs produce bit-identical
     averages for the same run seed, so caching never changes results.
 
-    ``metrics`` is the executing context's registry (worker-local for
-    process/async workers); job counters and stage histograms land there.
+    ``metrics`` is the executing context's registry (worker-local on
+    the worker backends); job counters and stage histograms land there.
     With ``spec.telemetry`` the result additionally carries lifecycle
     spans, the simulator trace (when the machine traces), and the
     registry snapshot — none of which touches the RNG streams, so
@@ -293,14 +293,14 @@ def retry_call(spec: JobSpec, attempt_fn, *,
     """Run ``attempt_fn(attempt)`` under the spec's retry policy.
 
     The uniform retry loop every in-process execution path shares
-    (serial backend, pool workers, the baseline route): retryable
+    (serial backend, workers, the baseline route): retryable
     failures back off deterministically and re-run; terminal failures —
     non-retryable, or attempts exhausted — raise a
     :class:`~repro.utils.errors.JobError` whose message depends only on
     the original exception, so every backend surfaces the same error for
     the same faulty spec.  ``base_attempt`` offsets the attempt numbering
-    when a watchdog resubmits after worker loss, keeping the fault
-    schedule and seeded backoff aligned across respawns.
+    when a job is resubmitted after a worker loss, keeping the fault
+    schedule and seeded backoff aligned across workers.
 
     On success the result's ``attempts`` counts total executions, and
     with telemetry enabled each recovered failure becomes an
@@ -440,9 +440,9 @@ class ExecutorBackend(abc.ABC):
         Does not raise on failed jobs — exceptions surface when the
         caller takes ``future.result()``.  ``timeout`` bounds the *whole*
         drain; when it elapses with jobs unresolved a
-        :class:`TimeoutError` reports how many are stuck (the watchdogs
-        resolve worker-loss casualties, so an expired drain means jobs
-        are genuinely still running or hung).
+        :class:`TimeoutError` reports how many are stuck (worker-loss
+        casualties are resolved by the loss handling, so an expired
+        drain means jobs are genuinely still running or hung).
         """
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)

@@ -112,7 +112,7 @@ class CompileCache:
 
     ``persist_dir`` enables the disk-spill level: resolved work is also
     written under its content key, and misses in the in-memory LRU fall
-    through to disk before recomputing.  Several processes (worker pools,
+    through to disk before recomputing.  Several processes (worker processes,
     successive CLI runs) can share one directory — writes go through a
     same-directory temp file + ``os.replace``, so concurrent writers of
     the same key are safe (last writer wins with identical content).

@@ -42,7 +42,7 @@ FAULT_SITES = ("compile", "acquire", "execute", "collect")
 #: process (downgraded to ``transient`` in-process, where a crash would
 #: take the caller down with it); ``hang`` sleeps ``hang_s`` at the site
 #: and then continues (surfacing as a :class:`JobTimeout` when the spec
-#: carries a deadline, or as a hung worker for the watchdog to reap).
+#: carries a deadline, or as a hung local worker that is killed).
 FAULT_KINDS = ("transient", "crash", "hang")
 
 #: Environment switch: presence of a seed enables ambient injection.

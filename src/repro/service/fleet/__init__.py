@@ -10,17 +10,19 @@ The fleet extends the service layer across host boundaries:
   caches;
 * :mod:`repro.service.fleet.client` — :class:`WorkerClient`, one
   multiplexed connection to a worker with reader + heartbeat threads;
-* :mod:`repro.service.fleet.backend` — :class:`RemoteBackend` (one
-  worker) and :class:`FleetBackend` (least-outstanding-jobs sharding
-  across N workers), both mapping dead connections and missed
-  heartbeats to :class:`~repro.utils.errors.WorkerLost` so the existing
-  retry/quarantine machinery recovers across hosts;
+* :mod:`repro.service.fleet.backend` — :class:`FleetBackend` (jobs
+  dispatched across N workers, one in flight per worker slot) and
+  :class:`RemoteBackend` (one daemon), both mapping dead connections and
+  missed heartbeats to :class:`~repro.utils.errors.WorkerLost` so the
+  retry/quarantine machinery recovers;
+* :mod:`repro.service.fleet.local` — :class:`ProcessBackend`, the same
+  executor over local worker processes on socketpairs;
 * :mod:`repro.service.fleet.launch` — subprocess helpers for loopback
   fleets (tests, benchmarks, examples).
 
 Job execution stays a pure function of the spec, so fleet results are
-bit-identical to every in-process backend — including sweeps that lose
-a worker mid-flight (see DESIGN.md "Fleet").
+bit-identical to the serial backend — including sweeps that lose a
+worker mid-flight (see DESIGN.md "The fleet").
 """
 
 from __future__ import annotations

@@ -1,26 +1,26 @@
-"""Fleet executor backends: remote workers behind the futures contract.
+"""Fleet executor backends: the one worker transport.
 
-:class:`FleetBackend` shards submissions across N worker daemons by
-least outstanding jobs (ties to the lowest worker index), maps any
-connection loss or heartbeat silence to
-:class:`~repro.utils.errors.WorkerLost`, and resubmits the casualties to
-surviving workers with an advanced base attempt — the exact recovery
-contract the process backend's watchdog established, extended across
-host boundaries.  Job execution is a pure function of the spec, so a
-sweep that loses a worker mid-flight still gathers bit-identical
-results.
+:class:`FleetBackend` runs jobs on N workers, each reached through a
+:class:`~repro.service.fleet.client.WorkerClient` speaking the RPFL
+frames of :mod:`repro.service.fleet.protocol`: ``repro worker`` daemons
+dialed by address, or (``backend="process"``,
+:class:`~repro.service.fleet.local.ProcessBackend`) local worker
+processes on socketpairs.  Both share this module's dispatch and loss
+handling.
 
-:class:`RemoteBackend` is the single-worker specialization: it serves
-the "one remote box" deployment and, on loss, tries to *reconnect* to
-the same address before giving up (a restarted daemon picks the work
-back up).
+Dispatch keeps at most one job in flight per worker slot and holds the
+rest client-side.  A dead connection or heartbeat silence marks a
+worker lost (:class:`~repro.utils.errors.WorkerLost`); its in-flight
+jobs are held again at ``base_attempt + 1`` when their retry policy
+allows, or resolved with a terminal :class:`JobError`.  Job execution is
+a pure function of the spec, so a sweep that loses a worker mid-flight
+still gathers bit-identical results.
 
-Cache sharing: :meth:`FleetBackend.sync_compile_caches` unions the
-workers' content-addressed compile-cache spills (``CACHE_LIST`` /
-``GET`` / ``PUT`` frames), pushes every worker the entries it is
-missing, and mirrors the union into the backend's local ``cache_dir``
-when one is configured — one host's codegen warms every host.  The sync
-also runs best-effort at :meth:`close`.
+:meth:`FleetBackend.sync_compile_caches` unions the workers'
+content-addressed compile-cache spills (``CACHE_LIST`` / ``GET`` /
+``PUT`` frames) and mirrors the union into the local ``cache_dir`` when
+one is configured — one host's codegen warms every host.  The sync also
+runs best-effort at :meth:`close`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from __future__ import annotations
 import itertools
 import os
 import threading
+import time
+from collections import deque
 
 from repro.service.backends.base import ExecutorBackend
 from repro.service.faults import FaultPlan
@@ -48,33 +50,32 @@ def fleet_addresses_from_env() -> tuple[str, ...]:
 
 
 class FleetBackend(ExecutorBackend):
-    """Load-balance jobs across N fleet workers; survive losing some.
+    """Run jobs on N workers; survive losing some.
 
     ``addresses`` lists the worker daemons (``host:port``); when omitted
     it comes from ``$REPRO_FLEET_WORKERS``.  Connections are dialed
     lazily on first submit, and a dial failure is a loud
     :class:`ConfigurationError` — a fleet pointed at dead workers is
-    misconfigured, not unlucky.
-
-    ``workers`` is accepted for construction-signature parity with the
-    in-process backends but is advisory here: parallelism is the number
-    of daemons.  ``faults`` travels with every ``SUBMIT`` frame — a
-    :class:`FaultPlan` is a frozen, stateless schedule, so shipping it
-    per job gives the same deterministic chaos as the process pool
-    (daemons may *also* arm ambiently from their own ``REPRO_FAULT_*``
-    environment; a client-supplied plan wins for its jobs).
+    misconfigured, not unlucky.  ``faults`` travels with every
+    ``SUBMIT`` frame (a :class:`FaultPlan` is a frozen, stateless
+    schedule), so every worker sees the same deterministic chaos; it
+    wins over a daemon's ambient ``REPRO_FAULT_*`` plan for its jobs.
     """
 
     name = "fleet"
 
-    def __init__(self, addresses=None, *, workers: int | None = None,
-                 cache_dir: str | None = None,
+    #: Run :meth:`sync_compile_caches` at close.  Local workers spill
+    #: into the backend's own ``cache_dir``, so the process backend has
+    #: nothing to sync.
+    sync_caches = True
+
+    def __init__(self, addresses=None, *, cache_dir: str | None = None,
                  faults: FaultPlan | None = None,
                  max_quarantine: int | None = None,
                  connect_timeout: float = 5.0,
                  request_timeout: float = 60.0,
                  heartbeat_s: float = 1.0, heartbeat_misses: int = 5,
-                 reconnect_lost: bool = False, sync_caches: bool = True):
+                 reconnect_lost: bool = False):
         super().__init__(max_quarantine=max_quarantine)
         if addresses is None:
             addresses = fleet_addresses_from_env()
@@ -87,7 +88,6 @@ class FleetBackend(ExecutorBackend):
                 f"fleet_workers=, or export {FLEET_WORKERS_ENV}="
                 f"host:port[,host:port...] after starting daemons with "
                 f"'repro worker --listen host:port'")
-        del workers  # see class docstring
         self.faults = faults
         self.cache_dir = cache_dir
         self.connect_timeout = connect_timeout
@@ -95,48 +95,67 @@ class FleetBackend(ExecutorBackend):
         self.heartbeat_s = heartbeat_s
         self.heartbeat_misses = heartbeat_misses
         self.reconnect_lost = reconnect_lost
-        self.sync_caches = sync_caches
         self.worker_losses = 0
         self.resubmissions = 0
         self.reconnects = 0
+        self.reconnect_failures = 0
+        self.cache_sync_failures = 0
         self.last_cache_sync: dict | None = None
         # Reentrant: loss handling runs inside submit-path sends and
         # recursively when a resubmission target dies in the same breath.
         self._fleet_lock = threading.RLock()
-        self._clients: list[WorkerClient | None] = [None] * len(self.addresses)
-        self._loads = [0] * len(self.addresses)
-        self._shipped = [0] * len(self.addresses)
+        n = len(self.addresses)
+        self._clients: list[WorkerClient | None] = [None] * n
+        self._slots = [1] * n
+        self._loads = [0] * n
+        self._shipped = [0] * n
+        #: Jobs not yet shipped, as ``(spec, future, base_attempt)``.
+        self._held: deque = deque()
         self._inflight: dict[int, dict] = {}
+        #: Lost worker index -> the helper thread connecting its
+        #: replacement; held jobs wait for these rather than fail.
+        self._joining: dict[int, threading.Thread] = {}
         self._tokens = itertools.count()
+        self._ties = 0
         self._started = False
         self._closing = False
 
     # -- connections ---------------------------------------------------------
 
-    def _new_client(self, index: int) -> WorkerClient:
+    def _client(self, address: str) -> WorkerClient:
         return WorkerClient(
-            self.addresses[index],
+            address,
             connect_timeout=self.connect_timeout,
             request_timeout=self.request_timeout,
             heartbeat_s=self.heartbeat_s,
             heartbeat_misses=self.heartbeat_misses,
-            on_result=self._on_result, on_error=self._on_error,
-            on_lost=self._on_lost).connect()
+            on_result=self._on_reply, on_error=self._on_reply,
+            on_lost=self._on_lost)
+
+    def _open_workers(self) -> list[WorkerClient]:
+        """Connect one client per worker (called once, under the lock)."""
+        clients: list[WorkerClient] = []
+        try:
+            for index in range(len(self.addresses)):
+                clients.append(self._reopen(index))
+        except Exception as exc:
+            for client in clients:
+                client.close()
+            raise ConfigurationError(
+                f"cannot connect to fleet worker "
+                f"{self.addresses[len(clients)]}: {exc}") from exc
+        return clients
+
+    def _attach(self, index: int, client: WorkerClient) -> None:
+        self._clients[index] = client
+        self._slots[index] = max(1, int(client.welcome.get("slots", 1)))
 
     def _ensure_started(self) -> None:
         with self._fleet_lock:
             if self._started:
                 return
-            for index in range(len(self.addresses)):
-                try:
-                    self._clients[index] = self._new_client(index)
-                except Exception as exc:
-                    for client in self._clients:
-                        if client is not None:
-                            client.close()
-                    raise ConfigurationError(
-                        f"cannot connect to fleet worker "
-                        f"{self.addresses[index]}: {exc}") from exc
+            for index, client in enumerate(self._open_workers()):
+                self._attach(index, client)
             self._started = True
 
     def _index_of(self, client: WorkerClient) -> int | None:
@@ -149,90 +168,114 @@ class FleetBackend(ExecutorBackend):
         return [i for i, c in enumerate(self._clients)
                 if c is not None and c.alive]
 
-    # -- submission ----------------------------------------------------------
+    # -- submission and dispatch ---------------------------------------------
 
     def _submit(self, spec: JobSpec) -> JobFuture:
         future = JobFuture(spec)
         self._ensure_started()
-        self._place(spec, future, base_attempt=0)
+        future.add_done_callback(self._cancel_inflight)
+        with self._fleet_lock:
+            self._held.append((spec, future, 0))
+            self._dispatch()
         return future
 
-    def _place(self, spec: JobSpec, future: JobFuture,
-               base_attempt: int) -> None:
-        """Register and ship one job to the least-loaded live worker.
+    def _pick(self) -> int | None:
+        """The live worker with a free slot and the fewest jobs in flight.
 
-        Registration and the socket write happen under the fleet lock so
-        a loss detected by the reader thread either sees the in-flight
-        entry (and recovers it) or runs before the pick (and the pick
-        avoids the dead worker) — never a half-registered job.
+        Ties rotate among the tied workers, so a sweep's first job does
+        not always land on the same worker.
         """
-        with self._fleet_lock:
-            live = self._live_indices()
-            if not live:
-                self._resolve_lost(
-                    spec, future, base_attempt,
-                    WorkerLost("no live fleet workers remain",
-                               worker=",".join(self.addresses)))
-                return
-            index = min(live, key=lambda i: (self._loads[i], i))
-            token = next(self._tokens)
-            self._inflight[token] = {"spec": spec, "future": future,
-                                     "base_attempt": base_attempt,
-                                     "worker": index}
-            self._loads[index] += 1
-            self._shipped[index] += 1
-            client = self._clients[index]
-            try:
-                client.submit(token, spec, base_attempt, faults=self.faults)
-            except Exception as exc:
-                # The write found the corpse before the reader did; the
-                # loss handler recovers this entry with everything else
-                # that worker had in flight.
-                client.mark_lost(
-                    f"submit to worker {client.address} failed: {exc}")
-                return
-        future.add_done_callback(
-            lambda f, token=token: self._forget_cancelled(token, f))
+        free = [i for i in self._live_indices()
+                if self._loads[i] < self._slots[i]]
+        if not free:
+            return None
+        least = min(self._loads[i] for i in free)
+        tied = [i for i in free if self._loads[i] == least]
+        if len(tied) == 1:
+            return tied[0]
+        self._ties += 1
+        return tied[(self._ties - 1) % len(tied)]
 
-    def _forget_cancelled(self, token: int, future: JobFuture) -> None:
+    def _dispatch(self) -> None:
+        """Ship held jobs while workers have free slots (lock held); with
+        no worker live or rejoining, resolve them with WorkerLost."""
+        while self._held:
+            index = self._pick()
+            if index is None:
+                if not self._live_indices() and not self._joining:
+                    loss = WorkerLost("no live fleet workers remain",
+                                      worker=",".join(self.addresses))
+                    while self._held:
+                        spec, future, base_attempt = self._held.popleft()
+                        self._resolve_lost(spec, future, base_attempt, loss)
+                return
+            spec, future, base_attempt = self._held.popleft()
+            if future.done():
+                continue  # cancelled while held: never reaches a worker
+            self._ship(index, spec, future, base_attempt)
+
+    def _ship(self, index: int, spec: JobSpec, future: JobFuture,
+              base_attempt: int) -> None:
+        """Register one job in flight on worker ``index`` and send it.
+
+        Both happen under the fleet lock, so a loss seen by a reader
+        thread either recovers the entry or precedes the pick — never a
+        half-registered job.
+        """
+        token = next(self._tokens)
+        self._inflight[token] = {"spec": spec, "future": future,
+                                 "base_attempt": base_attempt,
+                                 "worker": index,
+                                 "shipped_at": time.monotonic()}
+        self._loads[index] += 1
+        self._shipped[index] += 1
+        client = self._clients[index]
+        try:
+            client.submit(token, spec, base_attempt, faults=self.faults)
+        except Exception as exc:
+            # The write found the corpse before the reader did; the loss
+            # handler recovers this entry with everything else that
+            # worker had in flight.
+            client.mark_lost(f"submit to worker {client.address} failed: "
+                             f"{exc}")
+
+    def _cancel_inflight(self, future: JobFuture) -> None:
+        """Ask the worker to drop a cancelled in-flight job (best-effort).
+
+        The entry keeps its slot, and a local worker's overstay watch,
+        until the worker answers the token: with the job's outcome if
+        it already started, or with an ``ERROR`` frame if the ``CANCEL``
+        dequeued it.
+        """
         if not future.cancelled():
             return
         with self._fleet_lock:
-            entry = self._inflight.pop(token, None)
-            if entry is None:
-                return
-            self._loads[entry["worker"]] -= 1
+            for token, entry in self._inflight.items():
+                if entry["future"] is future:
+                    break
+            else:
+                return  # still held (dispatch skips it) or already done
             client = self._clients[entry["worker"]]
-        if client is not None:
-            client.cancel(token)
+            if client is not None:
+                client.cancel(token)
 
     # -- result delivery (reader threads) ------------------------------------
 
-    def _take(self, token: int) -> dict | None:
+    def _on_reply(self, client: WorkerClient, token: int, outcome) -> None:
+        """A ``RESULT`` (a JobResult) or ``ERROR`` (an exception) frame."""
         with self._fleet_lock:
             entry = self._inflight.pop(token, None)
-            if entry is not None:
-                self._loads[entry["worker"]] -= 1
-            return entry
-
-    def _on_result(self, client: WorkerClient, token: int, result) -> None:
-        entry = self._take(token)
-        if entry is None:
-            return  # cancelled (or recovered elsewhere) before arrival
+            if entry is None:
+                return  # recovered after a loss before this arrived
+            self._loads[entry["worker"]] -= 1
+            self._dispatch()
         try:
-            entry["future"].set_result(result)
+            if isinstance(outcome, BaseException):
+                entry["future"].set_exception(outcome)
+            else:
+                entry["future"].set_result(outcome)
         except RuntimeError:
-            pass
-
-    def _on_error(self, client: WorkerClient, token: int,
-                  exc: Exception) -> None:
-        entry = self._take(token)
-        if entry is None:
-            return
-        try:
-            entry["future"].set_exception(exc)
-        except RuntimeError:
-            pass
+            pass  # a close-time resolution won the race
 
     # -- worker loss ---------------------------------------------------------
 
@@ -242,34 +285,62 @@ class FleetBackend(ExecutorBackend):
             if index is None:
                 return  # a replaced connection's late death
             self.worker_losses += 1
-            victims = [(token, entry)
-                       for token, entry in self._inflight.items()
+            victims = [token for token, entry in self._inflight.items()
                        if entry["worker"] == index]
-            for token, _ in victims:
-                del self._inflight[token]
+            victims = [self._inflight.pop(token) for token in victims]
             self._loads[index] = 0
-            if self.reconnect_lost and not self._closing:
-                try:
-                    self._clients[index] = self._new_client(index)
-                    self.reconnects += 1
-                except Exception:
-                    self._clients[index] = None
-            loss = WorkerLost(
-                f"fleet worker {client.address} lost: {reason}",
-                worker=client.address)
-            for _, entry in victims:
-                if entry["future"].cancelled():
+            if not self._closing:
+                self._replace(index)
+            loss = WorkerLost(f"worker {client.address} lost: {reason}",
+                              worker=client.address)
+            for entry in reversed(victims):
+                spec, future = entry["spec"], entry["future"]
+                if future.done():
                     continue
-                policy = (entry["spec"].retry
-                          if entry["spec"].retry is not None else NO_RETRY)
+                policy = spec.retry if spec.retry is not None else NO_RETRY
                 if (not self._closing
                         and policy.should_retry(loss, entry["base_attempt"])):
                     self.resubmissions += 1
-                    self._place(entry["spec"], entry["future"],
-                                entry["base_attempt"] + 1)
+                    self._held.appendleft(
+                        (spec, future, entry["base_attempt"] + 1))
                 else:
-                    self._resolve_lost(entry["spec"], entry["future"],
-                                       entry["base_attempt"], loss)
+                    self._resolve_lost(spec, future, entry["base_attempt"],
+                                       loss)
+            self._dispatch()
+
+    def _replace(self, index: int) -> None:
+        """Start bringing lost worker ``index`` back (lock held).
+
+        The replacement connects on a helper thread; held jobs wait for
+        it instead of failing, and go to the other workers meanwhile.
+        """
+        if not self.reconnect_lost:
+            return
+        helper = threading.Thread(target=self._rejoin, args=(index,),
+                                  name=f"fleet-rejoin-{index}", daemon=True)
+        self._joining[index] = helper
+        helper.start()
+
+    def _reopen(self, index: int) -> WorkerClient:
+        """A connected client for worker ``index``: dial its address."""
+        return self._client(self.addresses[index]).connect()
+
+    def _rejoin(self, index: int) -> None:
+        try:
+            client = self._reopen(index)
+        except Exception:
+            client = None  # counted below; held jobs then fail over
+        with self._fleet_lock:
+            del self._joining[index]
+            if self._closing:
+                if client is not None:
+                    client.close()
+            elif client is None:
+                self.reconnect_failures += 1
+            else:
+                self._attach(index, client)
+                self.reconnects += 1
+            self._dispatch()
 
     def _resolve_lost(self, spec: JobSpec, future: JobFuture,
                       lost_attempt: int, loss: WorkerLost) -> None:
@@ -359,14 +430,20 @@ class FleetBackend(ExecutorBackend):
                 return
             self._closing = True
             started = self._started
+            self._held.clear()
         if started and self.sync_caches:
             try:
                 self.sync_compile_caches()
             except Exception:
-                pass  # best-effort: a half-dead fleet still closes cleanly
+                # Best-effort: a half-dead fleet still closes cleanly.
+                self.cache_sync_failures += 1
         for client in self._clients:
             if client is not None:
                 client.close()
+        with self._fleet_lock:
+            helpers = list(self._joining.values())
+        for helper in helpers:
+            helper.join(timeout=60.0)
         super().close()
 
     # -- inspection ----------------------------------------------------------
@@ -379,12 +456,18 @@ class FleetBackend(ExecutorBackend):
                 client = self._clients[index]
                 workers.append({
                     "index": index,
-                    "address": address,
+                    "address": (client.address if client is not None
+                                else address),
+                    "pid": (client.welcome.get("pid")
+                            if client is not None else None),
                     "client": client,
                     "alive": client is not None and client.alive,
                     "outstanding": self._loads[index],
                     "shipped": self._shipped[index],
+                    "cancel_failures": (client.cancel_failures
+                                        if client is not None else 0),
                 })
+            queued = len(self._held)
         # The remote round-trips happen outside the fleet lock: the reader
         # thread that delivers the stats reply takes that lock to deliver
         # job results, so holding it here would stall both.
@@ -396,9 +479,12 @@ class FleetBackend(ExecutorBackend):
                 except Exception:
                     entry["alive"] = client.alive
         stats["workers"] = workers
+        stats["queued"] = queued
         stats["worker_losses"] = self.worker_losses
         stats["resubmissions"] = self.resubmissions
         stats["reconnects"] = self.reconnects
+        stats["reconnect_failures"] = self.reconnect_failures
+        stats["cache_sync_failures"] = self.cache_sync_failures
         if self.last_cache_sync is not None:
             stats["cache_sync"] = self.last_cache_sync
         return stats

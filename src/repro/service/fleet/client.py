@@ -1,21 +1,22 @@
 """Client side of the fleet protocol: one connection, three concerns.
 
-A :class:`WorkerClient` owns a single multiplexed TCP connection to one
-worker daemon:
+A :class:`WorkerClient` owns a single multiplexed connection to one
+worker — a TCP connection to a daemon, or one end of a socketpair whose
+other end a local worker process serves:
 
 * **submissions** — ``SUBMIT`` frames keyed by backend-chosen token;
   the matching ``RESULT``/``ERROR`` frames come back whenever the worker
   finishes and are delivered through the ``on_result``/``on_error``
-  callbacks (on the reader thread, like a process pool's result handler);
+  callbacks (on the reader thread);
 * **requests** — ping/stats/cache/shutdown frames matched by ``rid``;
   :meth:`_request` blocks the calling thread until the reply (or its
   timeout) while jobs keep flowing;
 * **liveness** — a heartbeat thread pings on a period and watches the
   last time *any* frame arrived.  A dead socket (EOF, reset — the
-  SIGKILL case on loopback) or ``heartbeat_misses`` silent periods (the
-  hang/partition case) marks the worker lost exactly once: the socket
-  is torn down, every waiting request fails, and ``on_lost`` fires so
-  the owning backend can map the loss to
+  SIGKILL case on loopback or a socketpair) or ``heartbeat_misses``
+  silent periods (the hang/partition case) marks the worker lost
+  exactly once: the socket is torn down, every waiting request fails,
+  and ``on_lost`` fires so the owning backend can map the loss to
   :class:`~repro.utils.errors.WorkerLost` and resubmit.
 """
 
@@ -53,7 +54,6 @@ class WorkerClient:
                  heartbeat_misses: int = 5, on_result=None, on_error=None,
                  on_lost=None):
         self.address = address
-        self.host, self.port = parse_address(address)
         self.connect_timeout = connect_timeout
         self.request_timeout = request_timeout
         self.heartbeat_s = heartbeat_s
@@ -64,6 +64,8 @@ class WorkerClient:
         self.alive = False
         self.welcome: dict = {}
         self.lost_reason: str | None = None
+        #: Best-effort CANCEL frames that could not be sent.
+        self.cancel_failures = 0
         self._sock: socket.socket | None = None
         self._wlock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -78,10 +80,12 @@ class WorkerClient:
 
     # -- connection lifecycle ------------------------------------------------
 
-    def connect(self) -> "WorkerClient":
-        """Dial, handshake (with version check), start service threads."""
-        sock = socket.create_connection((self.host, self.port),
-                                        timeout=self.connect_timeout)
+    def connect(self, sock: socket.socket | None = None) -> "WorkerClient":
+        """Dial (or adopt ``sock``, already connected), handshake with a
+        version check, and start the service threads."""
+        if sock is None:
+            sock = socket.create_connection(parse_address(self.address),
+                                            timeout=self.connect_timeout)
         try:
             sock.settimeout(self.request_timeout)
             send_frame(sock, protocol.HELLO, {
@@ -113,18 +117,14 @@ class WorkerClient:
         self._last_rx = time.monotonic()
         self.alive = True
         self._reader = threading.Thread(
-            target=self._reader_loop, name=f"fleet-rx-{self.port}",
+            target=self._reader_loop, name=f"fleet-rx-{self.address}",
             daemon=True)
         self._reader.start()
         self._heartbeat = threading.Thread(
-            target=self._heartbeat_loop, name=f"fleet-hb-{self.port}",
+            target=self._heartbeat_loop, name=f"fleet-hb-{self.address}",
             daemon=True)
         self._heartbeat.start()
         return self
-
-    @property
-    def worker_name(self) -> str:
-        return self.welcome.get("worker", self.address)
 
     def close(self) -> None:
         """Deliberate local teardown — never reported as a worker loss."""
@@ -242,8 +242,10 @@ class WorkerClient:
         """Best-effort: dequeue the job worker-side if it has not started."""
         try:
             self._send(protocol.CANCEL, {"token": token})
-        except Exception:
-            pass  # a dead worker cancels everything anyway
+        except (OSError, ProtocolError, WorkerLost):
+            # A dead worker cancels everything anyway; the count says
+            # how often the frame was lost.
+            self.cancel_failures += 1
 
     def _request(self, kind: str, body: dict | None = None,
                  timeout: float | None = None) -> tuple[str, dict]:

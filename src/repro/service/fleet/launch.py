@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import re
+import selectors
 import subprocess
 import sys
 import time
@@ -34,21 +35,32 @@ def launch_worker(*, cache_dir: str | None = None, slots: int = 1,
     if src not in path.split(os.pathsep):
         run_env["PYTHONPATH"] = f"{src}{os.pathsep}{path}" if path else src
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                            stderr=subprocess.STDOUT, text=True, env=run_env)
+                            stderr=subprocess.STDOUT, env=run_env)
+    # Wait on the pipe, never in a blocking read: a daemon that prints
+    # nothing must not hold the launcher past ``timeout``.
     deadline = time.monotonic() + timeout
-    line = ""
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            break
-        match = _ANNOUNCE.search(line)
-        if match:
-            return proc, match.group(1)
+    output = ""
+    fd = proc.stdout.fileno()
+    with selectors.DefaultSelector() as selector:
+        selector.register(fd, selectors.EVENT_READ)
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not selector.select(remaining):
+                break
+            chunk = os.read(fd, 4096)
+            if not chunk:
+                break  # the daemon exited
+            output += chunk.decode(errors="replace")
+            match = _ANNOUNCE.search(output)
+            if match:
+                return proc, match.group(1)
     proc.kill()
     proc.wait()
+    proc.stdout.close()
+    last = output.strip().splitlines()[-1:] or [""]
     raise ConfigurationError(
         f"worker daemon did not announce its address within {timeout} s "
-        f"(last output: {line.strip()!r})")
+        f"(last output: {last[0]!r})")
 
 
 def stop_worker(proc: subprocess.Popen, timeout: float = 10.0) -> None:

@@ -46,7 +46,7 @@ HELLO = "hello"              #: client -> worker: {version, client}
 WELCOME = "welcome"          #: worker -> client: {version, worker, pid, slots, cache_share}
 REJECT = "reject"            #: worker -> client: {reason, version}
 SUBMIT = "submit"            #: client -> worker: {token, spec, base_attempt}
-CANCEL = "cancel"            #: client -> worker: {token} (best-effort)
+CANCEL = "cancel"            #: client -> worker: {token} (ERROR if it dequeued the job)
 RESULT = "result"            #: worker -> client: {token, result}
 ERROR = "error"              #: worker -> client: {token, error}
 PING = "ping"                #: client -> worker: {rid}

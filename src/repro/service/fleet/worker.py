@@ -2,26 +2,29 @@
 
 A :class:`WorkerServer` owns one machine pool, one compile cache
 (optionally disk-spilled via ``--cache-dir``), one replay cache, and one
-metrics registry — the same warm state a process-pool worker holds, now
-reachable over TCP.  Jobs arrive as pickled :class:`JobSpec`\\ s on
-``SUBMIT`` frames and run through :func:`execute_with_retry`, so the
-worker-side failure semantics (per-spec retry policy, fault plan from
-its own environment, uniform ``JobError`` wrapping) are exactly those of
-every in-process backend.  Results (or the terminal ``JobError``) ship
-back on the same connection, keyed by the client's token.
+metrics registry — the warm state of a worker, served to TCP clients
+as a daemon or on one socketpair as a local worker process of the
+``process`` backend (:mod:`repro.service.fleet.local`).  Jobs arrive as
+pickled :class:`JobSpec`\\ s on ``SUBMIT`` frames and run through
+:func:`execute_with_retry`, so the worker-side failure semantics
+(per-spec retry policy, fault plan from its own environment, uniform
+``JobError`` wrapping) are exactly those of the serial backend.  Results
+(or the terminal ``JobError``) ship back on the same connection, keyed
+by the client's token.
 
-Concurrency model: one accept loop, one reader thread per connection,
-and a shared :class:`ThreadPoolExecutor` with ``slots`` job lanes
-(default 1 — scale a host by running more daemons, which keeps each
-daemon's pool/cache access effectively serial).  Heartbeats and cache
-ops are answered from the reader thread, so a worker stays responsive
-while a job runs.
+Concurrency model: one accept loop (daemons only), one reader thread
+per connection, and a shared :class:`ThreadPoolExecutor` with ``slots``
+job lanes (default 1 — scale a host by running more daemons, which
+keeps each daemon's pool/cache access effectively serial).  Heartbeats
+and cache ops are answered from the reader thread, so a worker stays
+responsive while a job runs.
 
-Injected *crash* faults degrade to transient errors here (like the
-serial backend): a daemon is shared infrastructure that outlives any one
-client, so chaos must not take it down from the inside — killing workers
-is the test harness's job (``SIGKILL``), and the client-side
-``WorkerLost`` recovery is what's under test.
+Injected *crash* faults degrade to transient errors in a daemon (like
+the serial backend): a daemon is shared infrastructure that outlives any
+one client, so chaos must not take it down from the inside — killing
+daemons is the test harness's job (``SIGKILL``), and the client-side
+``WorkerLost`` recovery is what's under test.  Local workers belong to
+one client and are expendable, so they run with ``allow_crash=True``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from repro.service.fleet import protocol
 from repro.service.fleet.protocol import recv_frame, send_frame
 from repro.service.job import JobResult, JobSpec
 from repro.service.pool import MachinePool
-from repro.utils.errors import ProtocolError
+from repro.utils.errors import JobCancelled, ProtocolError
 
 #: Content-addressed compile-cache spill names a worker will serve or
 #: store — anything else (path tricks, foreign files) is refused.
@@ -68,10 +71,11 @@ class WorkerServer:
     cache-sharing protocol frames (``CACHE_LIST``/``GET``/``PUT``
     operate on that directory's content-addressed entries); without it
     the worker reports ``cache_share: False`` in its welcome and serves
-    an in-memory cache only.
+    an in-memory cache only.  ``host=None`` opens no listener: the
+    worker then serves only the sockets passed to :meth:`serve`.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
+    def __init__(self, host: str | None = "127.0.0.1", port: int = 0, *,
                  cache_dir: str | os.PathLike | None = None, slots: int = 1,
                  faults: FaultPlan | None = None, name: str | None = None,
                  allow_crash: bool = False):
@@ -82,11 +86,15 @@ class WorkerServer:
         self.faults = faults if faults is not None else FaultPlan.from_env()
         self.slots = max(1, int(slots))
         self.allow_crash = allow_crash
-        self._listener = socket.create_server((host, port))
-        bound_host, bound_port = self._listener.getsockname()[:2]
-        self.address = (bound_host, bound_port)
+        #: ``(host, port)`` of the listener; None for a worker that only
+        #: serves sockets handed to :meth:`serve` (``host=None``).
+        self.address: tuple[str, int] | None = None
+        self._listener: socket.socket | None = None
+        if host is not None:
+            self._listener = socket.create_server((host, port))
+            self.address = self._listener.getsockname()[:2]
         self.name = (name if name is not None
-                     else f"worker:{bound_host}:{bound_port}")
+                     else "worker:%s:%d" % self.address)
         self._jobs = ThreadPoolExecutor(max_workers=self.slots,
                                         thread_name_prefix="fleet-job")
         self._closed = threading.Event()
@@ -100,6 +108,9 @@ class WorkerServer:
         self.jobs_ok = 0
         self.jobs_failed = 0
         self.jobs_cancelled = 0
+        #: Results (or job errors) that could not ship because the
+        #: client had disconnected.
+        self.results_undelivered = 0
         self.rejects = 0
 
     # -- lifecycle -----------------------------------------------------------
@@ -121,13 +132,7 @@ class WorkerServer:
                 conn, peer = self._listener.accept()
             except OSError:
                 return  # listener closed by stop()
-            with self._state_lock:
-                if self._closed.is_set():
-                    conn.close()
-                    return
-                self._conns.append(conn)
-                self.connections_total += 1
-            threading.Thread(target=self._serve_connection, args=(conn,),
+            threading.Thread(target=self.serve, args=(conn,),
                              name=f"fleet-conn-{peer[1]}", daemon=True).start()
 
     def stop(self) -> None:
@@ -135,20 +140,22 @@ class WorkerServer:
         if self._closed.is_set():
             return
         self._closed.set()
-        # shutdown() wakes a thread blocked in accept() (close() alone
-        # does not on all platforms); the throwaway dial covers the rest.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        try:
-            socket.create_connection(self.address, timeout=1.0).close()
-        except OSError:
-            pass
+        if self._listener is not None:
+            # shutdown() wakes a thread blocked in accept() (close() alone
+            # does not on all platforms); the throwaway dial covers the
+            # rest.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+            try:
+                self._listener.close()
+            except OSError:
+                pass
+            try:
+                socket.create_connection(self.address, timeout=1.0).close()
+            except OSError:
+                pass
         with self._state_lock:
             pending = [h for p in self._conn_pending for h in p.values()]
             conns = list(self._conns)
@@ -176,10 +183,16 @@ class WorkerServer:
 
     # -- connection handling -------------------------------------------------
 
-    def _serve_connection(self, conn: socket.socket) -> None:
+    def serve(self, conn: socket.socket) -> None:
+        """Serve one connected socket on the calling thread until it closes."""
         wlock = threading.Lock()
         pending: dict = {}
         with self._state_lock:
+            if self._closed.is_set():
+                conn.close()
+                return
+            self._conns.append(conn)
+            self.connections_total += 1
             self._conn_pending.append(pending)
         try:
             if not self._handshake(conn, wlock):
@@ -235,9 +248,15 @@ class WorkerServer:
         if kind == protocol.SUBMIT:
             self._handle_submit(conn, wlock, pending, body)
         elif kind == protocol.CANCEL:
-            handle = pending.get(body.get("token"))
+            token = body.get("token")
+            handle = pending.get(token)
             if handle is not None and handle.cancel():
-                pass  # done-callback records the cancellation
+                # Dequeued before it started (the done-callback counts
+                # it): no result will follow, so say so — the client
+                # holds the job's slot until the token is answered.
+                self._reply(conn, wlock, protocol.ERROR, {
+                    "token": token,
+                    "error": JobCancelled(f"job {token} dequeued")})
         elif kind == protocol.PING:
             with self._state_lock:
                 active = sum(len(p) for p in self._conn_pending)
@@ -318,7 +337,9 @@ class WorkerServer:
             with wlock:
                 send_frame(conn, *frame)
         except (OSError, ProtocolError):
-            pass  # client disconnected before the result could ship
+            # The client disconnected before the result could ship.
+            with self._state_lock:
+                self.results_undelivered += 1
 
     # -- cache sharing -------------------------------------------------------
 
@@ -365,7 +386,8 @@ class WorkerServer:
         return {
             "worker": self.name,
             "pid": os.getpid(),
-            "address": f"{self.address[0]}:{self.address[1]}",
+            "address": ("%s:%d" % self.address if self.address is not None
+                        else None),
             "slots": self.slots,
             "active": active,
             "connections": connections,
@@ -373,6 +395,7 @@ class WorkerServer:
             "jobs_ok": self.jobs_ok,
             "jobs_failed": self.jobs_failed,
             "jobs_cancelled": self.jobs_cancelled,
+            "results_undelivered": self.results_undelivered,
             "rejects": self.rejects,
             "cache_share": self.cache.persist_dir is not None,
             "pool": self.pool.stats(),

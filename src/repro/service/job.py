@@ -142,8 +142,8 @@ class JobSpec:
     #: Per-attempt wall-clock budget (seconds); None means unbounded.
     #: Enforced cooperatively at lifecycle-stage boundaries in-process
     #: (a :class:`~repro.utils.errors.JobTimeout` is retryable), and by
-    #: the process/async worker watchdogs, which kill-and-respawn a
-    #: worker whose job overstays its whole attempt budget.
+    #: the process backend, which kills and replaces a local worker
+    #: whose job overstays its whole attempt budget.
     timeout: float | None = None
 
     def __post_init__(self):
@@ -210,9 +210,9 @@ class JobFuture:
     A deliberately small, dependency-free future: thread-safe, resolvable
     exactly once, with completion callbacks (used by the service's
     ``iter_completed`` stream).  Callbacks run on whatever thread resolves
-    the future — the submitting thread for the serial backend, a pool
-    result-handler or event-loop thread otherwise — so they must be cheap
-    and non-blocking.
+    the future — the submitting thread for the serial backend, a worker
+    connection's reader thread otherwise — so they must be cheap and
+    non-blocking.
     """
 
     def __init__(self, spec: JobSpec, index: int | None = None):
@@ -269,8 +269,8 @@ class JobFuture:
         ``submitted_at`` and ``resolved_at`` are stamps on the submitter's
         monotonic clock; ``result.total_s`` is the job's worker-side wall
         time.  Their difference is the submit-to-start latency (queue
-        wait + dispatch + pickling) — the number that was previously
-        invisible for the process/async backends.
+        wait + dispatch + pickling) — the number that is otherwise
+        invisible for the worker backends.
 
         Duck-typed: futures carrying non-JobResult payloads (tests,
         ad-hoc uses of set_result) pass through untouched.
@@ -291,11 +291,11 @@ class JobFuture:
         """Resolve this future with :class:`JobCancelled` if still pending.
 
         Returns True when the cancellation won the race.  Semantics per
-        backend: the async backend's consumers skip cancelled jobs before
-        execution; the process backend cannot revoke a dispatched task,
-        so the job may still run on a worker but its late result is
-        discarded (the future stays cancelled).  The serial backend
-        resolves futures eagerly, so cancel always returns False there.
+        backend: the worker backends (process, fleet) never ship a job
+        cancelled while held client-side; one already on a worker may
+        still run there, but its late result is discarded (the future
+        stays cancelled).  The serial backend resolves futures eagerly,
+        so cancel always returns False there.
         """
         with self._lock:
             if self._done.is_set():
@@ -367,7 +367,7 @@ class JobResult:
     total_s: float = 0.0
     #: Submit-to-start latency on the submitter's clock, filled in when
     #: the job's future resolves (~0 for the serial backend; the queue +
-    #: dispatch + pickling overhead for process/async).
+    #: dispatch + pickling overhead on the worker backends).
     queue_wait_s: float = 0.0
     #: Spans / simulator trace / worker metrics snapshot, when the spec
     #: ran with ``telemetry=True`` (None otherwise — and for artifacts).

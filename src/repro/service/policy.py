@@ -103,7 +103,7 @@ def wrap_job_failure(exc: BaseException, *, attempts: int, label: str = "",
     The message is derived from the original exception's type and text
     only — identical on every backend — while ``remote_traceback``
     preserves the execution-side stack for debugging.  An exception that
-    is already a :class:`JobError` (a loss resolved by a watchdog, a
+    is already a :class:`JobError` (a resolved worker loss, a
     closed-backend resolution) passes through with its counters updated.
     """
     if isinstance(exc, JobError):

@@ -12,11 +12,11 @@ executor backends (see ``repro.service.backends``) and executes
   wrappers: submit everything, gather in submission order.
 
 ``backend=`` selects the QuMA route's executor (``"serial"``,
-``"process"``, ``"async"``, or ``"fleet"`` — remote ``repro worker``
-daemons named by ``fleet_workers=``/``$REPRO_FLEET_WORKERS``); every
-service additionally routes
-``executor="baseline"`` specs to the APS2 cost model, so one batch can
-interleave both.  Job execution is a pure function of the spec (per-job
+``"process"`` — local worker processes — or ``"fleet"`` — remote
+``repro worker`` daemons named by
+``fleet_workers=``/``$REPRO_FLEET_WORKERS``); every service additionally
+routes ``executor="baseline"`` specs to the APS2 cost model, so one
+batch can interleave both.  Job execution is a pure function of the spec (per-job
 RNG streams are re-derived from the spec's run seed), so all backends
 produce bit-identical results in submission order.
 """
@@ -67,7 +67,7 @@ def grid(**axes: Iterable) -> list[dict]:
 class ExperimentService:
     """Batched experiment orchestration over cache + pool + dispatcher."""
 
-    BACKENDS = ("serial", "process", "async", "fleet")
+    BACKENDS = ("serial", "process", "fleet")
 
     def __init__(self, backend: str = "serial", workers: int | None = None,
                  cache: CompileCache | None = None,
@@ -113,10 +113,12 @@ class ExperimentService:
                                  faults=self.faults,
                                  max_quarantine=max_quarantine)
         else:
-            kwargs = dict(workers=self.workers, cache_dir=cache_dir,
-                          faults=self.faults, max_quarantine=max_quarantine)
+            kwargs = dict(cache_dir=cache_dir, faults=self.faults,
+                          max_quarantine=max_quarantine)
             if backend == "fleet":
                 kwargs["addresses"] = self.fleet_workers
+            else:
+                kwargs["workers"] = self.workers
             quma = create_backend(backend, **kwargs)
         self.dispatcher = Dispatcher({
             "quma": quma,
@@ -199,7 +201,7 @@ class ExperimentService:
     def _observe(self, future: JobFuture) -> None:
         """Harvest one resolved future into the service-side registry.
 
-        Runs as a done-callback (possibly on a pool result thread), after
+        Runs as a done-callback (possibly on a worker reader thread), after
         :meth:`JobFuture._finalize` stamped ``queue_wait_s`` and rebased
         any spans — the registry's own lock makes the counter updates
         safe from any thread.
@@ -311,15 +313,16 @@ class ExperimentService:
 
         ``timeout`` bounds the whole drain; an expired one raises
         :class:`TimeoutError` rather than hanging forever on a stuck
-        worker (the watchdogs resolve worker-loss casualties, so an
-        expired drain means jobs are genuinely still running or hung).
+        worker (worker-loss casualties are resolved by the loss
+        handling, so an expired drain means jobs are genuinely still
+        running or hung).
         """
         self.dispatcher.drain(timeout=timeout)
 
     # -- execution -----------------------------------------------------------
 
     def run_job(self, spec: JobSpec) -> JobResult:
-        """Execute a single job inline (serially, even on process/async).
+        """Execute a single job inline (serially, even on worker backends).
 
         QuMA specs run against the service-local cache and pool; other
         routes go through their executor synchronously.  Failure

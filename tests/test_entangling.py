@@ -13,10 +13,10 @@ The tentpole contracts under test:
   and the CZ conditional phase land near their ideal values;
 * registry-driven parity: every registered experiment (including the
   entangling family) produces bit-identical job streams across the
-  serial/process/async backends, and scoped draining keeps concurrent
+  serial/process backends, and scoped draining keeps concurrent
   pair sweeps on one service from stealing each other's results.
 
-Set ``REPRO_SERVICE_BACKEND=serial|process|async`` to pin the
+Set ``REPRO_SERVICE_BACKEND=serial|process|fleet`` to pin the
 parametrized backend (the CI matrix runs one backend per job).
 """
 
@@ -33,7 +33,7 @@ from repro.readout.calibration import joint_outcome_counts
 from repro.service import ExperimentService, JobSpec
 from repro.utils.errors import CalibrationError, ConfigurationError, JobError
 
-ALL_BACKENDS = ("serial", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 _PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
 BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
 

@@ -11,7 +11,7 @@ Also covered: the ``ReplayCache`` serves one verified joint plan to
 every repeat of a sweep (warm hits replay all rounds), and silent
 fallbacks surface through ``JobResult.replay_fallback_reason``.
 
-Set ``REPRO_SERVICE_BACKEND=serial|process|async`` to pin the
+Set ``REPRO_SERVICE_BACKEND=serial|process|fleet`` to pin the
 parametrized backend (the CI matrix runs one backend per job).
 """
 
@@ -23,7 +23,7 @@ import pytest
 
 from repro.session import Session
 
-ALL_BACKENDS = ("serial", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 _PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
 BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
 

@@ -5,9 +5,9 @@ returns bit-identical ``SweepResult.averages()`` for the same specs, and
 ``iter_completed`` yields every submitted job exactly once whatever order
 they finish in.
 
-Set ``REPRO_SERVICE_BACKEND=serial|process|async`` to pin the
+Set ``REPRO_SERVICE_BACKEND=serial|process|fleet`` to pin the
 parametrized backend (the CI matrix runs one backend per job); unset, the
-tests cover all three.
+tests cover serial and process.
 """
 
 import os
@@ -22,13 +22,14 @@ from repro.experiments.runner import run_spec_sweep
 from repro.service import (
     CompileCache,
     ExperimentService,
+    FaultPlan,
     JobSpec,
     SweepResult,
     create_backend,
 )
 from repro.utils.errors import ConfigurationError, ReproError
 
-ALL_BACKENDS = ("serial", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 _PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
 BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
 
@@ -169,10 +170,17 @@ class TestIterCompleted:
             pytest.skip("serial submission resolves eagerly in order")
         # One heavy job submitted first, then light ones: with two
         # workers the light jobs overtake it in the completion stream.
-        heavy = flip_spec(seed=0, n_rounds=60, label="heavy")
+        # The seeds are picked so that only the heavy job hangs.
+        plan = FaultPlan(seed=3, rate=0.5, kinds=("hang",), hang_s=2.0,
+                         sites=("execute",))
+        hangs = [plan.fault_for("execute", s, 0) == "hang"
+                 for s in range(64)]
+        heavy = flip_spec(seed=hangs.index(True), n_rounds=60, label="heavy")
         heavy.replay = False
-        lights = [flip_spec(seed=s, label=f"light{s}") for s in (1, 2, 3, 4)]
-        with ExperimentService(backend=backend, workers=2) as svc:
+        lights = [flip_spec(seed=s, label=f"light{s}")
+                  for s in [s for s, h in enumerate(hangs) if not h][:4]]
+        with ExperimentService(backend=backend, workers=2,
+                               faults=plan) as svc:
             svc.submit(heavy)
             for spec in lights:
                 svc.submit(spec)

@@ -29,7 +29,7 @@ from repro.service import ExperimentService, JobSpec
 from repro.service.fleet import WorkerServer
 from repro.utils.errors import JobCancelled
 
-ALL_BACKENDS = ("serial", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 _PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
 BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
 

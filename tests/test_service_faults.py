@@ -8,18 +8,19 @@ semantics"):
 * retries re-derive the identical job seed, so a sweep that recovers
   from injected transient failures lands bit-identical to a fault-free
   run on every backend (Rabi + Bell, the acceptance criterion);
-* a SIGKILLed pool worker never hangs ``drain()``: the watchdog
+* a SIGKILLed local worker never hangs ``drain()``: the loss handling
   resubmits the lost job (or resolves its future with a
   :class:`JobError`), and ``drain(timeout=...)`` bounds the wait;
 * exhausted attempts quarantine — reported in ``stats()``, never
   blocking the stream of healthy jobs;
 * the same faulty spec surfaces the same exception type and message on
-  serial, process, and async.
+  serial, process, and fleet.
 
-Set ``REPRO_SERVICE_BACKEND=serial|process|async`` to pin the
+Set ``REPRO_SERVICE_BACKEND=serial|process|fleet`` to pin the
 parametrized backend (the CI matrix runs one backend per job).
 """
 
+import itertools
 import os
 import pickle
 import signal
@@ -45,14 +46,13 @@ from repro.session import Session
 from repro.utils.errors import (
     ConfigurationError,
     FaultInjected,
-    JobCancelled,
     JobError,
     JobTimeout,
     TransientJobError,
     WorkerLost,
 )
 
-ALL_BACKENDS = ("serial", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 _PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
 BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
 CONCURRENT_UNDER_TEST = tuple(b for b in BACKENDS_UNDER_TEST
@@ -429,31 +429,37 @@ class TestWorkerLoss:
     @pytest.mark.skipif("process" not in BACKENDS_UNDER_TEST,
                         reason="process backend not under test")
     def test_sigkilled_worker_never_hangs_drain(self):
-        """Kill a live pool worker by hand mid-batch: the watchdog
+        """Kill a worker by hand while its job hangs: the loss handling
         recovers the in-flight job and drain(timeout) returns."""
+        specs = [flip_spec(seed=i, n_rounds=32) for i in range(6)]
         clean = ExperimentService(backend="serial")
         with clean:
-            baseline = clean.run_batch(
-                [flip_spec(seed=i, n_rounds=32) for i in range(6)])
-        svc = ExperimentService(backend="process", workers=2,
+            baseline = clean.run_batch(specs)
+        # A plan whose only fault hangs job 0's first attempt: the first
+        # job lands on worker 0, so that worker is busy until killed and
+        # the retry (attempt 1) runs clean.
+        plan = next(
+            plan for plan in (
+                FaultPlan(seed=s, rate=0.3, kinds=("hang",), hang_s=60.0,
+                          sites=("execute",), max_faults_per_site=1)
+                for s in itertools.count())
+            if [plan.fault_for("execute", spec.run_seed, 0)
+                for spec in specs] == ["hang"] + [None] * 5)
+        svc = ExperimentService(backend="process", workers=2, faults=plan,
                                 retry=RetryPolicy(max_attempts=4,
                                                   backoff_s=0.001))
         with svc:
-            futures = [svc.submit(flip_spec(seed=i, n_rounds=32),
-                                  stream=False)
-                       for i in range(6)]
+            futures = [svc.submit(spec, stream=False) for spec in specs]
             backend = svc.dispatcher.routes["quma"]
-            deadline = time.monotonic() + 10.0
-            while backend._pool is None and time.monotonic() < deadline:
-                time.sleep(0.01)
-            victims = [p.pid for p in backend._pool._pool][:1]
-            time.sleep(0.05)  # let some jobs reach the workers
-            for pid in victims:
-                os.kill(pid, signal.SIGKILL)
+            victim = backend.stats()["workers"][0]["pid"]
+            os.kill(victim, signal.SIGKILL)
             svc.drain(timeout=60.0)  # must not hang — the satellite fix
             results = [f.result() for f in futures]
+            stats = backend.stats()
         assert np.array_equal(np.stack([r.averages for r in results]),
                               baseline.averages())
+        assert stats["worker_losses"] == 1
+        assert results[0].attempts == 2
 
     @pytest.mark.skipif("process" not in BACKENDS_UNDER_TEST,
                         reason="process backend not under test")
@@ -490,21 +496,30 @@ class TestWorkerLoss:
         assert isinstance(exc, JobError)
         assert stats["hang_kills"] >= 1
 
-    @pytest.mark.skipif("async" not in BACKENDS_UNDER_TEST,
-                        reason="async backend not under test")
-    def test_async_crash_faults_recover_bit_identical(self):
-        clean = ExperimentService(backend="serial")
-        with clean:
-            baseline = clean.run_batch([flip_spec(seed=i) for i in range(4)])
-        plan = FaultPlan(seed=7, rate=0.2, kinds=("transient", "crash"))
-        svc = ExperimentService(backend="async", workers=2, faults=plan,
-                                retry=RetryPolicy(max_attempts=10,
-                                                  backoff_s=0.001))
+    @pytest.mark.skipif("process" not in BACKENDS_UNDER_TEST,
+                        reason="process backend not under test")
+    def test_cancelled_hung_job_is_still_killed(self):
+        plan = FaultPlan(seed=2, rate=1.0, kinds=("hang",), hang_s=30.0,
+                         sites=("execute",))
+        svc = ExperimentService(backend="process", workers=1, faults=plan)
         with svc:
-            sweep = svc.run_batch([flip_spec(seed=i) for i in range(4)])
+            backend = svc.dispatcher.routes["quma"]
+            backend.KILL_GRACE_S = 0.1
+            future = svc.submit(flip_spec(seed=0, timeout=1.0))
+            deadline = time.monotonic() + 30.0
+            # Cancel once the job really hangs on the worker, not while
+            # a CANCEL could still dequeue it.
+            while backend.stats()["workers"][0]["remote"]["metrics"][
+                    "counters"].get("faults.execute.hang", 0) < 1:
+                assert time.monotonic() < deadline, "job never hung"
+                time.sleep(0.01)
+            assert future.cancel()
+            while backend.hang_kills < 1:
+                assert time.monotonic() < deadline, "hung job never killed"
+                time.sleep(0.01)
             stats = svc.stats()["routes"]["quma"]
-        assert np.array_equal(sweep.averages(), baseline.averages())
-        assert stats["failed"] == 0
+        assert future.cancelled()
+        assert stats["cancelled"] == 1 and stats["failed"] == 0
 
     def test_worker_error_carries_remote_traceback(self):
         for backend in CONCURRENT_UNDER_TEST:
@@ -543,24 +558,6 @@ class TestDrainAndCancel:
                        for i in range(3)]
             svc.close()  # no drain first: close must still resolve all
             assert all(f.done() for f in futures)
-
-    @pytest.mark.skipif("async" not in BACKENDS_UNDER_TEST,
-                        reason="async backend not under test")
-    def test_cancel_skips_queued_async_jobs(self):
-        plan = FaultPlan(seed=2, rate=1.0, kinds=("hang",), hang_s=0.5,
-                         sites=("execute",), max_faults_per_site=1)
-        svc = ExperimentService(backend="async", workers=1, faults=plan)
-        with svc:
-            first = svc.submit(flip_spec(seed=0), stream=False)
-            queued = svc.submit(flip_spec(seed=1), stream=False)
-            cancelled = queued.cancel()
-            svc.drain(timeout=60.0)
-            assert cancelled and queued.cancelled()
-            with pytest.raises(JobCancelled):
-                queued.result()
-            assert first.exception() is None
-            stats = svc.stats()["routes"]["quma"]
-            assert stats["cancelled"] == 1 and stats["failed"] == 0
 
     def test_cancel_on_resolved_serial_future_is_refused(self):
         svc = ExperimentService(backend="serial")

@@ -27,6 +27,7 @@ their own, in-process or as subprocesses, and never rely on the env.
 import os
 import signal
 import socket
+import sys
 import time
 
 import numpy as np
@@ -37,6 +38,7 @@ from repro.core import MachineConfig
 from repro.pulse import PulseCalibration
 from repro.service import (
     ExperimentService,
+    FaultPlan,
     JobSpec,
     RetryPolicy,
 )
@@ -241,6 +243,31 @@ class TestProtocol:
         finally:
             client.close()
 
+    def test_cancel_that_dequeues_a_job_is_answered(self):
+        # Token 1 queues behind token 0's hang on a one-slot worker; the
+        # CANCEL dequeues it, and the worker says so at once, so the
+        # client can free the slot it held for token 1.
+        replies = []
+
+        def record(client, token, outcome):
+            replies.append((token, type(outcome).__name__))
+
+        worker = WorkerServer(slots=1).start()
+        client = WorkerClient(addr_of(worker), on_result=record,
+                              on_error=record).connect()
+        hang = FaultPlan(seed=0, rate=1.0, kinds=("hang",), hang_s=2.0,
+                         sites=("execute",))
+        try:
+            client.submit(0, flip_spec(seed=1), faults=hang)
+            client.submit(1, flip_spec(seed=2))
+            client.cancel(1)
+            wait_for(lambda: len(replies) == 2, timeout=60.0)
+            assert worker.stats()["jobs_cancelled"] == 1
+        finally:
+            client.close()
+            worker.stop()
+        assert replies == [(1, "JobCancelled"), (0, "JobResult")]
+
     def test_deliberate_close_is_not_a_loss(self, worker_pair):
         losses = []
         client = WorkerClient(addr_of(worker_pair[0]),
@@ -309,23 +336,112 @@ class TestFleetParity:
         assert names  # at least one job reported which daemon ran it
 
 
-# -- sharding -----------------------------------------------------------------
+# -- dispatch -----------------------------------------------------------------
 
 
-class TestSharding:
-    def test_least_outstanding_spreads_a_burst(self, fleet_addrs):
-        backend = FleetBackend(fleet_addrs)
-        try:
-            futures = [backend.submit(slow_spec(i + 1, n_rounds=150))
+class TestDispatch:
+    """One executor: dispatch and loss on local (``process``) workers."""
+
+    def test_burst_keeps_one_job_in_flight_per_worker(self):
+        # Every job hangs, so the snapshot below cannot race completions.
+        hang = FaultPlan(seed=0, rate=1.0, kinds=("hang",), hang_s=60.0,
+                         sites=("execute",))
+        with ExperimentService(backend="process", workers=2,
+                               faults=hang) as svc:
+            futures = [svc.submit(flip_spec(seed=i + 1), stream=False)
                        for i in range(6)]
-            for f in futures:
-                f.result(timeout=120.0)
-            shipped = [w["shipped"] for w in backend.stats()["workers"]]
+            stats = svc.stats()["routes"]["quma"]
+            for future in futures:
+                future.cancel()  # close drains; don't wait out the hangs
+        assert [w["outstanding"] for w in stats["workers"]] == [1, 1]
+        assert stats["queued"] == 4
+
+    def test_cancelled_running_job_holds_its_slot(self):
+        # Only the first seed hangs.  Were its slot freed at cancel, the
+        # second job would queue behind the hang on the one worker, and
+        # its overstay budget (1 s timeout + 1 s grace) would run out
+        # there: a healthy worker SIGKILLed, the job lost.
+        plan = FaultPlan(seed=3, rate=0.5, kinds=("hang",), hang_s=3.0,
+                         sites=("execute",))
+        hangs = [plan.fault_for("execute", s, 0) == "hang"
+                 for s in range(64)]
+        hung = flip_spec(seed=hangs.index(True))
+        timed = flip_spec(seed=hangs.index(False))
+        timed.timeout = 1.0
+        with ExperimentService(backend="process", workers=1,
+                               faults=plan) as svc:
+            backend = svc.dispatcher.routes["quma"]
+            head = svc.submit(hung, stream=False)
+
+            def hanging():
+                remote = backend.stats()["workers"][0]["remote"]
+                return remote["metrics"]["counters"].get(
+                    "faults.execute.hang", 0) == 1
+
+            wait_for(hanging, timeout=60.0)
+            assert head.cancel()
+            result = svc.submit(timed, stream=False).result(timeout=60.0)
+            stats = backend.stats()
+        assert result.seed == timed.seed
+        assert stats["hang_kills"] == 0 and stats["worker_losses"] == 0
+
+    def test_close_runs_every_submitted_job(self):
+        specs = [flip_spec(seed=i + 1) for i in range(4)]
+        with ExperimentService(backend="serial") as svc:
+            ref = svc.run_batch(specs)
+        svc = ExperimentService(backend="process", workers=2)
+        futures = [svc.submit(spec, stream=False) for spec in specs]
+        svc.close()  # no drain first: close runs them all
+        got = [future.result(timeout=0) for future in futures]
+        np.testing.assert_array_equal(
+            ref.averages(), np.stack([r.averages for r in got]))
+
+    def test_single_submits_alternate_between_idle_workers(self):
+        with ExperimentService(backend="process", workers=2) as svc:
+            names = [svc.submit(flip_spec(seed=1, telemetry=True))
+                     .result(timeout=60.0).telemetry.worker
+                     for _ in range(4)]
+        assert all(name.startswith("pid:") for name in names)
+        assert names[0] != names[1]
+        assert names == names[:2] * 2
+
+    def test_accounting_stays_exact_under_contention(self):
+        # More workers than cores and a tiny switch interval: a lost
+        # update to the per-worker loads would strand jobs or leave a
+        # slot counted busy.
+        specs = [flip_spec(seed=i + 1) for i in range(40)]
+        with ExperimentService(backend="serial") as svc:
+            ref = svc.run_batch(specs)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ExperimentService(backend="process", workers=4) as svc:
+                got = svc.run_batch(specs)
+                stats = svc.stats()["routes"]["quma"]
         finally:
-            backend.close()
-        # 6 sequential submits against 2 idle workers alternate 3/3 —
-        # least-outstanding with ties to the lowest index.
-        assert sorted(shipped) == [3, 3]
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(ref.averages(), got.averages())
+        assert sum(w["shipped"] for w in stats["workers"]) == len(specs)
+        assert [w["outstanding"] for w in stats["workers"]] == [0] * 4
+        assert stats["queued"] == 0 and stats["pending"] == 0
+
+    def test_idle_worker_loss_is_replaced(self):
+        specs = [flip_spec(seed=i + 1) for i in range(6)]
+        with ExperimentService(backend="serial") as svc:
+            ref = svc.run_batch(specs)
+        with ExperimentService(backend="process", workers=2) as svc:
+            svc.submit(flip_spec(seed=99)).result(timeout=60.0)
+            backend = svc.dispatcher.routes["quma"]
+            os.kill(backend.stats()["workers"][1]["pid"], signal.SIGKILL)
+            deadline = time.monotonic() + 30.0
+            while backend.worker_losses < 1:
+                assert time.monotonic() < deadline, "loss never detected"
+                time.sleep(0.01)
+            got = svc.run_batch(specs)
+            stats = backend.stats()
+        np.testing.assert_array_equal(ref.averages(), got.averages())
+        assert stats["worker_losses"] == 1
+        assert stats["failed"] == 0
 
 
 # -- worker loss --------------------------------------------------------------
@@ -356,17 +472,16 @@ class TestWorkerLoss:
         assert stats["failed"] == 0
 
     def test_no_retry_death_fails_futures_and_drains(self):
-        from repro.service import FaultPlan
-
         proc, addr = launch_worker()
-        # NO_RETRY semantics under test: pin chaos off (a client plan
-        # overrides the daemons' ambient env) so the only failure mode
-        # in play is the worker's death.
-        backend = FleetBackend([addr], faults=FaultPlan(seed=0, rate=0.0))
+        # NO_RETRY semantics under test: every job hangs at execute (a
+        # client plan overrides the daemons' ambient env), so none can
+        # finish before the SIGKILL and the only failure mode in play is
+        # the worker's death.
+        hang = FaultPlan(seed=0, rate=1.0, kinds=("hang",), hang_s=60.0,
+                         sites=("execute",))
+        backend = FleetBackend([addr], faults=hang)
         try:
-            futures = [backend.submit(slow_spec(i + 1, n_rounds=600))
-                       for i in range(3)]
-            time.sleep(0.4)
+            futures = [backend.submit(flip_spec(i + 1)) for i in range(3)]
             os.kill(proc.pid, signal.SIGKILL)
             outcomes = []
             for f in futures:
@@ -380,7 +495,7 @@ class TestWorkerLoss:
         finally:
             backend.close()
             stop_worker(proc)
-        assert "WorkerLost" in outcomes
+        assert outcomes == ["WorkerLost"] * 3
         assert stats["pending"] == 0
         assert stats["failed"] == outcomes.count("WorkerLost")
         # NO_RETRY losses are terminal, not "transiently recoverable":
@@ -423,6 +538,59 @@ class TestWorkerLoss:
             assert backend.stats()["reconnects"] >= 1
         finally:
             backend.close()
+
+
+# -- failures recorded, not dropped --------------------------------------------
+
+
+def wait_for(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+class TestRecordedFailures:
+    def test_failed_cancel_send_is_counted(self, worker_pair):
+        client = WorkerClient(addr_of(worker_pair[0])).connect()
+        client.close()
+        client.cancel(1)
+        assert client.cancel_failures == 1
+
+    def test_undeliverable_result_is_counted(self):
+        worker = WorkerServer().start()
+        try:
+            client = WorkerClient(addr_of(worker)).connect()
+            hang = FaultPlan(seed=0, rate=1.0, kinds=("hang",), hang_s=0.3,
+                             sites=("execute",))
+            client.submit(0, flip_spec(seed=1), faults=hang)
+            client.close()  # gone before the result can ship
+            wait_for(lambda: worker.stats()["results_undelivered"] == 1)
+        finally:
+            worker.stop()
+
+    def test_failed_reconnect_is_counted(self):
+        worker = WorkerServer().start()
+        backend = RemoteBackend(addr_of(worker), connect_timeout=2.0)
+        try:
+            backend.submit(flip_spec(seed=1)).result(timeout=60.0)
+            worker.stop()  # the re-dial after the loss finds no listener
+            wait_for(lambda: backend.stats()["reconnect_failures"] == 1)
+            assert backend.stats()["worker_losses"] == 1
+        finally:
+            backend.close()
+
+    def test_failed_close_time_cache_sync_is_counted(self, tmp_path):
+        worker = WorkerServer(cache_dir=tmp_path / "w").start()
+        not_a_dir = tmp_path / "file"
+        not_a_dir.write_text("")
+        backend = FleetBackend([addr_of(worker)], cache_dir=not_a_dir)
+        try:
+            backend.submit(flip_spec(seed=1)).result(timeout=60.0)
+            backend.close()
+            assert backend.stats()["cache_sync_failures"] == 1
+        finally:
+            worker.stop()
 
 
 # -- cache sharing ------------------------------------------------------------
@@ -490,6 +658,24 @@ class TestDaemon:
             client.close()
         finally:
             stop_worker(proc)
+
+    def test_launch_times_out_on_a_silent_daemon(self, tmp_path):
+        # A stand-in ``repro`` package first on the path: its daemon
+        # sleeps without ever announcing an address.
+        import repro
+
+        fake = tmp_path / "repro"
+        fake.mkdir()
+        (fake / "__init__.py").write_text("")
+        (fake / "__main__.py").write_text("import time\ntime.sleep(60)\n")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([str(tmp_path), src]))
+        t0 = time.monotonic()
+        with pytest.raises(ConfigurationError, match="did not announce"):
+            launch_worker(env=env, timeout=1.0)
+        assert time.monotonic() - t0 < 10.0
 
     def test_shutdown_frame_stops_daemon(self):
         proc, addr = launch_worker()

@@ -5,14 +5,14 @@ The tentpole contracts under test:
 * the registry names every shipped experiment, unknown names fail
   loudly, and unknown parameters are rejected at construction;
 * the deprecated ``run_*`` wrappers warn and return results bit-identical
-  to ``Session.run`` on every backend (serial always; process/async in
-  the slow tier);
+  to ``Session.run`` on every backend (serial always; process in the
+  slow tier);
 * the final incremental ``update()`` estimate agrees exactly with the
   one-shot ``analyze()`` fit over the same sweep;
 * multi-qubit runs return one result per qubit, each normalized against
   its own readout calibration.
 
-Set ``REPRO_SERVICE_BACKEND=serial|process|async`` to pin the
+Set ``REPRO_SERVICE_BACKEND=serial|process|fleet`` to pin the
 parametrized backend (the CI matrix runs one backend per job).
 """
 
@@ -36,7 +36,7 @@ from repro.experiments import (
 from repro.pulse import PulseCalibration
 from repro.utils.errors import ConfigurationError
 
-ALL_BACKENDS = ("serial", "process", "async")
+ALL_BACKENDS = ("serial", "process")
 _PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
 BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
 

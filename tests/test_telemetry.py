@@ -8,7 +8,7 @@ across the process boundary, queue-wait is stamped on every job, sweep
 artifacts round-trip their per-stage rollups, and the CLI emits valid
 Chrome traces and metrics artifacts.
 
-Set ``REPRO_SERVICE_BACKEND=serial|process|async`` to pin the
+Set ``REPRO_SERVICE_BACKEND=serial|process|fleet`` to pin the
 parametrized backend (the CI matrix runs one backend per job).
 """
 
