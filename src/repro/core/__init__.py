@@ -20,11 +20,9 @@ from repro.core.qmb import QuantumMicroinstructionBuffer
 from repro.core.microcode import PhysicalMicrocodeUnit, QControlStore
 from repro.core.execution_controller import ExecutionController
 from repro.core.quma import QuMA
-from repro.core.replay import (JointReplayPlan, ReplayPlan, ReplayReport,
-                               run_with_replay)
+from repro.core.replay import ReplayPlan, ReplayReport, run_with_replay
 
 __all__ = [
-    "JointReplayPlan",
     "ReplayPlan",
     "ReplayReport",
     "run_with_replay",

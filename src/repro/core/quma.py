@@ -265,10 +265,8 @@ class QuMA:
         the remaining ``n_rounds - 2`` rounds are drawn as vectorized
         numpy batches with bit-identical RNG streams.  Ineligible runs
         fall back to plain :meth:`run` transparently.  ``plan`` is a
-        previously verified :class:`~repro.core.replay.ReplayPlan` (or
-        :class:`~repro.core.replay.JointReplayPlan` for register
-        readout) for this config+program, letting the run skip even the
-        recording.
+        previously verified :class:`~repro.core.replay.ReplayPlan` for
+        this config+program, letting the run skip even the recording.
         """
         from repro.core.replay import run_with_replay
 

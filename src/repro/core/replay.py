@@ -16,33 +16,29 @@ The engine exploits this:
    decoherence intervals, pulse unitaries, measurement instants).
 2. **Verify** — the round-2 schedule must match round 1 bit-for-bit
    (same intervals, same unitary matrices — this also proves the SSB
-   carrier phase is round-periodic), and the steady-state per-point
+   carrier phase is round-periodic), and the steady-state per-readout
    channels must reproduce every recorded pre-measurement P(|1>)
    *exactly*.  Any mismatch falls back to full simulation, which simply
    continues the interrupted run.
 3. **Replay** — projective measurements collapse the relevant qubits to
    exact computational-basis states, so the quantum side of the
    remaining N - 2 rounds is a Markov chain over measurement outcomes.
-   Two plan shapes cover the workloads:
-
-   * **Scalar** (:class:`ReplayPlan`) — one qubit measured per point:
-     each K-point's channel is composed onto both basis inputs, giving a
-     (K, 2) table of pre-measurement P(|1>); the chain state is the
-     previous outcome.
-   * **Joint** (:class:`JointReplayPlan`) — a register measured through
-     one multiplexed record per round: the chain state is the register's
-     post-round computational-basis state, and each round is a
-     conditional-probability tree over the ``2**w`` joint-outcome words
-     (node ``(2**j - 1) + prefix`` holds P(|1>) of register qubit ``j``
-     given the earlier outcomes ``prefix``).  Because every register
-     qubit is projected, the post-round basis state is a function of the
-     outcome word alone — verified at build time — which is what makes
-     the joint chain a small transition table instead of a channel per
-     state.
+   One plan shape (:class:`ReplayPlan`) covers every workload: a round
+   is ``m`` readouts of one register of width ``w``, ``m * w`` DCU points
+   in all.  A single qubit read at K points is ``w = 1, m = K``; a
+   multiplexed register read through one record per round is ``m = 1``;
+   a register read twice per round is ``m = 2``.  The chain state is the
+   device's computational-basis index before a readout, and each readout
+   is a conditional-probability tree over its ``2**w`` outcome words
+   (node ``(2**j - 1) + prefix`` holds P(|1>) of register qubit ``j``
+   given the earlier outcomes ``prefix``).  Because every register qubit
+   is projected, the state after a readout is a function of the readout
+   and its word alone — verified at build time — which is what makes the
+   chain a small transition table instead of a channel per state.
 
    Outcomes are drawn from the machine's device RNG as one batch, and
-   the readout chain (resonator or summed multiplexed traces, ADC,
-   weighted integration) runs as vectorized ``(n_rounds, n_samples)``
+   the readout chain (summed quiet records plus shared-line noise, ADC,
+   weighted integration) runs as vectorized ``(n_readouts, n_samples)``
    blocks through the same numpy kernels.
 
 Because numpy Generators fill arrays in stream order and every replayed
@@ -70,7 +66,8 @@ from repro.isa import instructions as ins
 from repro.qubit.state import DensityMatrix
 from repro.readout.adc import adc_quantize
 from repro.readout.multiplex import multiplexed_signal_table
-from repro.readout.resonator import (ReadoutParams, synthesize_trace_batch,
+# transmitted_trace_batch: unused, but perfbench patches it on this module.
+from repro.readout.resonator import (synthesize_trace_batch,  # noqa: F401
                                      transmitted_trace_batch)
 from repro.readout.weights import integrate_batch, prepare_weights
 from repro.sim.tracing import ScheduleRecorder
@@ -98,7 +95,13 @@ class _Segment:
 
 @dataclass
 class ReplayPlan:
-    """A verified, reusable description of one round's quantum channel.
+    """A verified outcome Markov chain for one round's readouts.
+
+    A round is ``m`` readouts of one register of width ``w``, with
+    ``m * w == k_points``.  The chain state is the device's
+    computational-basis index before a readout; ``states`` lists the
+    reachable ones (row order of the per-state arrays), and the state
+    after a readout is determined by the readout and its word alone.
 
     Pure function of (machine config, program, LUT uploads): contains no
     RNG state, so one plan serves every per-job *run* seed (the config's
@@ -106,38 +109,7 @@ class ReplayPlan:
     the cache key — see ``repro.service.cache.ReplayCache``).
     """
 
-    k_points: int
-    n_qubits: int
-    measured_qubit: int  #: device index
-    chip_qubit: int
-    duration_ns: int
-    readout: ReadoutParams
-    p1: np.ndarray        #: (K, 2) pre-measurement P(|1>) by previous outcome
-    lowprob: np.ndarray   #: (K, 2, 2) outcome branches with p < 1e-12
-    weights: np.ndarray
-    adc_bits: int
-    #: extrapolation bookkeeping, measured on the recording run
-    round_period_ns: int
-    round1_end_ns: int
-    round_instr_delta: int
-    round1_instructions: int
-    round_stall_delta: int
-    round1_stall_ns: int
-
-
-@dataclass
-class JointReplayPlan:
-    """A verified joint-outcome Markov chain for a measured register.
-
-    Like :class:`ReplayPlan`, a pure function of (machine config,
-    program, LUT uploads) — no RNG state — so one plan serves every run
-    seed.  The chain state is the register's post-round computational-
-    basis index; ``states`` lists the reachable ones (row order of the
-    per-state arrays), and every transition is determined by the round's
-    joint-outcome word alone.
-    """
-
-    k_points: int  #: register width w (== per-round DCU points)
+    k_points: int  #: DCU points per round (m readouts x register width w)
     n_qubits: int
     measure_qubits: tuple[int, ...]  #: device indices, projection order
     chip_qubits: tuple[int, ...]     #: chip indices, same order
@@ -145,16 +117,17 @@ class JointReplayPlan:
     noise_std: float          #: shared-line noise (largest per-qubit std)
     signal_table: np.ndarray  #: (2**w, duration) summed quiet records
     states: tuple[int, ...]   #: reachable basis indices, row order
-    #: (S, 2**w - 1) conditional-probability tree: entry
-    #: ``[s, (2**j - 1) + prefix]`` is P(|1>) of register qubit ``j``
-    #: given start state ``states[s]`` and earlier outcomes ``prefix``.
+    #: (m, S, 2**w - 1) conditional-probability trees: entry
+    #: ``[r, s, (2**j - 1) + prefix]`` is P(|1>) of register qubit ``j``
+    #: at readout ``r``, given state ``states[s]`` before the readout and
+    #: earlier outcomes ``prefix``.
     p1_tree: np.ndarray
-    #: (S, 2**w) True where the word's path crosses a p < 1e-12 branch.
+    #: (m, S, 2**w) True where the word's path crosses a p < 1e-12 branch.
     bad_word: np.ndarray
-    #: (2**w,) row index of the state a round's word leads to (0 for
-    #: words unreachable from every state — the bad check raises first).
+    #: (m, 2**w) row index of the state readout ``r``'s word leads to (0
+    #: for words unreachable from every state — the bad check raises first).
     next_pos: np.ndarray
-    weights: tuple[np.ndarray, ...]  #: per-qubit prepared, chip order
+    weights: tuple[np.ndarray, ...]  #: per-qubit prepared, register order
     adc_bits: tuple[int, ...]
     #: extrapolation bookkeeping, measured on the recording run
     round_period_ns: int
@@ -281,123 +254,37 @@ def _basis_state(n_qubits: int, index: int) -> DensityMatrix:
 
 def _build_plan(machine: QuMA, rec: ScheduleRecorder,
                 k: int) -> tuple[ReplayPlan | None, str | None]:
-    """Compose and verify the steady-state per-point channels."""
-    segments = _split_segments(rec)
-    if len(segments) != 2 * k:
-        return None, "recorded stream does not hold exactly two rounds"
-    measured = {seg.qubit for seg in segments}
-    if len(measured) != 1:
-        return None, "more than one measured qubit"
-    q = measured.pop()
-    if len(set(rec.trace_infos)) != 1 or len(rec.trace_infos) != 2 * k:
-        return None, "non-uniform measurement records"
-    chip_group, duration_ns = rec.trace_infos[0]
-    if len(chip_group) != 1:
-        return None, "non-uniform measurement records"
-    (chip_qubit,) = chip_group
+    """Compose and verify the outcome chain of a round's readouts.
 
-    # The ISSUE's core safety check: round 2's schedule must match round 1
-    # bit-for-bit (which also proves the SSB phase is round-periodic).
-    for i in range(1, k):
-        if not _ops_equal(segments[i].ops, segments[k + i].ops):
-            return None, f"round-1/round-2 schedule mismatch at point {i}"
-    if not _seg0_tail_equal(segments[0], segments[k]):
-        return None, "round-boundary schedule mismatch"
-
-    device = machine.device
-    n = device.n_qubits
-    p1 = np.zeros((k, 2), dtype=float)
-    lowprob = np.zeros((k, 2, 2), dtype=bool)
-    steady = segments[k:]
-    for i, seg in enumerate(steady):
-        for b in (0, 1):
-            state = _basis_state(n, b << q)
-            for op in seg.ops:
-                if op[0] == "idle":
-                    device.apply_idle(state, op[1])
-                else:
-                    state.apply_unitary(op[2], op[1])
-            value = state.prob_one(q)
-            p1[i, b] = value
-            for outcome in (0, 1):
-                p = value if outcome else 1.0 - value
-                if p < _PROJECT_EPS:
-                    lowprob[i, b, outcome] = True
-                    continue
-                post = state.copy()
-                post.project(q, outcome)
-                if post.basis_index() != (outcome << q):
-                    return None, "collapse does not reach a basis state"
-
-    # Exactness verification: the steady-state channels must reproduce
-    # every recorded pre-measurement P(|1>) bit-for-bit, including round
-    # 1's first point (idle decoherence fixes the ground state exactly,
-    # so the differing round-1 lead-in is invisible).
-    prev = 0
-    for j, seg in enumerate(segments):
-        if p1[j % k, prev] != seg.p1:
-            return None, "steady channel diverges from recorded P(|1>)"
-        if seg.basis_index != (seg.outcome << q):
-            return None, "recorded collapse index mismatch"
-        prev = seg.outcome
-
-    period = segments[2 * k - 1].t_ns - segments[k - 1].t_ns
-    if period <= 0:
-        return None, "non-positive round period"
-    mdu = machine.mdus[chip_qubit]
-    return ReplayPlan(
-        k_points=k,
-        n_qubits=n,
-        measured_qubit=q,
-        chip_qubit=chip_qubit,
-        duration_ns=duration_ns,
-        readout=machine.config.readout_for(chip_qubit),
-        p1=p1,
-        lowprob=lowprob,
-        weights=np.asarray(mdu.calibration.weights, dtype=float),
-        adc_bits=mdu.adc_bits,
-        round_period_ns=period,
-        round1_end_ns=0,      # filled by the caller from run milestones
-        round_instr_delta=0,
-        round1_instructions=0,
-        round_stall_delta=0,
-        round1_stall_ns=0,
-    ), None
-
-
-def _build_joint_plan(machine: QuMA, rec: ScheduleRecorder,
-                      k: int) -> tuple[JointReplayPlan | None, str | None]:
-    """Compose and verify the joint-outcome chain for a measured register.
-
-    The recorded stream must hold exactly two rounds of one multiplexed
-    record each, covering ``k`` register qubits.  From each reachable
-    start basis state the round's operations are re-applied with a
-    branch per outcome, building the conditional-probability tree; the
-    closure over next states is bounded by ``2**k + 1`` because the
-    full-register collapse makes the next state a function of the
-    outcome word alone (any cross-state disagreement falls back).
+    The recorded stream must hold exactly two rounds of ``m`` records of
+    one register of width ``w``, with ``m * w == k``.  From every state
+    of the closure, each readout's operations are re-applied with a
+    branch per outcome, building that readout's conditional-probability
+    tree; the closure stays small because the full-register collapse
+    makes the next state a function of the readout and its word alone
+    (any cross-state disagreement falls back).
     """
     segments = _split_segments(rec)
     if len(segments) != 2 * k:
         return None, "recorded stream does not hold exactly two rounds"
-    if len(set(rec.trace_infos)) != 1 or len(rec.trace_infos) != 2:
+    if len(set(rec.trace_infos)) != 1:
         return None, "non-uniform measurement records"
     chip_qubits, duration_ns = rec.trace_infos[0]
     w = len(chip_qubits)
-    if w != k:
+    if k % w:
         return None, "register width does not match per-round points"
+    m = k // w
     measure_qubits = tuple(machine.config.device_index(q)
                            for q in chip_qubits)
     if len(set(measure_qubits)) != w:
         return None, "register addresses a qubit twice"
-    for r in (0, 1):
-        if tuple(seg.qubit for seg in segments[r * k:r * k + k]) \
-                != measure_qubits:
-            return None, "measurement order differs from the register"
+    if any(seg.qubit != measure_qubits[i % w]
+           for i, seg in enumerate(segments)):
+        return None, "measurement order differs from the register"
 
-    # Core safety check, as in the scalar path: round 2's schedule must
-    # match round 1 bit-for-bit (proving round-periodicity, including
-    # the SSB carrier phase).
+    # The core safety check: round 2's schedule must match round 1
+    # bit-for-bit (proving round-periodicity, including the SSB carrier
+    # phase).
     for i in range(1, k):
         if not _ops_equal(segments[i].ops, segments[k + i].ops):
             return None, f"round-1/round-2 schedule mismatch at point {i}"
@@ -409,14 +296,13 @@ def _build_joint_plan(machine: QuMA, rec: ScheduleRecorder,
     n_words = 1 << w
     steady = segments[k:]
 
-    def explore(b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | str:
-        """One start state's conditional tree, or a fallback reason."""
-        p1_row = np.zeros(n_words - 1)
-        bad_row = np.zeros(n_words, dtype=bool)
-        nxt = np.full(n_words, -1, dtype=np.int64)
+    def explore(b: int, r: int, p1_row: np.ndarray, bad_row: np.ndarray,
+                nxt: np.ndarray) -> str | None:
+        """Fill start state ``b``'s tree at readout ``r``; a fallback
+        reason on failure."""
 
         def descend(state: DensityMatrix, j: int, prefix: int) -> str | None:
-            seg = steady[j]
+            seg = steady[r * w + j]
             for op in seg.ops:
                 if op[0] == "idle":
                     device.apply_idle(state, op[1])
@@ -444,66 +330,70 @@ def _build_joint_plan(machine: QuMA, rec: ScheduleRecorder,
                         return error
             return None
 
-        error = descend(_basis_state(n, b), 0, 0)
-        return error if error is not None else (p1_row, bad_row, nxt)
+        return descend(_basis_state(n, b), 0, 0)
 
-    # Breadth-first closure from the ground state.
+    # Breadth-first closure from the ground state; every state is
+    # explored at every readout.
     states: list[int] = [0]
     p1_rows: list[np.ndarray] = []
     bad_rows: list[np.ndarray] = []
-    next_index = np.full(n_words, -1, dtype=np.int64)
+    next_index = np.full((m, n_words), -1, dtype=np.int64)
     i = 0
     while i < len(states):
-        row = explore(states[i])
-        if isinstance(row, str):
-            return None, row
-        p1_row, bad_row, nxt = row
+        p1_row = np.zeros((m, n_words - 1))
+        bad_row = np.zeros((m, n_words), dtype=bool)
+        for r in range(m):
+            nxt = np.full(n_words, -1, dtype=np.int64)
+            error = explore(states[i], r, p1_row[r], bad_row[r], nxt)
+            if error is not None:
+                return None, error
+            for word in range(n_words):
+                if bad_row[r, word]:
+                    continue
+                if next_index[r, word] == -1:
+                    next_index[r, word] = nxt[word]
+                    if nxt[word] not in states:
+                        states.append(int(nxt[word]))
+                elif next_index[r, word] != nxt[word]:
+                    return None, ("round outcome does not determine the "
+                                  "next state")
         p1_rows.append(p1_row)
         bad_rows.append(bad_row)
-        for word in range(n_words):
-            if bad_row[word]:
-                continue
-            if next_index[word] == -1:
-                next_index[word] = nxt[word]
-                if nxt[word] not in states:
-                    states.append(int(nxt[word]))
-            elif next_index[word] != nxt[word]:
-                return None, "round outcome does not determine the next state"
         i += 1
 
-    p1_tree = np.array(p1_rows)
-    bad_word = np.array(bad_rows)
-    next_pos = np.zeros(n_words, dtype=np.int64)
-    for word in range(n_words):
-        if next_index[word] != -1:
-            next_pos[word] = states.index(int(next_index[word]))
+    p1_tree = np.stack(p1_rows, axis=1)
+    bad_word = np.stack(bad_rows, axis=1)
+    next_pos = np.zeros((m, n_words), dtype=np.int64)
+    for r, word in zip(*np.nonzero(next_index != -1)):
+        next_pos[r, word] = states.index(int(next_index[r, word]))
 
-    # Exactness verification: the steady-state tree must reproduce every
+    # Exactness verification: the steady-state trees must reproduce every
     # recorded pre-measurement P(|1>) bit-for-bit across both rounds,
-    # and every recorded round-end collapse must land on the state the
-    # chain predicts.  Round 1 starts from the ground state, which idle
+    # and every recorded collapse must land on the state the chain
+    # predicts.  Round 1 starts from the ground state, which idle
     # decoherence fixes exactly, so the state-0 row covers its differing
     # lead-in too.
     pos = 0
-    for r in (0, 1):
+    for t in range(2 * m):
+        r = t % m
         prefix = 0
-        for j in range(k):
-            seg = segments[r * k + j]
-            if p1_tree[pos, (1 << j) - 1 + prefix] != seg.p1:
+        for j in range(w):
+            seg = segments[t * w + j]
+            if p1_tree[r, pos, (1 << j) - 1 + prefix] != seg.p1:
                 return None, "steady channel diverges from recorded P(|1>)"
             prefix |= seg.outcome << j
-        if bad_word[pos, prefix]:
+        if bad_word[r, pos, prefix]:
             return None, "recorded round crossed a ~zero-probability branch"
-        if segments[r * k + k - 1].basis_index != next_index[prefix]:
+        if segments[t * w + w - 1].basis_index != next_index[r, prefix]:
             return None, "recorded collapse index mismatch"
-        pos = int(next_pos[prefix])
+        pos = int(next_pos[r, prefix])
 
     period = segments[2 * k - 1].t_ns - segments[k - 1].t_ns
     if period <= 0:
         return None, "non-positive round period"
     table, noise_std = multiplexed_signal_table(
         {q: machine.config.readout_for(q) for q in chip_qubits}, duration_ns)
-    return JointReplayPlan(
+    return ReplayPlan(
         k_points=k,
         n_qubits=n,
         measure_qubits=measure_qubits,
@@ -537,7 +427,7 @@ def _find_single_backward_branch(program) -> tuple[int, int] | None:
                 return None
             try:
                 target = program.label_index(instr.target)
-            except Exception:
+            except KeyError:
                 return None
             if target > i:
                 return None
@@ -597,130 +487,93 @@ def _static_loop_rounds(program) -> int | None:
 # -- vectorized replay -------------------------------------------------------
 
 
-def _chain_outcomes(t0: np.ndarray, t1: np.ndarray, prev: int) -> np.ndarray:
-    """Resolve the outcome Markov chain.
+def _chain_words(p1_tree: np.ndarray, next_pos: np.ndarray,
+                 uniforms: np.ndarray, pos0: int) -> np.ndarray:
+    """Resolve the outcome-word Markov chain over a readout stream.
 
-    ``t0``/``t1`` are the would-be outcomes given a previous outcome of
-    0/1.  Wherever they agree the chain is memoryless; only the (rare)
-    disagreeing positions need the sequential fix-up, so the loop touches
-    ~|P(1|0) - P(1|1)| of the stream instead of all of it.
+    ``uniforms`` holds one row of ``w`` device draws per readout, the
+    readouts cycling through the ``m`` trees of ``p1_tree``; ``pos0`` is
+    the row of the state before the first readout.  Each readout's
+    candidate word is found for every state at once (``w`` vector passes
+    down the tree).  Wherever all states agree the chain is memoryless,
+    so only the disagreeing readouts need the sequential fix-up, in
+    order, each from the previous readout's already-final word.
     """
-    b = t0.copy()
-    for idx in np.flatnonzero(t0 != t1):
-        p = b[idx - 1] if idx else prev
-        if p:
-            b[idx] = t1[idx]
-    return b
+    m, n_states, n_nodes = p1_tree.shape
+    n, w = uniforms.shape
+    # Flat index of each readout's root node in one state's (m, n_nodes)
+    # trees.
+    root = np.tile(np.arange(0, m * n_nodes, n_nodes), -(-n // m))[:n]
+    cand = []
+    for s in range(n_states):
+        tree = p1_tree[:, s, :].ravel()
+        word = np.zeros(n, dtype=np.int64)
+        for j in range(w):
+            p = tree[root + ((1 << j) - 1) + word]
+            word |= (uniforms[:, j] < p).astype(np.int64) << j
+        cand.append(word)
+    words = cand[0].copy()
+    disagree = np.zeros(n, dtype=bool)
+    for word in cand[1:]:
+        disagree |= word != words
+    for i in np.flatnonzero(disagree):
+        pos = pos0 if i == 0 else next_pos[(i - 1) % m, words[i - 1]]
+        words[i] = cand[pos][i]
+    return words
 
 
 def _replay_rounds(machine: QuMA, plan: ReplayPlan, n_rep: int,
-                   prev: int) -> np.ndarray:
-    """Draw ``n_rep`` rounds of outcomes + statistics into the DCU.
+                   start_index: int) -> None:
+    """Draw ``n_rep`` rounds of outcome words + statistics into the DCU.
 
-    Consumes the device and readout-noise RNGs in exactly the order the
-    full simulation would, so results are bit-identical.
-    """
-    k = plan.k_points
-    flat = n_rep * k
-    uniforms = machine.device._rng.random(flat)
-    t0 = uniforms < np.tile(plan.p1[:, 0], n_rep)
-    t1 = uniforms < np.tile(plan.p1[:, 1], n_rep)
-    outcomes = _chain_outcomes(t0, t1, prev).astype(np.intp)
-
-    if plan.lowprob.any():
-        prev_arr = np.empty(flat, dtype=np.intp)
-        prev_arr[0] = prev
-        prev_arr[1:] = outcomes[:-1]
-        i_idx = np.tile(np.arange(k), n_rep)
-        if plan.lowprob[i_idx, prev_arr, outcomes].any():
-            raise ReproError(
-                "replay drew a ~zero-probability measurement outcome; "
-                "rerun with replay disabled")
-
-    rng = machine.measurement._rng
-    rows = max(1, _CHUNK_FLOATS // max(plan.duration_ns, 1))
-    for start in range(0, flat, rows):
-        chunk = outcomes[start:start + rows]
-        traces = transmitted_trace_batch(plan.readout, chunk,
-                                         plan.duration_ns, 0, rng)
-        # traces is a freshly synthesized block either way (noise buffer
-        # or fancy-indexed signal copy), so quantize it in place.
-        digitized = adc_quantize(traces, plan.adc_bits, overwrite=True)
-        machine.dcu.record_batch(integrate_batch(digitized, plan.weights))
-    return outcomes
-
-
-def _replay_joint_rounds(machine: QuMA, plan: JointReplayPlan, n_rep: int,
-                         start_index: int) -> np.ndarray:
-    """Draw ``n_rep`` register rounds of outcome words + statistics.
-
-    Consumes the device RNG (one uniform per register qubit per round,
+    Consumes the device RNG (one uniform per register qubit per readout,
     projection order) and the readout-noise RNG (one shared-line noise
-    block per round) in exactly the order the full simulation would, so
-    the DCU stream is bit-identical.
+    block per readout) in exactly the order the full simulation would,
+    so the DCU stream is bit-identical.
     """
-    w = plan.k_points
-    uniforms = machine.device._rng.random(n_rep * w).reshape(n_rep, w)
-
-    # Candidate outcome word for every possible current state: w vector
-    # passes walk the conditional tree for all rounds at once.
-    n_states = len(plan.states)
-    cand = np.empty((n_rep, n_states), dtype=np.int64)
-    for s in range(n_states):
-        prefix = np.zeros(n_rep, dtype=np.int64)
-        for j in range(w):
-            p = plan.p1_tree[s, (1 << j) - 1 + prefix]
-            prefix |= (uniforms[:, j] < p).astype(np.int64) << j
-        cand[:, s] = prefix
-    # Wherever every state agrees the chain is memoryless; only the
-    # disagreeing rounds need the sequential fix-up, and each needs just
-    # the previous round's (already-final) word.
-    words = cand[:, 0].copy()
-    agree = (cand == cand[:, :1]).all(axis=1)
+    m = len(plan.p1_tree)
+    w = len(plan.chip_qubits)
+    n = n_rep * m
+    uniforms = machine.device._rng.random(n * w).reshape(n, w)
     try:
         pos0 = plan.states.index(start_index)
     except ValueError:
         raise ReproError("replay started from a state outside the verified "
                          "closure; rerun with replay disabled")
-    for i in np.flatnonzero(~agree):
-        pos = pos0 if i == 0 else plan.next_pos[words[i - 1]]
-        words[i] = cand[i, pos]
+    words = _chain_words(plan.p1_tree, plan.next_pos, uniforms, pos0)
 
     if plan.bad_word.any():
-        pos_arr = np.empty(n_rep, dtype=np.int64)
-        pos_arr[0] = pos0
-        pos_arr[1:] = plan.next_pos[words[:-1]]
-        if plan.bad_word[pos_arr, words].any():
+        readout = np.tile(np.arange(m), n_rep)
+        pos = np.empty(n, dtype=np.int64)
+        pos[0] = pos0
+        pos[1:] = plan.next_pos[readout[:-1], words[:-1]]
+        if plan.bad_word[readout, pos, words].any():
             raise ReproError(
                 "replay drew a ~zero-probability measurement outcome; "
                 "rerun with replay disabled")
 
     rng = machine.measurement._rng
     rows = max(1, _CHUNK_FLOATS // max(plan.duration_ns, 1))
-    depths: list[int] = []
-    for bits in plan.adc_bits:
-        if bits not in depths:
-            depths.append(bits)
-    stats = np.empty((n_rep, w))
-    for start in range(0, n_rep, rows):
+    depths = list(dict.fromkeys(plan.adc_bits))
+    stats = np.empty((n, w))
+    for start in range(0, n, rows):
         chunk = words[start:start + rows]
         traces = synthesize_trace_batch(plan.signal_table, chunk,
                                         plan.noise_std, rng)
         # One quantization pass per distinct bit depth serves the whole
-        # register (the last may reuse the trace buffer in place).
+        # register (the last reuses the fresh trace buffer in place).
         digitized = {bits: adc_quantize(traces, bits,
                                         overwrite=(d == len(depths) - 1))
                      for d, bits in enumerate(depths)}
         for j, bits in enumerate(plan.adc_bits):
             stats[start:start + len(chunk), j] = \
                 integrate_batch(digitized[bits], plan.weights[j])
-    # Round-major, register-order interleave — the order the event
+    # Readout-major, register-order interleave — the order the event
     # kernel's FIFO write-backs reach the DCU.
     machine.dcu.record_batch(stats.reshape(-1))
-    return words
 
 
-def _synthesize_result(machine: QuMA, plan: ReplayPlan | JointReplayPlan,
+def _synthesize_result(machine: QuMA, plan: ReplayPlan,
                        n_rounds: int, replayed: int) -> RunResult:
     """RunResult for a replayed run.
 
@@ -758,9 +611,8 @@ def _synthesize_result(machine: QuMA, plan: ReplayPlan | JointReplayPlan,
 
 
 def run_with_replay(machine: QuMA, n_rounds: int | None,
-                    plan: ReplayPlan | JointReplayPlan | None = None
-                    ) -> tuple[RunResult, ReplayPlan | JointReplayPlan | None,
-                               ReplayReport]:
+                    plan: ReplayPlan | None = None
+                    ) -> tuple[RunResult, ReplayPlan | None, ReplayReport]:
     """Execute the loaded program, replaying rounds where possible.
 
     Returns ``(result, plan, report)``: ``plan`` is the verified plan
@@ -779,14 +631,11 @@ def run_with_replay(machine: QuMA, n_rounds: int | None,
     if plan is not None and plan.k_points == k and n_rounds >= 1:
         # Warm start: a verified plan replays every round — no events at
         # all.  Round 1's lead-in acts on the ground state, which idle
-        # decoherence fixes exactly, so the steady-state channel with a
-        # previous outcome of 0 covers it (verified at plan build time).
+        # decoherence fixes exactly, so the steady-state chain from the
+        # ground state covers it (verified at plan build time).
         report.plan_hit = True
         report.replayed_rounds = n_rounds
-        if isinstance(plan, JointReplayPlan):
-            _replay_joint_rounds(machine, plan, n_rounds, start_index=0)
-        else:
-            _replay_rounds(machine, plan, n_rounds, prev=0)
+        _replay_rounds(machine, plan, n_rounds, start_index=0)
         return _synthesize_result(machine, plan, n_rounds, n_rounds), \
             plan, report
 
@@ -827,10 +676,7 @@ def run_with_replay(machine: QuMA, n_rounds: int | None,
         fallback = "measurement/write-back stream out of step"
     new_plan = None
     if fallback is None:
-        if all(len(group) == 1 for group, _ in rec.trace_infos):
-            new_plan, fallback = _build_plan(machine, rec, k)
-        else:
-            new_plan, fallback = _build_joint_plan(machine, rec, k)
+        new_plan, fallback = _build_plan(machine, rec, k)
     if fallback is not None:
         report.fallback_reason = fallback
         return machine.run(), None, report
@@ -843,11 +689,7 @@ def run_with_replay(machine: QuMA, n_rounds: int | None,
 
     last = _split_segments(rec)[-1]
     replayed = n_rounds - 2
-    if isinstance(new_plan, JointReplayPlan):
-        _replay_joint_rounds(machine, new_plan, replayed,
-                             start_index=last.basis_index)
-    else:
-        _replay_rounds(machine, new_plan, replayed, prev=last.outcome)
+    _replay_rounds(machine, new_plan, replayed, start_index=last.basis_index)
     report.replayed_rounds = replayed
     return _synthesize_result(machine, new_plan, n_rounds, replayed), \
         new_plan, report

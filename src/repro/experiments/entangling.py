@@ -20,13 +20,14 @@ qubit's own readout calibration.
   register; the joint histogram gives the population term
   P(0...0) + P(1...1) and the all-agree fraction.
 
-Register jobs take the joint round-replay fast path by default
-(``repro.core.replay.JointReplayPlan``): rounds 1-2 run through the full
-event kernel while the joint-outcome Markov chain is recorded and
-verified, the rest replay as vectorized multiplexed-readout batches, and
-a cached plan replays every round — bit-identical with replay off, so
-serial/process/fleet backends stay interchangeable through the usual
-pure-function-of-the-spec contract.  Pass ``replay=False`` (a shared
+Register jobs take the round-replay fast path by default
+(``repro.core.replay.ReplayPlan``, one width-w register read once per
+round): rounds 1-2 run through the full event kernel while the
+joint-outcome Markov chain is recorded and verified, the rest replay as
+vectorized multiplexed-readout batches, and a cached plan replays every
+round — bit-identical with replay off, so serial/process/fleet backends
+stay interchangeable through the usual pure-function-of-the-spec
+contract.  Pass ``replay=False`` (a shared
 experiment param) to force the full event-driven simulation.
 """
 

@@ -296,9 +296,8 @@ class CompileCache:
 class ReplayCache:
     """Verified replay plans, cached next to the compile cache.
 
-    A :class:`~repro.core.replay.ReplayPlan` (or a register job's
-    :class:`~repro.core.replay.JointReplayPlan` — the cache treats plans
-    as opaque values) is a pure function of the machine configuration
+    A :class:`~repro.core.replay.ReplayPlan` (the cache treats it as an
+    opaque value) is a pure function of the machine configuration
     (minus run seed), the program, and the LUT uploads — it holds no RNG
     state — so one verified plan serves every job of a sweep that only
     varies the run seed.  A hit replays *all* N rounds without touching

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -451,6 +451,37 @@ def stage_rollup(jobs: list["JobResult"], elapsed_s: float = 0.0) -> dict:
 #: Artifact format tag written by :meth:`SweepResult.save`.
 SWEEP_ARTIFACT_FORMAT = "repro.sweep/v1"
 
+#: Per-job fields a sweep artifact records: every :class:`JobResult`
+#: field but the simulator internals and the telemetry payload.
+_PERSISTED = tuple(f for f in fields(JobResult)
+                   if f.name not in ("run", "telemetry"))
+
+#: JSON value -> field value, for fields JSON cannot carry natively.
+_FROM_JSON = {
+    "averages": lambda v: np.asarray(v, dtype=float),
+    "joint_counts": lambda v: np.asarray(v, dtype=np.int64),
+    "cal_targets": tuple,
+    "s_grounds": tuple,
+    "s_exciteds": tuple,
+}
+
+
+def _to_json(value):
+    return value.tolist() if isinstance(value, np.ndarray) else value
+
+
+def _job_from_json(entry: dict) -> JobResult:
+    """A loaded job; a field the artifact predates takes its default."""
+    kwargs = {}
+    for f in _PERSISTED:
+        if f.name not in entry and f.default is not MISSING:
+            continue
+        value = entry[f.name]
+        if value is not None and f.name in _FROM_JSON:
+            value = _FROM_JSON[f.name](value)
+        kwargs[f.name] = value
+    return JobResult(run=None, **kwargs)
+
 
 @dataclass
 class SweepResult:
@@ -552,11 +583,13 @@ class SweepResult:
     def save(self, path: str) -> None:
         """Write the sweep as a shareable JSON artifact.
 
-        Records per-job params, averages, calibration points, timings, and
-        the batch-level cache/pool/replay hit rates — the companion format
-        to ``repro.core.config_io``'s machine configurations.  Simulator
-        internals (the :class:`RunResult`) are deliberately not persisted;
-        a loaded sweep supports all the array/aggregate accessors.
+        Records every per-job :class:`JobResult` field (params, averages,
+        calibration points, timings, hit flags) and the batch-level
+        cache/pool/replay hit rates — the companion format to
+        ``repro.core.config_io``'s machine configurations.  Simulator
+        internals (the :class:`RunResult`) and telemetry payloads are
+        deliberately not persisted; a loaded sweep supports all the
+        array/aggregate accessors.
         """
         data = {
             "format": SWEEP_ARTIFACT_FORMAT,
@@ -572,33 +605,8 @@ class SweepResult:
                 "replay": self.replay_rate,
                 "replay_plan_hit": self.replay_plan_hit_rate,
             },
-            "jobs": [{
-                "label": job.label,
-                "seed": job.seed,
-                "params": job.params,
-                "averages": np.asarray(job.averages).tolist(),
-                "s_ground": job.s_ground,
-                "s_excited": job.s_excited,
-                "cache_hit": job.cache_hit,
-                "machine_reused": job.machine_reused,
-                "compile_s": job.compile_s,
-                "execute_s": job.execute_s,
-                "total_s": job.total_s,
-                "queue_wait_s": job.queue_wait_s,
-                "replayed_rounds": job.replayed_rounds,
-                "replay_plan_hit": job.replay_plan_hit,
-                "replay_fallback_reason": job.replay_fallback_reason,
-                "executor": job.executor,
-                "attempts": job.attempts,
-                "cal_targets": (list(job.cal_targets)
-                                if job.cal_targets is not None else None),
-                "s_grounds": (list(job.s_grounds)
-                              if job.s_grounds is not None else None),
-                "s_exciteds": (list(job.s_exciteds)
-                               if job.s_exciteds is not None else None),
-                "joint_counts": (np.asarray(job.joint_counts).tolist()
-                                 if job.joint_counts is not None else None),
-            } for job in self.jobs],
+            "jobs": [{f.name: _to_json(getattr(job, f.name))
+                      for f in _PERSISTED} for job in self.jobs],
         }
         with open(path, "w") as f:
             json.dump(data, f, indent=2, sort_keys=True)
@@ -617,34 +625,7 @@ class SweepResult:
         if data.get("format") != SWEEP_ARTIFACT_FORMAT:
             raise ConfigurationError(
                 f"{path!r} is not a {SWEEP_ARTIFACT_FORMAT} artifact")
-        jobs = [JobResult(
-            averages=np.asarray(entry["averages"], dtype=float),
-            run=None,
-            s_ground=entry["s_ground"],
-            s_excited=entry["s_excited"],
-            seed=entry["seed"],
-            params=entry["params"],
-            label=entry["label"],
-            cache_hit=entry["cache_hit"],
-            machine_reused=entry["machine_reused"],
-            compile_s=entry["compile_s"],
-            execute_s=entry["execute_s"],
-            total_s=entry.get("total_s", 0.0),
-            queue_wait_s=entry.get("queue_wait_s", 0.0),
-            replayed_rounds=entry.get("replayed_rounds", 0),
-            replay_plan_hit=entry.get("replay_plan_hit", False),
-            replay_fallback_reason=entry.get("replay_fallback_reason"),
-            executor=entry.get("executor", "quma"),
-            attempts=entry.get("attempts", 1),
-            cal_targets=(tuple(entry["cal_targets"])
-                         if entry.get("cal_targets") is not None else None),
-            s_grounds=(tuple(entry["s_grounds"])
-                       if entry.get("s_grounds") is not None else None),
-            s_exciteds=(tuple(entry["s_exciteds"])
-                        if entry.get("s_exciteds") is not None else None),
-            joint_counts=(np.asarray(entry["joint_counts"], dtype=np.int64)
-                          if entry.get("joint_counts") is not None else None),
-        ) for entry in data["jobs"]]
+        jobs = [_job_from_json(entry) for entry in data["jobs"]]
         return cls(jobs=jobs, elapsed_s=data["elapsed_s"],
                    backend=data["backend"],
                    cache_stats=data.get("cache_stats", {}),

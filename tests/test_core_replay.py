@@ -6,9 +6,9 @@ import pytest
 from repro.core import MachineConfig
 from repro.core.quma import QuMA
 from repro.core.replay import (
-    JointReplayPlan,
     ReplayPlan,
-    _chain_outcomes,
+    _chain_words,
+    _static_loop_rounds,
     replay_ineligibility,
     run_with_replay,
 )
@@ -166,6 +166,14 @@ class TestIneligibility:
         machine.load(asm)
         assert "microprogram" in replay_ineligibility(machine, 8)
 
+    def test_branch_to_undefined_label_is_not_a_loop(self):
+        from repro.isa.instructions import Bne, Halt, Movi
+        from repro.isa.program import Program
+
+        program = Program(instructions=[Movi(1, 0), Movi(2, 8),
+                                        Bne(1, 2, "Nowhere"), Halt()])
+        assert _static_loop_rounds(program) is None
+
     def test_register_wider_than_cap_falls_back(self):
         qubits = tuple(range(9))
         config = MachineConfig(qubits=qubits, trace_enabled=False,
@@ -263,7 +271,9 @@ class TestJointReplay:
         r_on, plan, report = run_with_replay(m_on, 12)
         assert report.fallback_reason is None
         assert report.replayed_rounds == 10
-        assert isinstance(plan, JointReplayPlan)
+        # One width-2 register read once per round.
+        assert plan.chip_qubits == (1, 2)
+        assert plan.p1_tree.shape[0] == 1
         # The DCU stream — every per-qubit statistic of every round — is
         # bit-identical, not just the per-point means.
         assert m_off.dcu.raw().tolist() == m_on.dcu.raw().tolist()
@@ -299,38 +309,133 @@ class TestJointReplay:
         m_on.load(asm)
         _, plan, report = run_with_replay(m_on, 8)
         assert report.fallback_reason is None
-        assert isinstance(plan, JointReplayPlan)
+        assert plan.chip_qubits == (1, 2)
+        assert plan.p1_tree.shape[0] == 1
         assert m_off.dcu.raw().tolist() == m_on.dcu.raw().tolist()
 
 
-class TestChainOutcomes:
-    def test_memoryless_positions(self):
-        t0 = np.array([True, False, True, False])
-        t1 = t0.copy()
-        assert np.array_equal(_chain_outcomes(t0, t1, prev=1), t0)
+def double_read_asm(n_rounds, first="q1, q2"):
+    """``first`` then the register ``{q1, q2}``, each through one record."""
+    return f"""
+        mov r15, 40000
+        mov r1, 0
+        mov r2, {n_rounds}
+    Outer_Loop:
+        QNopReg r15
+        Pulse {{q1}}, Y90
+        Wait 4
+        Pulse {{q1, q2}}, CZ
+        Wait 8
+        MPG {{{first}}}, 300
+        MD {{{first}}}
+        Wait 400
+        Pulse {{q2}}, X90
+        Wait 4
+        MPG {{q1, q2}}, 300
+        MD {{q1, q2}}
+        addi r1, r1, 1
+        bne r1, r2, Outer_Loop
+        halt
+    """
 
-    def test_dependent_positions_follow_previous_outcome(self):
-        # position 0 depends on prev; position 2 depends on position 1.
-        t0 = np.array([False, True, False, False])
-        t1 = np.array([True, True, True, False])
-        out = _chain_outcomes(t0, t1, prev=1)
-        assert out.tolist() == [True, True, True, False]
-        out = _chain_outcomes(t0, t1, prev=0)
-        assert out.tolist() == [False, True, True, False]
 
-    def test_matches_sequential_reference(self):
+class TestRegisterReadTwice:
+    """A round of several register records replays through the one plan
+    when every record reads the same register."""
+
+    @pytest.mark.parametrize(("first", "points", "fallback"), (
+        ("q1, q2", 4, None),
+        ("q1", 3, "non-uniform measurement records"),
+    ), ids=("same-register", "mixed-width"))
+    def test_replay_on_off_parity(self, first, points, fallback):
+        config = register_config(dcu_points=points)
+        asm = double_read_asm(12, first)
+        m_off = QuMA(config)
+        m_off.load(asm)
+        r_off = m_off.run()
+        plan = None
+        for warm in (False, True):
+            m_on = QuMA(config)
+            m_on.load(asm)
+            r_on, new_plan, report = run_with_replay(m_on, 12, plan=plan)
+            assert report.fallback_reason == fallback
+            assert report.plan_hit == (warm and fallback is None)
+            assert m_off.dcu.raw().tolist() == m_on.dcu.raw().tolist()
+            assert r_on.duration_ns == r_off.duration_ns
+            assert r_on.instructions_executed == r_off.instructions_executed
+            plan = new_plan
+        if fallback is None:
+            assert plan.p1_tree.shape[0] == 2  # two readouts per round
+            assert r_on.replayed_rounds == 12
+
+
+def sequential_words(p1_tree, next_pos, uniforms, pos0):
+    """Reference walk: one readout at a time from the current state."""
+    m = p1_tree.shape[0]
+    pos, words = pos0, []
+    for i, row in enumerate(uniforms):
+        r, prefix = i % m, 0
+        for j, u in enumerate(row):
+            prefix |= int(u < p1_tree[r, pos, (1 << j) - 1 + prefix]) << j
+        words.append(prefix)
+        pos = next_pos[r, prefix]
+    return words
+
+
+def random_chain(rng, m, n_states, w):
+    p1_tree = rng.random((m, n_states, (1 << w) - 1))
+    next_pos = rng.integers(0, n_states, size=(m, 1 << w))
+    return p1_tree, next_pos
+
+
+#: (readouts per round m, states, register width w)
+CHAINS = ((7, 2, 1), (3, 4, 2))
+CHAIN_IDS = ("w1-2states", "w2-4states")
+
+
+class TestChainWords:
+    @pytest.mark.parametrize(("m", "n_states", "w"), CHAINS, ids=CHAIN_IDS)
+    def test_memoryless_positions(self, m, n_states, w):
+        """Every state shares one tree: the start state cannot matter."""
+        rng = np.random.default_rng(3)
+        p1_tree, next_pos = random_chain(rng, m, n_states, w)
+        p1_tree[:] = p1_tree[:, :1]
+        uniforms = rng.random((5 * m, w))
+        ref = sequential_words(p1_tree, next_pos, uniforms, 0)
+        for pos0 in range(n_states):
+            assert _chain_words(p1_tree, next_pos, uniforms,
+                                pos0).tolist() == ref
+
+    @pytest.mark.parametrize(("m", "n_states", "w"), CHAINS, ids=CHAIN_IDS)
+    def test_dependent_positions_follow_previous_word(self, m, n_states, w):
+        # State s always yields word s % 2**w, and word x leads to state
+        # (x + 1) % n_states: readout 0 depends on pos0, each later
+        # readout on the word before it.
+        n_words = 1 << w
+        p1_tree = np.zeros((m, n_states, n_words - 1))
+        for s in range(n_states):
+            word = s % n_words
+            for j in range(w):
+                prefix = word & ((1 << j) - 1)
+                p1_tree[:, s, (1 << j) - 1 + prefix] = (word >> j) & 1
+        next_pos = np.tile((np.arange(n_words) + 1) % n_states, (m, 1))
+        uniforms = np.full((2 * m, w), 0.5)
+        for pos0 in range(n_states):
+            words = _chain_words(p1_tree, next_pos, uniforms, pos0).tolist()
+            assert words[0] == pos0 % n_words
+            for prev, word in zip(words, words[1:]):
+                assert word == ((prev + 1) % n_states) % n_words
+            assert len(set(words)) > 1
+
+    @pytest.mark.parametrize(("m", "n_states", "w"), CHAINS, ids=CHAIN_IDS)
+    def test_matches_sequential_reference(self, m, n_states, w):
         rng = np.random.default_rng(5)
-        p = rng.random((7, 2))
-        u = rng.random(7 * 30)
-        t0 = u < np.tile(p[:, 0], 30)
-        t1 = u < np.tile(p[:, 1], 30)
-        fast = _chain_outcomes(t0, t1, prev=0)
-        prev = 0
-        ref = []
-        for j in range(len(u)):
-            prev = int(u[j] < p[j % 7, 1 if prev else 0])
-            ref.append(bool(prev))
-        assert fast.tolist() == ref
+        p1_tree, next_pos = random_chain(rng, m, n_states, w)
+        uniforms = rng.random((30 * m, w))
+        for pos0 in range(n_states):
+            fast = _chain_words(p1_tree, next_pos, uniforms, pos0)
+            assert fast.tolist() == sequential_words(p1_tree, next_pos,
+                                                     uniforms, pos0)
 
 
 class TestRunReplayed:
@@ -351,6 +456,11 @@ class TestRunReplayed:
         assert isinstance(plan, ReplayPlan)
         assert plan.k_points == 1
         assert plan.duration_ns == 1500
-        assert plan.p1.shape == (1, 2)
-        assert 0.0 <= plan.p1.min() and plan.p1.max() <= 1.0
+        # One width-1 register (chip qubit 2, device index 0) read once
+        # per round; the chain states are its two basis states.
+        assert plan.chip_qubits == (2,) and plan.measure_qubits == (0,)
+        assert plan.states == (0, 1)
+        assert plan.p1_tree.shape == (1, 2, 1)
+        assert plan.next_pos.tolist() == [[0, 1]]
+        assert 0.0 <= plan.p1_tree.min() and plan.p1_tree.max() <= 1.0
         assert plan.round_period_ns > 0

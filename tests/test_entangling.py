@@ -20,6 +20,7 @@ Set ``REPRO_SERVICE_BACKEND=serial|process|fleet`` to pin the
 parametrized backend (the CI matrix runs one backend per job).
 """
 
+import json
 import os
 
 import numpy as np
@@ -276,6 +277,25 @@ def test_sweep_artifact_roundtrips_joint_counts(tmp_path):
     assert job.s_grounds == orig.s_grounds
     assert job.s_exciteds == orig.s_exciteds
     assert np.array_equal(job.joint_counts, orig.joint_counts)
+    # Every field but the simulator internals and telemetry is persisted
+    # and survives the round trip with its type.
+    import dataclasses
+    from repro.service.job import JobResult
+
+    persisted = [f.name for f in dataclasses.fields(JobResult)
+                 if f.name not in ("run", "telemetry")]
+    with open(path) as f:
+        (entry,) = json.load(f)["jobs"]
+    assert sorted(entry) == sorted(persisted)
+    assert job.run is None and job.telemetry is None
+    for name in persisted:
+        saved, back = getattr(orig, name), getattr(job, name)
+        assert type(back) is type(saved), name
+        if isinstance(saved, np.ndarray):
+            assert back.dtype == saved.dtype, name
+            assert np.array_equal(back, saved), name
+        else:
+            assert back == saved, name
 
 
 # -- physics -----------------------------------------------------------------

@@ -7,7 +7,7 @@ fitted parity/fidelity estimates — is **bit-identical** to the same
 experiment with replay off, on every service backend.  Replay must
 therefore be a pure speedup, never a physics change.
 
-Also covered: the ``ReplayCache`` serves one verified joint plan to
+Also covered: the ``ReplayCache`` serves one verified replay plan to
 every repeat of a sweep (warm hits replay all rounds), and silent
 fallbacks surface through ``JobResult.replay_fallback_reason``.
 
