@@ -9,6 +9,7 @@ Run with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
 paper-style tables each bench prints.
 """
 
+import functools
 import os
 
 import pytest
@@ -19,19 +20,25 @@ def emit(text: str) -> None:
     print("\n" + text)
 
 
-def run_experiment(name: str, config, service=None, **params):
-    """Run a registered experiment through the Session facade.
+@functools.cache
+def shared_service():
+    """One serial service for every bench in the process.
 
-    The benches' shared shim over ``Session.run``: without ``service``
-    it uses the process-wide default service, keeping the warm
-    machine-pool/compile-cache reuse the bench numbers have always
-    measured across calls.
+    Successive runs share its machine pool and compile cache, the warm
+    reuse the bench numbers have always measured across calls.
     """
+    from repro.service import ExperimentService
+
+    return ExperimentService(backend="serial")
+
+
+def run_experiment(name: str, config, service=None, **params):
+    """Run a registered experiment through the Session facade, on
+    ``service`` or else the benches' :func:`shared_service`."""
     from repro import Session
-    from repro.service import default_service
 
     return Session(config, service=service if service is not None
-                   else default_service()).run(name, **params)
+                   else shared_service()).run(name, **params)
 
 
 @pytest.fixture

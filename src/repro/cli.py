@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 
 from repro.core.config import MachineConfig
 from repro.core.quma import QuMA
@@ -322,20 +323,24 @@ def _print_sweep_stats(sweep) -> None:
 
 
 def _run_specs(svc, specs, stream: bool):
-    """Execute a batch; with ``stream``, print results as they finish."""
-    from repro.experiments.runner import run_spec_sweep
+    """Execute a batch; with ``stream``, print results as they finish.
+
+    The returned sweep lists jobs in submission order either way.
+    """
+    from repro.service import SweepResult
 
     if not stream:
         return svc.run_batch(specs)
-
-    def announce(job):
+    t0 = time.perf_counter()
+    futures = [svc.submit(spec, stream=False) for spec in specs]
+    for job in svc.iter_completed(futures):
         note = ""
         if job.replay_fallback_reason is not None:
             note = f"  [no replay: {job.replay_fallback_reason}]"
         print(f"  done [{job.executor}] {job.label or job.seed}"
               f"  ({job.execute_s:.3f} s){note}")
-
-    return run_spec_sweep(svc, specs, on_result=announce)
+    return SweepResult.from_jobs([future.result() for future in futures],
+                                 time.perf_counter() - t0, svc.backend)
 
 
 def cmd_batch(args: argparse.Namespace) -> int:

@@ -10,7 +10,6 @@ fidelity, compared against the ideal staircase.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +17,9 @@ import numpy as np
 from repro.compiler.codegen import CompilerOptions
 from repro.compiler.program import QuantumProgram
 from repro.core.config import MachineConfig
-from repro.experiments.base import (Experiment, register_experiment,
-                                    run_deprecated)
-from repro.experiments.runner import ExperimentRun
-from repro.service import ExperimentService, JobSpec
+from repro.experiments.base import (Experiment, ExperimentRun, Target,
+                                    register_experiment)
+from repro.service import JobSpec
 
 #: Algorithm 1's gate table: 21 pairs over {I, X180, Y180, X90, Y90}.
 ALLXY_PAIRS: list[tuple[str, str]] = [
@@ -131,11 +129,12 @@ class AllXYExperiment(Experiment):
     target_arity = 1
     defaults = {"n_rounds": 128, "replay": True}
 
-    def build_qubit_specs(self, qubit: int) -> list[JobSpec]:
+    def build_target_specs(self, target: Target) -> list[JobSpec]:
+        (qubit,) = target
         return [allxy_job(self.config, qubit, self.params["n_rounds"],
                           replay=self.params["replay"])]
 
-    def analyze_qubit(self, jobs, qubit: int) -> AllXYResult:
+    def analyze_target(self, jobs, target: Target) -> AllXYResult:
         job = jobs[0]
         run = ExperimentRun(machine=None, result=job.run,
                             averages=job.averages,
@@ -148,23 +147,13 @@ class AllXYExperiment(Experiment):
                            fidelity=fidelity, ideal=ideal,
                            deviation=deviation, run=run)
 
-    def estimate_qubit(self, indexed_jobs, qubit: int) -> dict | None:
+    def estimate_target(self, indexed_jobs, target: Target) -> dict | None:
         _, job = indexed_jobs[0]
         fidelity = rescale_with_calibration_points(job.averages)
         ideal = allxy_ideal_staircase()
         return {"deviation": float(np.mean(np.abs(fidelity - ideal)))}
 
-    def summarize_qubit(self, result: AllXYResult, qubit: int) -> str:
+    def summarize_target(self, result: AllXYResult, target: Target) -> str:
         return (f"deviation {result.deviation:.4f} "
                 f"(max error {result.max_error():.4f})")
 
-
-def run_allxy(config: MachineConfig | None = None, n_rounds: int = 128,
-              qubit: int | None = None,
-              service: ExperimentService | None = None,
-              replay: bool = True) -> AllXYResult:
-    """Deprecated wrapper over ``Session.run("allxy", ...)``."""
-    warnings.warn("run_allxy is deprecated; use Session.run('allxy', ...) "
-                  "instead", DeprecationWarning, stacklevel=2)
-    return run_deprecated("allxy", config, service, qubits=qubit,
-                          n_rounds=n_rounds, replay=replay)

@@ -10,21 +10,17 @@ results stream back in completion order).
 
 Experiments address *target registers*: a target is a tuple of chip
 qubits operated on together — ``(2,)`` for a single-qubit calibration,
-``(0, 1)`` for a CZ/Bell pair, ``(0, 1, 2)`` for a GHZ chain.  Concrete
-experiments implement the per-target trio ``build_target_specs`` /
-``analyze_target`` / ``estimate_target``: each sees one target's slice
-of the sweep, and the base class fans a ``targets`` tuple out into
-concatenated spec groups, so every experiment batches over registers for
-free (``session.run("bell", targets=((0, 1), (1, 2)))`` returns a
-``{target: result}`` mapping).
+``(0, 1)`` for a CZ/Bell pair, ``(0, 1, 2)`` for a GHZ chain.  Every
+experiment implements the per-target trio ``build_target_specs`` /
+``analyze_target`` (both abstract) / ``estimate_target``: each sees one
+target's slice of the sweep, and the base class fans a ``targets`` tuple
+out into concatenated spec groups, so every experiment batches over
+registers for free (``session.run("bell", targets=((0, 1), (1, 2)))``
+returns a ``{target: result}`` mapping).
 
-Single-qubit experiments remain the 1-tuple special case: the base
-class's default per-target trio delegates to the legacy per-qubit trio
-``build_qubit_specs`` / ``analyze_qubit`` / ``estimate_qubit``, so an
-experiment written against the per-qubit protocol runs unchanged (and
-bit-identically) through the target-register machinery, and
-``session.run("rabi", qubits=(0, 1))`` still means two single-qubit
-targets.
+A single-qubit experiment is the 1-tuple case: it unpacks
+``(qubit,) = target``, and ``session.run("rabi", qubits=(0, 1))`` means
+two single-qubit targets.
 
 The module-level :data:`REGISTRY` maps names to classes; experiment
 modules self-register via :func:`register_experiment`, and the generic
@@ -42,6 +38,7 @@ from typing import Callable, ClassVar, Iterable, Mapping
 import numpy as np
 
 from repro.core.config import MachineConfig
+from repro.core.quma import QuMA, RunResult
 from repro.service.job import JobResult, JobSpec, SweepResult
 from repro.utils.errors import CalibrationError, ConfigurationError
 
@@ -123,6 +120,24 @@ def target_label(target: Target) -> str:
 
 
 @dataclass
+class ExperimentRun:
+    """The raw run behind a one-job result (AllXY, coherence sweeps).
+
+    ``machine`` is None for every run that came through the service:
+    pooled machines never leave the pool (a worker process's machines
+    never leave the worker), so the readout calibration points travel
+    as the ``s_ground``/``s_excited`` scalars instead.  perfbench's
+    analysis digest hashes this type's name and field names.
+    """
+
+    machine: QuMA | None
+    result: RunResult
+    averages: np.ndarray  #: data collection unit output, length K
+    s_ground: float | None = None
+    s_excited: float | None = None
+
+
+@dataclass
 class Estimate:
     """A live fit over the results streamed in so far.
 
@@ -146,21 +161,6 @@ class Estimate:
     @property
     def complete(self) -> bool:
         return self.n_results >= self.n_specs
-
-    @property
-    def per_qubit(self) -> dict[int, dict | None]:
-        """Legacy single-qubit view, keyed by bare qubit label.
-
-        Only defined when every target is a single qubit; an estimate
-        holding wider registers raises, since collapsing ``(0, 1)`` to a
-        qubit key would misattribute a joint fit.
-        """
-        if any(len(target) > 1 for target in self.per_target):
-            raise ConfigurationError(
-                "per_qubit is the single-qubit view; this estimate holds "
-                f"multi-qubit targets {tuple(self.per_target)} — use "
-                "per_target")
-        return {target[0]: fit for target, fit in self.per_target.items()}
 
     @property
     def values(self) -> dict | None:
@@ -216,10 +216,6 @@ class ExperimentState:
         return [(i - start, self.results[i])
                 for i in range(start, stop) if i in self.results]
 
-    def qubit_results(self, qubit: int) -> list[tuple[int, JobResult]]:
-        """Legacy spelling of :meth:`target_results` for 1-tuple targets."""
-        return self.target_results((qubit,))
-
     def __len__(self) -> int:
         return len(self.results)
 
@@ -232,10 +228,10 @@ class Experiment(abc.ABC):
     parameters are rejected at construction), and :attr:`target_arity`
     (qubits per target register: 1 for the single-qubit calibrations, 2
     for pair experiments, None for variable-width registers), then
-    implement the per-target trio ``build_target_specs`` /
-    ``analyze_target`` / ``estimate_target`` — or, for single-qubit
-    experiments, the legacy per-qubit trio the base class's defaults
-    delegate to.  ``config`` defaults to a fresh :class:`MachineConfig`;
+    implement the per-target trio: ``build_target_specs`` and
+    ``analyze_target`` (abstract; a single-qubit experiment unpacks
+    ``(qubit,) = target``) and, for live fits, ``estimate_target``.
+    ``config`` defaults to a fresh :class:`MachineConfig`;
     ``targets`` defaults to the config's first wired qubit, and every
     requested qubit must be wired (with every required flux pair wired
     for multi-qubit targets).
@@ -290,28 +286,20 @@ class Experiment(abc.ABC):
         return ((self.config.qubits[0],),)
 
     @classmethod
-    def default_session_targets(cls) -> tuple[Target, ...] | None:
+    def default_session_targets(cls, params=None
+                                ) -> tuple[Target, ...] | None:
         """Targets a session assumes when auto-building a config.
 
         Called *before* any config exists, so it cannot inspect wiring:
         None (the single-qubit default) lets the fresh config keep its
         historic first-wired-qubit shape; entangling experiments return
         a canonical register (e.g. ``((0, 1),)``) so the session wires
-        the flux topology and multiplexed readout it needs.
+        the flux topology and multiplexed readout it needs.  ``params``
+        are the run's keyword parameters, for wrappers whose shape
+        depends on one (the mitigated wrapper's inner experiment); the
+        other experiments ignore them.
         """
         return None
-
-    @classmethod
-    def default_session_targets_for(cls, params=None
-                                    ) -> tuple[Target, ...] | None:
-        """Params-aware spelling of :meth:`default_session_targets`.
-
-        The session resolves register defaults through this hook so
-        wrapper experiments whose shape depends on a parameter (the
-        mitigated wrapper's inner experiment) can delegate; the base
-        implementation ignores ``params``.
-        """
-        return cls.default_session_targets()
 
     @classmethod
     def flux_pairs_for(cls, target: Target) -> tuple[tuple[int, int], ...]:
@@ -348,23 +336,9 @@ class Experiment(abc.ABC):
     def resolve(self) -> None:
         """Fill parameter defaults that depend on the config (hook)."""
 
+    @abc.abstractmethod
     def build_target_specs(self, target: Target) -> list[JobSpec]:
-        """The sweep's jobs for one target register, in submission order.
-
-        The default is the single-qubit compatibility shim: 1-tuple
-        targets delegate to :meth:`build_qubit_specs`.
-        """
-        if len(target) == 1:
-            return self.build_qubit_specs(target[0])
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement build_target_specs "
-            f"for {len(target)}-qubit targets")
-
-    def build_qubit_specs(self, qubit: int) -> list[JobSpec]:
-        """Legacy single-qubit hook behind :meth:`build_target_specs`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither build_target_specs "
-            "nor build_qubit_specs")
+        """The sweep's jobs for one target register, in submission order."""
 
     def build_specs(self) -> list[JobSpec]:
         """All targets' specs concatenated, cached on first call."""
@@ -382,10 +356,6 @@ class Experiment(abc.ABC):
         self.build_specs()
         return self._slices[target]
 
-    def qubit_slice(self, qubit: int) -> tuple[int, int]:
-        """Legacy spelling of :meth:`target_slice` for 1-tuple targets."""
-        return self.target_slice((qubit,))
-
     def target_of(self, index: int) -> Target:
         """The target whose spec group contains this submission index."""
         self.build_specs()
@@ -395,44 +365,19 @@ class Experiment(abc.ABC):
         raise ConfigurationError(
             f"index {index} outside the sweep of {len(self._specs)}")
 
-    def qubit_of(self, index: int) -> int:
-        """Legacy spelling of :meth:`target_of` for 1-tuple targets."""
-        return self.target_of(index)[0]
-
     # -- analysis ------------------------------------------------------------
 
+    @abc.abstractmethod
     def analyze_target(self, jobs: list[JobResult], target: Target):
-        """One target's full result from its submission-ordered jobs.
-
-        The default is the single-qubit compatibility shim: 1-tuple
-        targets delegate to :meth:`analyze_qubit`.
-        """
-        if len(target) == 1:
-            return self.analyze_qubit(jobs, target[0])
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement analyze_target "
-            f"for {len(target)}-qubit targets")
-
-    def analyze_qubit(self, jobs: list[JobResult], qubit: int):
-        """Legacy single-qubit hook behind :meth:`analyze_target`."""
-        raise NotImplementedError(
-            f"{type(self).__name__} implements neither analyze_target "
-            "nor analyze_qubit")
+        """One target's full result from its submission-ordered jobs."""
 
     def estimate_target(self, indexed_jobs: list[tuple[int, JobResult]],
                         target: Target) -> dict | None:
         """Fit parameters from a *partial* target slice (``(index,
         result)`` pairs in submission order); None when unconstrained.
         On a complete slice this must agree with :meth:`analyze_target`'s
-        fit.  1-tuple targets delegate to :meth:`estimate_qubit`.
+        fit.  The default provides no live fit.
         """
-        if len(target) == 1:
-            return self.estimate_qubit(indexed_jobs, target[0])
-        return None
-
-    def estimate_qubit(self, indexed_jobs: list[tuple[int, JobResult]],
-                       qubit: int) -> dict | None:
-        """Legacy single-qubit hook behind :meth:`estimate_target`."""
         return None
 
     def stderr_target(self, indexed_jobs: list[tuple[int, JobResult]],
@@ -519,16 +464,7 @@ class Experiment(abc.ABC):
     # -- presentation --------------------------------------------------------
 
     def summarize_target(self, result, target: Target) -> str:
-        """One line describing one target's result (CLI output).
-
-        1-tuple targets delegate to :meth:`summarize_qubit`.
-        """
-        if len(target) == 1:
-            return self.summarize_qubit(result, target[0])
-        return repr(result)
-
-    def summarize_qubit(self, result, qubit: int) -> str:
-        """Legacy single-qubit hook behind :meth:`summarize_target`."""
+        """One line describing one target's result (CLI output)."""
         return repr(result)
 
     def summary(self, result) -> str:
@@ -616,24 +552,6 @@ class ExperimentRegistry:
 
     def __iter__(self):
         return iter(self.names())
-
-
-def run_deprecated(name: str, config, service, **params):
-    """Shared body of the deprecated ``run_*`` wrappers.
-
-    Reproduces the historical behavior exactly: the caller's config (or
-    a fresh default one) on the process-wide shared default service (or
-    the one passed in), through ``Session.run``.  The caller emits its
-    own :class:`DeprecationWarning` first, so the warning points at the
-    legacy call site.
-    """
-    from repro.service.scheduler import default_service
-    from repro.session import Session
-
-    session = Session(config if config is not None else MachineConfig(),
-                      service=service if service is not None
-                      else default_service())
-    return session.run(name, **params)
 
 
 #: The process-wide default registry (the CLI and Session resolve here).

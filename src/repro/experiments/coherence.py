@@ -7,14 +7,11 @@ T2 (the echo has no low-frequency noise to refocus) — recorded as an
 explicit model note in EXPERIMENTS.md.
 
 :class:`T1Experiment` / :class:`RamseyExperiment` / :class:`EchoExperiment`
-are the declarative forms (``session.run("t1", ...)`` etc.); the
-:func:`run_t1` / :func:`run_ramsey` / :func:`run_echo` functions remain
-as deprecated wrappers.
+are the declarative forms (``session.run("t1", ...)`` etc.).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,9 +25,9 @@ from repro.experiments.analysis import (
     fit_damped_cosine,
     fit_exponential_decay,
 )
-from repro.experiments.base import Experiment, register_experiment, run_deprecated
-from repro.experiments.runner import ExperimentRun
-from repro.service import ExperimentService, JobSpec
+from repro.experiments.base import (Experiment, ExperimentRun, Target,
+                                    register_experiment)
+from repro.service import JobSpec
 from repro.utils.units import CYCLE_NS
 
 
@@ -116,28 +113,29 @@ class CoherenceExperiment(Experiment):
     def fit_decay(self, delays_ns: np.ndarray, population: np.ndarray):
         raise NotImplementedError
 
-    def build_qubit_specs(self, qubit: int) -> list[JobSpec]:
+    def build_target_specs(self, target: Target) -> list[JobSpec]:
+        (qubit,) = target
         return [coherence_job(self.name, self.params["delays_cycles"],
                               self.config, self.params["n_rounds"],
                               replay=self.params["replay"], qubit=qubit)]
 
-    def analyze_qubit(self, jobs, qubit: int) -> CoherenceResult:
+    def analyze_target(self, jobs, target: Target) -> CoherenceResult:
         job = jobs[0]
         run = ExperimentRun(machine=None, result=job.run,
                             averages=job.averages,
                             s_ground=job.s_ground, s_excited=job.s_excited)
-        pop = run.normalized
+        pop = job.normalized
         delays_ns = np.asarray(self.params["delays_cycles"]) * CYCLE_NS
         fit = self.fit_decay(delays_ns, pop)
         return CoherenceResult(self.name, delays_ns, pop, fit, run)
 
-    def estimate_qubit(self, indexed_jobs, qubit: int) -> dict | None:
+    def estimate_target(self, indexed_jobs, target: Target) -> dict | None:
         _, job = indexed_jobs[0]
         delays_ns = np.asarray(self.params["delays_cycles"]) * CYCLE_NS
         fit = self.fit_decay(delays_ns, job.normalized)
         return {"tau_ns": fit.tau}
 
-    def summarize_qubit(self, result: CoherenceResult, qubit: int) -> str:
+    def summarize_target(self, result: CoherenceResult, target: Target) -> str:
         return f"fitted tau = {result.fitted_tau_ns:.0f} ns"
 
 
@@ -210,42 +208,3 @@ class EchoExperiment(CoherenceExperiment):
     def fit_decay(self, delays_ns, population):
         return fit_exponential_decay(delays_ns, population)
 
-
-def run_t1(config: MachineConfig | None = None,
-           delays_cycles: list[int] | None = None,
-           n_rounds: int = 64,
-           service: ExperimentService | None = None,
-           replay: bool = True) -> CoherenceResult:
-    """Deprecated wrapper over ``Session.run("t1", ...)``."""
-    warnings.warn("run_t1 is deprecated; use Session.run('t1', ...) instead",
-                  DeprecationWarning, stacklevel=2)
-    return run_deprecated("t1", config, service, delays_cycles=delays_cycles,
-                          n_rounds=n_rounds, replay=replay)
-
-
-def run_ramsey(config: MachineConfig | None = None,
-               delays_cycles: list[int] | None = None,
-               artificial_detuning_hz: float = 0.4e6,
-               n_rounds: int = 64,
-               service: ExperimentService | None = None,
-               replay: bool = True) -> CoherenceResult:
-    """Deprecated wrapper over ``Session.run("ramsey", ...)``."""
-    warnings.warn("run_ramsey is deprecated; use Session.run('ramsey', ...) "
-                  "instead", DeprecationWarning, stacklevel=2)
-    return run_deprecated("ramsey", config, service,
-                          delays_cycles=delays_cycles,
-                          artificial_detuning_hz=artificial_detuning_hz,
-                          n_rounds=n_rounds, replay=replay)
-
-
-def run_echo(config: MachineConfig | None = None,
-             delays_cycles: list[int] | None = None,
-             n_rounds: int = 64,
-             service: ExperimentService | None = None,
-             replay: bool = True) -> CoherenceResult:
-    """Deprecated wrapper over ``Session.run("echo", ...)``."""
-    warnings.warn("run_echo is deprecated; use Session.run('echo', ...) "
-                  "instead", DeprecationWarning, stacklevel=2)
-    return run_deprecated("echo", config, service,
-                          delays_cycles=delays_cycles,
-                          n_rounds=n_rounds, replay=replay)

@@ -154,7 +154,7 @@ class EntanglingExperiment(Experiment):
         return (tuple(self.config.qubits[:width]),)
 
     @classmethod
-    def default_session_targets(cls) -> tuple[Target, ...]:
+    def default_session_targets(cls, params=None) -> tuple[Target, ...]:
         """A canonical register so ``session.run("bell")`` just works:
         the session wires qubits 0..width-1 with their flux chain."""
         width = cls.target_arity or 3

@@ -7,23 +7,20 @@ compiled to QuMIS and executed through the complete QuMA stack.
 
 :class:`RBExperiment` is the declarative form (``session.run("rb", ...)``,
 multi-qubit capable: the same random sequence set is applied to every
-requested qubit so decay curves are directly comparable); :func:`run_rb`
-remains as a deprecated wrapper.
+requested qubit so decay curves are directly comparable).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.core.config import MachineConfig
 from repro.experiments.analysis import RBFit, fit_rb_decay
-from repro.experiments.base import (Experiment, register_experiment,
-                                    run_deprecated)
+from repro.experiments.base import Experiment, Target, register_experiment
 from repro.experiments.cliffords import clifford_group
-from repro.service import ExperimentService, JobSpec
+from repro.service import JobSpec
 from repro.utils.rng import derive_rng
 
 
@@ -121,7 +118,8 @@ class RBExperiment(Experiment):
                                          self.params["lengths"],
                                          self.params["sequences_per_length"])
 
-    def build_qubit_specs(self, qubit: int) -> list[JobSpec]:
+    def build_target_specs(self, target: Target) -> list[JobSpec]:
+        (qubit,) = target
         return [rb_sequence_job(self.config, qubit, pulses,
                                 self.params["n_rounds"], m,
                                 replay=self.params["replay"])
@@ -134,7 +132,7 @@ class RBExperiment(Experiment):
                            fixed_offset=self.params["fixed_offset"])
         return lengths_arr, survival_arr, fit
 
-    def analyze_qubit(self, jobs, qubit: int) -> RBResult:
+    def analyze_target(self, jobs, target: Target) -> RBResult:
         spl = self.params["sequences_per_length"]
         survival = []
         per_length = [jobs[i:i + spl] for i in range(0, len(jobs), spl)]
@@ -148,10 +146,10 @@ class RBExperiment(Experiment):
                         pulses_per_clifford=(
                             clifford_group().average_pulses_per_clifford()))
 
-    def estimate_qubit(self, indexed_jobs, qubit: int) -> dict | None:
+    def estimate_target(self, indexed_jobs, target: Target) -> dict | None:
         # Group arrived sequences by their length-group position in the
         # sweep (index // sequences_per_length), so a complete slice
-        # reproduces analyze_qubit's per-length means exactly.
+        # reproduces analyze_target's per-length means exactly.
         spl = self.params["sequences_per_length"]
         groups: dict[int, list] = {}
         for index, job in indexed_jobs:
@@ -166,32 +164,8 @@ class RBExperiment(Experiment):
         return {"error_per_clifford": fit.error_per_clifford,
                 "p": fit.p, "amplitude": fit.amplitude, "offset": fit.offset}
 
-    def summarize_qubit(self, result: RBResult, qubit: int) -> str:
+    def summarize_target(self, result: RBResult, target: Target) -> str:
         return (f"error per Clifford {result.error_per_clifford:.2e} "
                 f"(p = {result.fit.p:.5f}, "
                 f"{result.pulses_per_clifford:.2f} pulses/Clifford)")
 
-
-def run_rb(config: MachineConfig | None = None,
-           lengths: list[int] | None = None,
-           sequences_per_length: int = 3,
-           n_rounds: int = 32,
-           seed: int = 0,
-           fixed_offset: float | None = 0.5,
-           service: ExperimentService | None = None,
-           replay: bool = True,
-           on_result=None) -> RBResult:
-    """Deprecated wrapper over ``Session.run("rb", ...)``.
-
-    ``fixed_offset`` pins the fit asymptote (0.5 = fully depolarized);
-    pass None to fit it freely when many lengths are measured.  Kept
-    bit-identical to the historical behavior (sequences drawn from the
-    same seed-derived stream, fits over submission-ordered results).
-    """
-    warnings.warn("run_rb is deprecated; use Session.run('rb', ...) instead",
-                  DeprecationWarning, stacklevel=2)
-    return run_deprecated("rb", config, service, lengths=lengths,
-                          sequences_per_length=sequences_per_length,
-                          n_rounds=n_rounds, seed=seed,
-                          fixed_offset=fixed_offset, replay=replay,
-                          on_result=on_result)

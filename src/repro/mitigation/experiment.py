@@ -146,11 +146,11 @@ class MitigatedExperiment(Experiment):
         self.inner.validate_target(target)
 
     @classmethod
-    def default_session_targets_for(cls, params=None):
+    def default_session_targets(cls, params=None):
         """Delegate the session's register default to the wrapped class."""
         name = str((params or {}).get("experiment",
                                       cls.defaults["experiment"]))
-        return REGISTRY.get(name).default_session_targets_for(None)
+        return REGISTRY.get(name).default_session_targets()
 
     def build_target_specs(self, target: Target) -> list[JobSpec]:
         marker = ",".join(self.techniques)

@@ -60,11 +60,7 @@ from repro.service.policy import (
     wrap_job_failure,
 )
 from repro.service.pool import MachinePool, pool_key
-from repro.service.scheduler import (
-    ExperimentService,
-    default_service,
-    grid,
-)
+from repro.service.scheduler import ExperimentService, grid
 
 __all__ = [
     "BaselineBackend",
@@ -91,7 +87,6 @@ __all__ = [
     "SerialBackend",
     "SweepResult",
     "create_backend",
-    "default_service",
     "derive_job_seed",
     "execute_job",
     "execute_with_retry",

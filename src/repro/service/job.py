@@ -506,10 +506,11 @@ class SweepResult:
                   backend: str) -> "SweepResult":
         """Assemble a sweep with batch aggregates derived from the jobs.
 
-        The single construction path `run_batch` and `run_spec_sweep`
-        share, so their results stay identical by construction: worker-
-        local pools and caches never report back, hence the aggregates
-        come from the job flags themselves.
+        The single construction path that `run_batch`,
+        `ExperimentFuture.result` and the CLI's streamed batch share, so
+        their results stay identical by construction: worker-local pools
+        and caches never report back, hence the aggregates come from the
+        job flags themselves.
         """
         reuses = sum(1 for job in jobs if job.machine_reused)
         hits = sum(1 for job in jobs if job.cache_hit)

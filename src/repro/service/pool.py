@@ -35,8 +35,8 @@ def pool_key(config: MachineConfig) -> str:
 class MachinePool:
     """Idle QuMA instances grouped by config compatibility key.
 
-    ``max_idle_total`` bounds memory for long-lived pools (such as the
-    process-wide default service) sweeping many distinct configs: when
+    ``max_idle_total`` bounds memory for long-lived pools (such as a
+    worker daemon's) sweeping many distinct configs: when
     the bound is hit, the least-recently-released machine is evicted,
     whatever key it belongs to.
     """

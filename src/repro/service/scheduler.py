@@ -424,21 +424,3 @@ class ExperimentService:
             "replay_cache": self.replay_cache.stats(),
             "metrics": self.metrics_summary(),
         })
-
-
-# -- shared default service -------------------------------------------------
-
-_DEFAULT_SERVICE: ExperimentService | None = None
-
-
-def default_service() -> ExperimentService:
-    """The process-wide serial service.
-
-    Experiments route through this by default, so successive calls (a
-    Rabi scan after an AllXY run, every point of a coherence sweep) share
-    one machine pool and one compile cache.
-    """
-    global _DEFAULT_SERVICE
-    if _DEFAULT_SERVICE is None:
-        _DEFAULT_SERVICE = ExperimentService(backend="serial")
-    return _DEFAULT_SERVICE

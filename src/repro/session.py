@@ -298,7 +298,7 @@ class Session:
         cls = self.registry.get(name)
         normalized = normalize_targets(targets, qubits)
         if normalized is None and self.config is None:
-            normalized = cls.default_session_targets_for(params)
+            normalized = cls.default_session_targets(params)
         flux_pairs = None
         if normalized is not None:
             flux_pairs = merge_flux_pairs(normalized, cls.flux_pairs_for)

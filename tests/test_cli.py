@@ -234,6 +234,24 @@ def test_batch_allxy_repeats(capsys):
     assert "deviation=" in out
 
 
+def test_batch_stream_prints_each_job_and_the_same_results(capsys):
+    args = ["batch", "--experiment", "allxy", "--repeat", "2",
+            "--rounds", "4"]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main(args + ["--stream"]) == 0
+    streamed = capsys.readouterr().out
+
+    def deviations(out):
+        return [line for line in out.splitlines() if "deviation=" in line]
+
+    done = [line for line in streamed.splitlines()
+            if line.strip().startswith("done [quma]")]
+    assert len(done) == 2
+    assert len(deviations(plain)) == 2
+    assert deviations(streamed) == deviations(plain)
+
+
 def test_batch_raw_program(source_file, capsys):
     rc = main(["batch", "--program", str(source_file), "--repeat", "2"])
     assert rc == 0

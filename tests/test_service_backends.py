@@ -18,7 +18,6 @@ import pytest
 from repro.compiler import CompilerOptions, QuantumProgram
 from repro.core import MachineConfig
 from repro.experiments.rabi import rabi_job
-from repro.experiments.runner import run_spec_sweep
 from repro.service import (
     CompileCache,
     ExperimentService,
@@ -228,19 +227,18 @@ class TestScopedDraining:
         assert all(f.done() for f in seen)
 
     def test_concurrent_sweeps_do_not_steal_results(self, backend):
-        """The documented run_spec_sweep footgun, fixed: two interleaved
-        sweeps on one service each see exactly their own stream."""
+        """Two interleaved sweeps on one service each see exactly their
+        own stream."""
         specs_a = [flip_spec(seed=s, label=f"a{s}") for s in range(3)]
         specs_b = [flip_spec(seed=s, label=f"b{s}") for s in range(3)]
-        seen_a, seen_b = [], []
         with ExperimentService(backend=backend, workers=2) as svc:
             futures_a = [svc.submit(spec) for spec in specs_a]
-            sweep_b = run_spec_sweep(svc, specs_b, on_result=seen_b.append)
-            for result in svc.iter_completed(futures_a):
-                seen_a.append(result)
+            futures_b = [svc.submit(spec, stream=False) for spec in specs_b]
+            seen_b = list(svc.iter_completed(futures_b))
+            seen_a = list(svc.iter_completed(futures_a))
         assert sorted(r.label for r in seen_a) == ["a0", "a1", "a2"]
         assert sorted(r.label for r in seen_b) == ["b0", "b1", "b2"]
-        assert [r.label for r in sweep_b] == ["b0", "b1", "b2"]
+        assert [f.result().label for f in futures_b] == ["b0", "b1", "b2"]
 
     def test_global_then_scoped_yields_each_job_once(self, backend):
         """A job the service-wide stream already yielded is skipped by a
@@ -257,14 +255,16 @@ class TestScopedDraining:
             futures = [svc.submit(flip_spec())]
             assert len(list(svc.iter_completed(futures, timeout=10))) == 1
 
-
-class TestRunSpecSweep:
-    def test_matches_run_batch_and_streams_progress(self, backend):
+    def test_scoped_sweep_matches_run_batch(self, backend):
+        """A sweep drained through its own futures streams every seed and
+        assembles, in submission order, the averages ``run_batch`` gives."""
         specs = mixed_specs()
         serial = ExperimentService().run_batch(specs)
-        seen = []
         with ExperimentService(backend=backend, workers=2) as svc:
-            sweep = run_spec_sweep(svc, specs, on_result=seen.append)
+            futures = [svc.submit(spec, stream=False) for spec in specs]
+            seen = list(svc.iter_completed(futures))
+            sweep = SweepResult.from_jobs([f.result() for f in futures],
+                                          0.0, svc.backend)
         assert np.array_equal(serial.averages(), sweep.averages())
         assert sorted(r.seed for r in seen) == sorted(s.run_seed
                                                       for s in specs)

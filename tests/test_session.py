@@ -4,43 +4,26 @@ The tentpole contracts under test:
 
 * the registry names every shipped experiment, unknown names fail
   loudly, and unknown parameters are rejected at construction;
-* the deprecated ``run_*`` wrappers warn and return results bit-identical
-  to ``Session.run`` on every backend (serial always; process in the
-  slow tier);
+* an experiment must implement the target trio, and every single-qubit
+  experiment summarizes its own fit;
 * the final incremental ``update()`` estimate agrees exactly with the
   one-shot ``analyze()`` fit over the same sweep;
 * multi-qubit runs return one result per qubit, each normalized against
   its own readout calibration.
-
-Set ``REPRO_SERVICE_BACKEND=serial|process|fleet`` to pin the
-parametrized backend (the CI matrix runs one backend per job).
 """
 
-import os
 import warnings
 
 import numpy as np
 import pytest
 
 from repro import MachineConfig, Session
-from repro.experiments import (
-    REGISTRY,
-    Estimate,
-    run_allxy,
-    run_echo,
-    run_rabi,
-    run_ramsey,
-    run_rb,
-    run_t1,
-)
+from repro.experiments import REGISTRY, Estimate
 from repro.pulse import PulseCalibration
 from repro.utils.errors import ConfigurationError
 
-ALL_BACKENDS = ("serial", "process")
-_PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
-BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
-
 AMPS = np.linspace(0.0, 0.8, 5)
+DELAYS = [4, 8, 16, 24, 32, 48]
 
 
 def fast_config(**kwargs):
@@ -86,10 +69,10 @@ def test_registry_rejects_duplicate_name():
     class A(Experiment):
         name = "x"
 
-        def build_qubit_specs(self, qubit):
+        def build_target_specs(self, target):
             return []
 
-        def analyze_qubit(self, jobs, qubit):
+        def analyze_target(self, jobs, target):
             return None
 
     class B(A):
@@ -101,55 +84,22 @@ def test_registry_rejects_duplicate_name():
         registry.register(B)
 
 
+def test_experiment_without_analyze_target_cannot_be_built():
+    from repro.experiments.base import Experiment
+
+    class NoAnalysis(Experiment):
+        name = "no_analysis"
+
+        def build_target_specs(self, target):
+            return []
+
+    with pytest.raises(TypeError, match="analyze_target"):
+        NoAnalysis(config=fast_config())
+
+
 def test_session_lists_experiments():
     with Session(fast_config()) as session:
         assert session.experiments() == REGISTRY.names()
-
-
-# -- wrapper parity ----------------------------------------------------------
-
-
-def test_run_rabi_wrapper_warns_and_matches_session():
-    with Session(fast_config()) as session:
-        fresh = session.run("rabi", amplitudes=AMPS, n_rounds=4)
-    with pytest.warns(DeprecationWarning, match="run_rabi is deprecated"):
-        legacy = run_rabi(fast_config(), amplitudes=AMPS, n_rounds=4)
-    assert np.array_equal(legacy.population, fresh.population)
-    assert legacy.pi_amplitude == fresh.pi_amplitude
-    assert legacy.expected_pi_amplitude == fresh.expected_pi_amplitude
-
-
-def test_run_rb_wrapper_warns_and_matches_session():
-    with Session(fast_config()) as session:
-        fresh = session.run("rb", lengths=[1, 4, 8], sequences_per_length=2,
-                            n_rounds=4, seed=3)
-    with pytest.warns(DeprecationWarning, match="run_rb is deprecated"):
-        legacy = run_rb(fast_config(), lengths=[1, 4, 8],
-                        sequences_per_length=2, n_rounds=4, seed=3)
-    assert np.array_equal(legacy.survival, fresh.survival)
-    assert legacy.fit == fresh.fit
-
-
-def test_run_allxy_wrapper_warns_and_matches_session():
-    with Session(fast_config()) as session:
-        fresh = session.run("allxy", n_rounds=4)
-    with pytest.warns(DeprecationWarning, match="run_allxy is deprecated"):
-        legacy = run_allxy(fast_config(), n_rounds=4)
-    assert np.array_equal(legacy.averages, fresh.averages)
-    assert np.array_equal(legacy.fidelity, fresh.fidelity)
-    assert legacy.deviation == fresh.deviation
-
-
-@pytest.mark.parametrize("kind,wrapper", [("t1", run_t1), ("ramsey", run_ramsey),
-                                          ("echo", run_echo)])
-def test_coherence_wrappers_warn_and_match_session(kind, wrapper):
-    delays = [4, 8, 16, 24, 32, 48]
-    with Session(fast_config()) as session:
-        fresh = session.run(kind, delays_cycles=delays, n_rounds=8)
-    with pytest.warns(DeprecationWarning, match=f"run_{kind} is deprecated"):
-        legacy = wrapper(fast_config(), delays_cycles=delays, n_rounds=8)
-    assert np.array_equal(legacy.population, fresh.population)
-    assert legacy.fit == fresh.fit
 
 
 def test_ramsey_session_does_not_mutate_config():
@@ -158,18 +108,6 @@ def test_ramsey_session_does_not_mutate_config():
         session.run("ramsey", delays_cycles=[4, 8, 12, 16, 20, 24],
                     n_rounds=2)
     assert config.drive_detuning_hz == 0.0
-
-
-@pytest.mark.slow
-@pytest.mark.parametrize("backend", BACKENDS_UNDER_TEST)
-def test_wrapper_parity_across_backends(backend):
-    """Session.run on every backend matches the serial wrapper bitwise."""
-    with pytest.warns(DeprecationWarning):
-        legacy = run_rabi(fast_config(), amplitudes=AMPS, n_rounds=4)
-    with Session(fast_config(), backend=backend, workers=2) as session:
-        fresh = session.run("rabi", amplitudes=AMPS, n_rounds=4)
-    assert np.array_equal(legacy.population, fresh.population)
-    assert legacy.pi_amplitude == fresh.pi_amplitude
 
 
 # -- incremental fitting -----------------------------------------------------
@@ -268,8 +206,8 @@ def test_multi_qubit_estimate_keyed_by_qubit():
                                            amplitudes=AMPS, n_rounds=2)
         future.result()
         final = future.estimate()
-    assert sorted(final.per_qubit) == [0, 1]
-    assert all(v is not None for v in final.per_qubit.values())
+    assert sorted(final.per_target) == [(0,), (1,)]
+    assert all(v is not None for v in final.per_target.values())
 
 
 def test_multi_qubit_single_machine_pooled():
@@ -309,27 +247,12 @@ def test_estimate_values_raises_on_multi_target():
     assert final.per_target[(0,)] is not None
 
 
-def test_estimate_per_qubit_raises_on_register_targets():
-    """per_qubit is the legacy flat view; register estimates must not be
-    silently collapsed onto single qubit labels."""
-    from repro.experiments.base import Estimate
-
-    estimate = Estimate(n_results=1, n_specs=1,
-                        per_target={(0, 1): {"fidelity": 1.0}})
-    with pytest.raises(ConfigurationError, match="per_target"):
-        estimate.per_qubit
-    with pytest.raises(ConfigurationError, match="single-target"):
-        Estimate(n_results=2, n_specs=2,
-                 per_target={(0,): {}, (1,): {}}).values
-
-
 def test_estimate_values_single_target():
     from repro.experiments.base import Estimate
 
     assert Estimate(n_results=0, n_specs=1).values is None
     single = Estimate(n_results=1, n_specs=1, per_target={(2,): {"x": 1.0}})
     assert single.values == {"x": 1.0}
-    assert single.per_qubit == {2: {"x": 1.0}}
 
 
 # -- session plumbing --------------------------------------------------------
@@ -430,10 +353,36 @@ def test_summary_lines():
     assert "q0:" in text and "q1:" in text
 
 
+@pytest.mark.parametrize("name,params,text", [
+    ("rabi", dict(amplitudes=AMPS), "pi amplitude"),
+    ("rb", dict(lengths=[1, 4, 8], sequences_per_length=1),
+     "error per Clifford"),
+    ("allxy", {}, "deviation"),
+    ("t1", dict(delays_cycles=DELAYS), "fitted tau"),
+    ("ramsey", dict(delays_cycles=DELAYS), "fitted tau"),
+    ("echo", dict(delays_cycles=DELAYS), "fitted tau"),
+], ids=["rabi", "rb", "allxy", "t1", "ramsey", "echo"])
+def test_single_qubit_summary_names_its_fit(name, params, text):
+    """Each single-qubit experiment prints its own line, not the base
+    class's repr fallback, for one target and per target of two."""
+    with Session(fast_config()) as session:
+        future = session.submit_experiment(name, n_rounds=4, **params)
+        line = future.summary()
+    assert text in line
+    assert line != repr(future.result())
+
+    config = MachineConfig(qubits=(0, 1), trace_enabled=False,
+                           calibration=PulseCalibration(kappa=0.7))
+    with Session(config) as session:
+        lines = session.submit_experiment(name, qubits=(0, 1), n_rounds=4,
+                                          **params).summary().splitlines()
+    assert [line.split(":")[0] for line in lines] == ["q0", "q1"]
+    assert all(text in line for line in lines)
+
+
 def test_no_internal_caller_trips_the_deprecation_gate():
-    """Session runs of every experiment stay silent under the
-    DeprecationWarning-as-error filter (nothing internal routes through
-    the legacy run_* paths)."""
+    """Session runs stay silent with every DeprecationWarning turned
+    into an error: no code path they take calls a deprecated API."""
     delays = [4, 8, 16, 24, 32, 48]
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
