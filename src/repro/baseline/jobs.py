@@ -1,12 +1,14 @@
-"""Service adapter: APS2 cost-model workloads as dispatchable jobs.
+"""Service adapter: APS2 cost-model workloads as service jobs.
 
 The paper's Section 6 comparison (QuMA vs. the Raytheon BBN APS2 system)
 is itself an experiment worth sweeping — memory/upload/sync costs across
 workload shapes.  This module maps an architecture-neutral
 :class:`~repro.baseline.spec.ExperimentSpec` onto the service's
-:class:`~repro.service.job.JobSpec` (route ``executor="baseline"``) and
-evaluates it, so one service batch can interleave QuMA event-kernel
-sweeps with APS2 comparison points through the dispatcher.
+:class:`~repro.service.job.JobSpec` (``executor="baseline"``) and
+evaluates it.  The service's one engine runs both kinds of job
+(:func:`~repro.service.backends.base.execute_with_retry` picks the job
+function), so one batch can interleave QuMA event-kernel sweeps with
+APS2 comparison points.
 
 The cost model is deterministic and closed-form, so baseline jobs are
 trivially bit-identical across backends — they carry no RNG streams.
@@ -14,6 +16,7 @@ trivially bit-identical across backends — they carry no RNG streams.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -42,7 +45,7 @@ def baseline_job(spec: ExperimentSpec, *,
                  bandwidth_bytes_per_s: float = 3e6,
                  params: dict | None = None,
                  label: str = "") -> JobSpec:
-    """One Section 6 comparison point as a dispatchable service job.
+    """One Section 6 comparison point as a service job.
 
     ``bandwidth_bytes_per_s`` models the control link; it rides in
     ``params`` so sweeps over link speed are first-class sweep axes.
@@ -66,6 +69,8 @@ def execute_baseline_job(spec: JobSpec,
     ``averages`` holds the :data:`BASELINE_METRICS` vector so baseline
     results aggregate through the same :class:`SweepResult` machinery as
     QuMA jobs (``normalized`` is the identity: s_ground=0, s_excited=1).
+    ``metrics`` is the executing context's registry; with
+    ``spec.telemetry`` its snapshot rides home on the result.
     """
     t0 = time.perf_counter()
     comparison = compare_architectures(
@@ -82,14 +87,12 @@ def execute_baseline_job(spec: JobSpec,
         averages=averages,
     )
     execute_s = time.perf_counter() - t0
-    if metrics is not None:
-        metrics.counter("jobs").inc()
-        metrics.histogram("execute_s").observe(execute_s)
     telemetry = None
     if spec.telemetry:
         telemetry = JobTelemetry(
             spans=(Span(STAGE_EXECUTE, 0.0, execute_s,
                         meta={"workload": params.get("workload", "")}),),
+            worker=f"pid:{os.getpid()}",
             metrics=metrics.snapshot() if metrics is not None else {},
         )
     return JobResult(

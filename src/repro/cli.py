@@ -190,14 +190,12 @@ def _retry_policy(args):
 def _print_job_failure(exc: JobError, stats) -> None:
     """One readable line per terminal failure, plus the quarantine roster."""
     print(f"error: {exc}", file=sys.stderr)
-    routes = stats.get("routes", {}) if hasattr(stats, "get") else {}
-    entries = [(route, entry) for route, st in routes.items()
-               for entry in st.get("quarantine", [])]
+    entries = stats["engine"]["quarantine"]
     if not entries:
         return
     print(f"quarantined jobs ({len(entries)}):", file=sys.stderr)
-    for route, entry in entries:
-        print(f"  [{route}] {entry['label'] or entry['seed']}: "
+    for entry in entries:
+        print(f"  {entry['label'] or entry['seed']}: "
               f"{entry['exc_type']} after {entry['attempts']} attempt(s)",
               file=sys.stderr)
 

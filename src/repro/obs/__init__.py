@@ -9,8 +9,7 @@ DESIGN.md, "Observability"):
   (counters/gauges/histograms) with per-worker snapshot merging;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-viewable)
   unifying service spans and simulator :class:`TraceRecord` streams,
-  plus the plain-JSON metrics artifact;
-* :mod:`repro.obs.views` — typed stats views over the registries.
+  plus the plain-JSON metrics artifact.
 
 Depends only on the standard library + numpy (and duck-types the
 service/simulator objects it exports), so it can be imported from any
@@ -47,10 +46,8 @@ from repro.obs.spans import (
     SpanRecorder,
     rebase_job_spans,
 )
-from repro.obs.views import BackendStats, RouteStats, ServiceStats, StatsView
 
 __all__ = [
-    "BackendStats",
     "Counter",
     "Gauge",
     "Histogram",
@@ -58,7 +55,6 @@ __all__ = [
     "JobTelemetry",
     "METRICS_ARTIFACT_FORMAT",
     "MetricsRegistry",
-    "RouteStats",
     "STAGE_ACQUIRE",
     "STAGE_ATTEMPT_FAILED",
     "STAGE_COLLECT",
@@ -66,10 +62,8 @@ __all__ = [
     "STAGE_EXECUTE",
     "STAGE_QUEUE_WAIT",
     "STAGE_REPLAY",
-    "ServiceStats",
     "Span",
     "SpanRecorder",
-    "StatsView",
     "chrome_trace_events",
     "load_metrics_artifact",
     "percentile",

@@ -5,10 +5,10 @@ jobs (:class:`JobSpec`) describe one compiled-program execution; a
 compile cache reuses codegen and assembly across sweep points (and can
 spill to disk so cold processes start warm); a machine pool reuses
 :class:`~repro.core.quma.QuMA` control stacks across jobs with compatible
-configs; and an :class:`ExperimentService` routes specs through pluggable
-executor backends — serial, local worker processes, or remote worker
-daemons — with deterministic per-job seeding, plus a heterogeneous ``baseline``
-route running APS2 cost-model jobs next to QuMA sweeps.
+configs; and an :class:`ExperimentService` runs specs on one executor
+backend — serial, local worker processes, or remote worker daemons —
+with deterministic per-job seeding.  The same engine runs ``baseline``
+specs (APS2 cost-model jobs) next to QuMA sweeps.
 
 Quick use::
 
@@ -24,16 +24,12 @@ Quick use::
 """
 
 from repro.service.backends import (
-    BaselineBackend,
     ExecutorBackend,
     FleetBackend,
     ProcessBackend,
-    RemoteBackend,
     SerialBackend,
-    create_backend,
     execute_job,
     execute_with_retry,
-    retry_call,
 )
 from repro.service.cache import (
     CompileCache,
@@ -41,7 +37,6 @@ from repro.service.cache import (
     microprograms_fingerprint,
     program_fingerprint,
 )
-from repro.service.dispatch import Dispatcher
 from repro.service.faults import FAULT_KINDS, FAULT_SITES, FaultPlan
 from repro.service.job import (
     STAGE_FIELDS,
@@ -63,10 +58,8 @@ from repro.service.pool import MachinePool, pool_key
 from repro.service.scheduler import ExperimentService, grid
 
 __all__ = [
-    "BaselineBackend",
     "CompileCache",
     "DEFAULT_RETRYABLE",
-    "Dispatcher",
     "ExecutorBackend",
     "ExperimentService",
     "FAULT_KINDS",
@@ -80,13 +73,11 @@ __all__ = [
     "MachinePool",
     "NO_RETRY",
     "ProcessBackend",
-    "RemoteBackend",
     "ReplayCache",
     "RetryPolicy",
     "STAGE_FIELDS",
     "SerialBackend",
     "SweepResult",
-    "create_backend",
     "derive_job_seed",
     "execute_job",
     "execute_with_retry",
@@ -94,7 +85,6 @@ __all__ = [
     "microprograms_fingerprint",
     "pool_key",
     "program_fingerprint",
-    "retry_call",
     "stage_rollup",
     "wrap_job_failure",
 ]

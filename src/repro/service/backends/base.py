@@ -1,4 +1,4 @@
-"""Executor-backend contract and the shared QuMA job-execution function.
+"""Executor-backend contract and the shared job-execution function.
 
 An :class:`ExecutorBackend` turns :class:`~repro.service.job.JobSpec`\\ s
 into :class:`~repro.service.job.JobResult`\\ s asynchronously: ``submit``
@@ -6,10 +6,13 @@ returns a :class:`~repro.service.job.JobFuture` immediately; ``drain``
 blocks until everything submitted so far has resolved; ``close`` releases
 worker resources; ``stats`` reports backend-side counters.
 
-Job execution is a pure function of the spec (per-job RNG streams are
-re-derived from the spec's run seed), so every backend produces
-bit-identical results for the same specs — the determinism contract the
-parity tests pin down (see DESIGN.md).
+Every backend runs a job through :func:`execute_with_retry`, which picks
+the job function from ``spec.executor`` (QuMA event-kernel or APS2 cost
+model) and runs it under the spec's retry policy.  Job execution is a
+pure function of the spec (per-job RNG streams are re-derived from the
+spec's run seed), so every backend produces bit-identical results for
+the same specs — the determinism contract the parity tests pin down
+(see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -102,11 +105,13 @@ def execute_job(spec: JobSpec, pool: MachinePool, cache: CompileCache,
     averages for the same run seed, so caching never changes results.
 
     ``metrics`` is the executing context's registry (worker-local on
-    the worker backends); job counters and stage histograms land there.
+    the worker backends); fault injections land there.  Per-job counts
+    are not kept here: the service counts them from the result's flags.
     With ``spec.telemetry`` the result additionally carries lifecycle
-    spans, the simulator trace (when the machine traces), and the
-    registry snapshot — none of which touches the RNG streams, so
-    telemetry on/off is bit-identical in ``averages``.
+    spans, the simulator trace (when the machine traces), and a
+    snapshot of the registry with this worker's pool and cache gauges —
+    none of which touches the RNG streams, so telemetry on/off is
+    bit-identical in ``averages``.
 
     ``faults`` (a :class:`~repro.service.faults.FaultPlan`) injects the
     attempt's scheduled chaos at each named lifecycle site;
@@ -199,14 +204,6 @@ def execute_job(spec: JobSpec, pool: MachinePool, cache: CompileCache,
         plan_hit = report.plan_hit if report else False
         fallback_reason = (report.fallback_reason if report
                            else "replay disabled by spec")
-        if metrics is not None:
-            metrics.counter("jobs").inc()
-            metrics.counter("cache_hits").inc(int(resolved.cache_hit))
-            metrics.counter("machine_reuses").inc(int(reused))
-            metrics.counter("replay_plan_hits").inc(int(plan_hit))
-            metrics.counter("replayed_rounds").inc(replayed_rounds)
-            metrics.histogram("compile_s").observe(compile_s)
-            metrics.histogram("execute_s").observe(execute_s)
         telemetry = None
         if telemetry_on:
             run_stage = STAGE_REPLAY if replayed_rounds else STAGE_EXECUTE
@@ -287,15 +284,23 @@ def _attempt_failure_spans(failures: list, base_attempt: int) -> tuple:
     return tuple(spans)
 
 
-def retry_call(spec: JobSpec, attempt_fn, *,
-               metrics: MetricsRegistry | None = None,
-               base_attempt: int = 0) -> JobResult:
-    """Run ``attempt_fn(attempt)`` under the spec's retry policy.
+def execute_with_retry(spec: JobSpec, pool: MachinePool, cache: CompileCache,
+                       replay_cache: ReplayCache | None = None,
+                       metrics: MetricsRegistry | None = None,
+                       faults: FaultPlan | None = None,
+                       base_attempt: int = 0,
+                       allow_crash: bool = False) -> JobResult:
+    """Run one job under the spec's retry policy and fault plan.
 
-    The uniform retry loop every in-process execution path shares
-    (serial backend, workers, the baseline route): retryable
-    failures back off deterministically and re-run; terminal failures —
-    non-retryable, or attempts exhausted — raise a
+    ``spec.executor`` picks the job function: QuMA specs run
+    :func:`execute_job` against the pool and caches; baseline specs run
+    the ``execute``-site fault check and then
+    :func:`~repro.baseline.jobs.execute_baseline_job`.  Every backend
+    calls this one function, so both kinds of job share one retry loop
+    on whatever engine the service has.
+
+    Retryable failures back off deterministically and re-run; terminal
+    failures — non-retryable, or attempts exhausted — raise a
     :class:`~repro.utils.errors.JobError` whose message depends only on
     the original exception, so every backend surfaces the same error for
     the same faulty spec.  ``base_attempt`` offsets the attempt numbering
@@ -306,13 +311,31 @@ def retry_call(spec: JobSpec, attempt_fn, *,
     with telemetry enabled each recovered failure becomes an
     ``attempt-failed`` span ahead of the job's epoch.
     """
+    if spec.executor == "baseline":
+        # Imported here: repro.baseline pulls in the full baseline
+        # package, which engines that never see a baseline spec need not
+        # load.
+        from repro.baseline.jobs import execute_baseline_job
+
+        def run(attempt: int) -> JobResult:
+            if faults is not None:
+                faults.check("execute", spec.run_seed, attempt,
+                             allow_crash=allow_crash, metrics=metrics,
+                             label=spec.label)
+            return execute_baseline_job(spec, metrics)
+    else:
+        def run(attempt: int) -> JobResult:
+            return execute_job(spec, pool, cache, replay_cache,
+                               metrics=metrics, faults=faults,
+                               attempt=attempt, allow_crash=allow_crash)
+
     policy = spec.retry if spec.retry is not None else NO_RETRY
     attempt = base_attempt
     failures: list = []
     while True:
         t0 = time.perf_counter()
         try:
-            result = attempt_fn(attempt)
+            result = run(attempt)
         except Exception as exc:
             duration = time.perf_counter() - t0
             if policy.should_retry(exc, attempt):
@@ -333,26 +356,11 @@ def retry_call(spec: JobSpec, attempt_fn, *,
                              and attempt + 1 >= policy.max_attempts
                              and policy.max_attempts > 1)) from exc
         result.attempts = attempt + 1
-        if failures and getattr(result, "telemetry", None) is not None:
+        if failures and result.telemetry is not None:
             result.telemetry.spans = (
                 _attempt_failure_spans(failures, base_attempt)
                 + tuple(result.telemetry.spans))
         return result
-
-
-def execute_with_retry(spec: JobSpec, pool: MachinePool, cache: CompileCache,
-                       replay_cache: ReplayCache | None = None,
-                       metrics: MetricsRegistry | None = None,
-                       faults: FaultPlan | None = None,
-                       base_attempt: int = 0,
-                       allow_crash: bool = False) -> JobResult:
-    """:func:`execute_job` under the spec's retry policy and fault plan."""
-    return retry_call(
-        spec,
-        lambda attempt: execute_job(
-            spec, pool, cache, replay_cache, metrics=metrics, faults=faults,
-            attempt=attempt, allow_crash=allow_crash),
-        metrics=metrics, base_attempt=base_attempt)
 
 
 class ExecutorBackend(abc.ABC):
@@ -363,25 +371,19 @@ class ExecutorBackend(abc.ABC):
     outstanding futures so :meth:`drain` and the counters work uniformly.
     """
 
-    #: Registry/display name, overridden per subclass.
+    #: The ``backend=`` name this class implements, overridden per subclass.
     name = "?"
 
-    #: Default cap on retained quarantine entries (oldest evicted beyond
-    #: it); override per instance with ``max_quarantine=``.
+    #: Cap on retained quarantine entries; the oldest are evicted beyond
+    #: it, so a pathological sweep cannot grow the stats without bound.
     MAX_QUARANTINE = 100
 
-    def __init__(self, max_quarantine: int | None = None):
-        if max_quarantine is not None and max_quarantine < 1:
-            raise ConfigurationError(
-                "max_quarantine must be at least 1 (or None for the "
-                f"default of {self.MAX_QUARANTINE})")
+    def __init__(self):
         self._outstanding: set[JobFuture] = set()
         self._lock = threading.Lock()
         self.submitted = 0
         self.failed = 0
         self.cancelled = 0
-        self.max_quarantine = (max_quarantine if max_quarantine is not None
-                               else self.MAX_QUARANTINE)
         #: Poisoned-job records dropped past the cap — long fleet runs
         #: see at a glance that the roster is a tail, not the whole story.
         self.quarantine_evicted = 0
@@ -423,7 +425,7 @@ class ExecutorBackend(abc.ABC):
                 "attempts": getattr(exception, "attempts", 1),
                 "exhausted": getattr(exception, "quarantined", False),
             })
-            overflow = len(self.quarantine) - self.max_quarantine
+            overflow = len(self.quarantine) - self.MAX_QUARANTINE
             if overflow > 0:
                 self.quarantine_evicted += overflow
                 del self.quarantine[:overflow]

@@ -18,27 +18,26 @@ from repro.service.pool import MachinePool
 
 
 class SerialBackend(ExecutorBackend):
-    """Run jobs inline, one at a time, sharing cache + pool state.
+    """Run jobs inline, one at a time, on the caller's cache + pool state.
 
-    Retries run inline under the spec's policy; injected ``crash``
-    faults degrade to transient exceptions here (chaos must never kill
-    the submitting process).
+    The service hands its own pool, caches and in-process metrics
+    registry to its serial engine, so inline ``run_job`` calls and
+    submitted jobs share one process's state.  Retries run inline under
+    the spec's policy; injected ``crash`` faults degrade to transient
+    exceptions here (chaos must never kill the submitting process).
     """
 
     name = "serial"
 
-    def __init__(self, pool: MachinePool | None = None,
-                 cache: CompileCache | None = None,
-                 replay_cache: ReplayCache | None = None,
-                 faults: FaultPlan | None = None,
-                 max_quarantine: int | None = None):
-        super().__init__(max_quarantine=max_quarantine)
-        self.pool = pool if pool is not None else MachinePool(label=self.name)
-        self.cache = cache if cache is not None else CompileCache()
-        self.replay_cache = (replay_cache if replay_cache is not None
-                             else ReplayCache())
+    def __init__(self, pool: MachinePool, cache: CompileCache,
+                 replay_cache: ReplayCache, metrics: MetricsRegistry,
+                 faults: FaultPlan | None = None):
+        super().__init__()
+        self.pool = pool
+        self.cache = cache
+        self.replay_cache = replay_cache
+        self.metrics = metrics
         self.faults = faults
-        self.metrics = MetricsRegistry()
 
     def _submit(self, spec: JobSpec) -> JobFuture:
         future = JobFuture(spec)

@@ -10,11 +10,11 @@ The fleet extends the service layer across host boundaries:
   caches;
 * :mod:`repro.service.fleet.client` — :class:`WorkerClient`, one
   multiplexed connection to a worker with reader + heartbeat threads;
-* :mod:`repro.service.fleet.backend` — :class:`FleetBackend` (jobs
-  dispatched across N workers, one in flight per worker slot) and
-  :class:`RemoteBackend` (one daemon), both mapping dead connections and
-  missed heartbeats to :class:`~repro.utils.errors.WorkerLost` so the
-  retry/quarantine machinery recovers;
+* :mod:`repro.service.fleet.backend` — :class:`FleetBackend`, jobs
+  dispatched across N workers (one in flight per worker slot), mapping
+  dead connections and missed heartbeats to
+  :class:`~repro.utils.errors.WorkerLost` so the retry/quarantine
+  machinery recovers;
 * :mod:`repro.service.fleet.local` — :class:`ProcessBackend`, the same
   executor over local worker processes on socketpairs;
 * :mod:`repro.service.fleet.launch` — subprocess helpers for loopback
@@ -30,7 +30,6 @@ from __future__ import annotations
 from repro.service.fleet.backend import (
     FLEET_WORKERS_ENV,
     FleetBackend,
-    RemoteBackend,
     fleet_addresses_from_env,
 )
 from repro.service.fleet.client import WorkerClient
@@ -41,7 +40,6 @@ __all__ = [
     "FLEET_WORKERS_ENV",
     "FleetBackend",
     "PROTOCOL_VERSION",
-    "RemoteBackend",
     "WorkerClient",
     "WorkerServer",
     "fleet_addresses_from_env",

@@ -60,6 +60,10 @@ class FleetBackend(ExecutorBackend):
     ``SUBMIT`` frame (a :class:`FaultPlan` is a frozen, stateless
     schedule), so every worker sees the same deterministic chaos; it
     wins over a daemon's ambient ``REPRO_FAULT_*`` plan for its jobs.
+    With ``reconnect_lost`` a lost worker is re-dialed at its address
+    and retry-eligible jobs resubmit there, so one long-lived daemon
+    (``FleetBackend([addr], reconnect_lost=True)``) resumes a sweep
+    after a restart.
     """
 
     name = "fleet"
@@ -71,12 +75,11 @@ class FleetBackend(ExecutorBackend):
 
     def __init__(self, addresses=None, *, cache_dir: str | None = None,
                  faults: FaultPlan | None = None,
-                 max_quarantine: int | None = None,
                  connect_timeout: float = 5.0,
                  request_timeout: float = 60.0,
                  heartbeat_s: float = 1.0, heartbeat_misses: int = 5,
                  reconnect_lost: bool = False):
-        super().__init__(max_quarantine=max_quarantine)
+        super().__init__()
         if addresses is None:
             addresses = fleet_addresses_from_env()
         if isinstance(addresses, str):
@@ -100,6 +103,9 @@ class FleetBackend(ExecutorBackend):
         self.reconnects = 0
         self.reconnect_failures = 0
         self.cache_sync_failures = 0
+        #: Workers whose ``stats()`` request failed; the error text lands
+        #: on that worker's entry as ``stats_error``.
+        self.stats_failures = 0
         self.last_cache_sync: dict | None = None
         # Reentrant: loss handling runs inside submit-path sends and
         # recursively when a resubmission target dies in the same breath.
@@ -476,8 +482,11 @@ class FleetBackend(ExecutorBackend):
             if client is not None and client.alive:
                 try:
                     entry["remote"] = client.stats(timeout=5.0)
-                except Exception:
+                except Exception as exc:
+                    with self._fleet_lock:
+                        self.stats_failures += 1
                     entry["alive"] = client.alive
+                    entry["stats_error"] = f"{type(exc).__name__}: {exc}"
         stats["workers"] = workers
         stats["queued"] = queued
         stats["worker_losses"] = self.worker_losses
@@ -485,28 +494,8 @@ class FleetBackend(ExecutorBackend):
         stats["reconnects"] = self.reconnects
         stats["reconnect_failures"] = self.reconnect_failures
         stats["cache_sync_failures"] = self.cache_sync_failures
+        stats["stats_failures"] = self.stats_failures
         if self.last_cache_sync is not None:
             stats["cache_sync"] = self.last_cache_sync
         return stats
 
-
-class RemoteBackend(FleetBackend):
-    """One remote worker behind the executor contract.
-
-    The fleet machinery with a single address and ``reconnect_lost``
-    on by default: a dropped connection or silent worker becomes
-    :class:`WorkerLost`, the client re-dials the same daemon, and
-    retry-eligible jobs are resubmitted there — a restarted worker
-    resumes the sweep.  With the daemon really gone, jobs resolve
-    terminally through the normal quarantine path.
-    """
-
-    name = "remote"
-
-    def __init__(self, address: str, **kwargs):
-        kwargs.setdefault("reconnect_lost", True)
-        super().__init__([address], **kwargs)
-
-    @property
-    def address(self) -> str:
-        return self.addresses[0]

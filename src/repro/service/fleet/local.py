@@ -103,14 +103,13 @@ class ProcessBackend(FleetBackend):
 
     def __init__(self, workers: int | None = None, *,
                  cache_dir: str | None = None,
-                 faults: FaultPlan | None = None,
-                 max_quarantine: int | None = None):
+                 faults: FaultPlan | None = None):
         workers = workers if workers is not None else default_workers()
         if workers < 1:
             raise ConfigurationError("need at least one worker")
         super().__init__([f"local:{i}" for i in range(workers)],
                          cache_dir=cache_dir, faults=faults,
-                         max_quarantine=max_quarantine, reconnect_lost=True)
+                         reconnect_lost=True)
         self.workers = workers
         self.hang_kills = 0
         self._processes: list = [None] * workers

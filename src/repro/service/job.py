@@ -7,11 +7,13 @@ executor backend turns specs into :class:`JobResult`\\ s, handed back
 through :class:`JobFuture`\\ s; a batch of results aggregates into a
 :class:`SweepResult`.
 
-Specs also carry their *route*: ``executor="quma"`` (the default) runs
-through the full QuMA event-kernel stack, while ``executor="baseline"``
-evaluates the spec's :class:`~repro.baseline.spec.ExperimentSpec` against
-the APS2 cost model (see ``repro.baseline.jobs``).  The dispatcher keys
-off this field, so one batch can interleave both.
+Specs also carry their *job kind*: ``executor="quma"`` (the default)
+runs through the full QuMA event-kernel stack, while
+``executor="baseline"`` evaluates the spec's
+:class:`~repro.baseline.spec.ExperimentSpec` against the APS2 cost model
+(see ``repro.baseline.jobs``).  The job-execution function
+(:func:`~repro.service.backends.base.execute_with_retry`) keys off this
+field, so one batch can interleave both on any backend.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from repro.utils.errors import ConfigurationError, JobCancelled
 if TYPE_CHECKING:  # avoid a runtime service <-> baseline import cycle
     from repro.baseline.spec import ExperimentSpec
 
-#: Known values of :attr:`JobSpec.executor` (dispatch route keys).
+#: Known values of :attr:`JobSpec.executor` (job kinds).
 EXECUTORS = ("quma", "baseline")
 
 
@@ -122,8 +124,8 @@ class JobSpec:
     #: (``JobResult.joint_counts``); ``cal_qubit`` defaults to the first
     #: entry.  None keeps the scalar single-qubit calibration behavior.
     cal_targets: tuple[int, ...] | None = None
-    #: Dispatch route: ``"quma"`` (event-kernel simulation) or
-    #: ``"baseline"`` (APS2 cost model).
+    #: Job kind: ``"quma"`` (event-kernel simulation) or ``"baseline"``
+    #: (APS2 cost model).  Every backend runs both kinds.
     executor: str = "quma"
     #: Cost-model workload for ``executor="baseline"`` jobs.
     baseline: "ExperimentSpec | None" = None
@@ -379,7 +381,7 @@ class JobResult:
     #: disabled by spec".  Surfaces silent fallbacks that would otherwise
     #: look like cache misses.
     replay_fallback_reason: str | None = None
-    executor: str = "quma"     #: which dispatch route produced this result
+    executor: str = "quma"     #: job kind that produced this result
     #: Total execution attempts this result cost (1 = first try clean).
     #: Retried attempts re-derive the identical job seed, so the payload
     #: is bit-identical whatever this counts.

@@ -43,8 +43,8 @@ class MachinePool:
 
     def __init__(self, max_idle_per_key: int = 4, max_idle_total: int = 16,
                  label: str = ""):
-        #: owner tag shown in stats (e.g. which executor backend holds
-        #: this pool) — the dispatcher gives every route its own pool.
+        #: owner tag shown in stats (e.g. whether the service or a fleet
+        #: worker holds this pool).
         self.label = label
         self.max_idle_per_key = max_idle_per_key
         self.max_idle_total = max_idle_total

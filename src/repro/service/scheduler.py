@@ -1,22 +1,22 @@
 """The experiment service: futures, streaming, and batch orchestration.
 
-One :class:`ExperimentService` owns a :class:`Dispatcher` over pluggable
-executor backends (see ``repro.service.backends``) and executes
+One :class:`ExperimentService` owns one executor backend, its engine
+(see ``repro.service.backends``), and executes
 :class:`~repro.service.job.JobSpec`\\ s three ways:
 
-* :meth:`submit` — hand one spec to its route's executor, get a
+* :meth:`submit` — hand one spec to the engine, get a
   :class:`~repro.service.job.JobFuture` back immediately;
 * :meth:`iter_completed` — stream :class:`JobResult`\\ s in *completion*
   order as outstanding submissions finish;
 * :meth:`run_batch` / :meth:`run_sweep` — thin deterministic-order
   wrappers: submit everything, gather in submission order.
 
-``backend=`` selects the QuMA route's executor (``"serial"``,
-``"process"`` — local worker processes — or ``"fleet"`` — remote
-``repro worker`` daemons named by
-``fleet_workers=``/``$REPRO_FLEET_WORKERS``); every service additionally
-routes ``executor="baseline"`` specs to the APS2 cost model, so one
-batch can interleave both.  Job execution is a pure function of the spec (per-job
+``backend=`` selects the engine: ``"serial"``, ``"process"`` (local
+worker processes) or ``"fleet"`` (remote ``repro worker`` daemons named
+by ``fleet_workers=``/``$REPRO_FLEET_WORKERS``).  The engine runs both
+kinds of spec: ``executor="quma"`` event-kernel jobs and
+``executor="baseline"`` APS2 cost-model jobs, so one batch can
+interleave both.  Job execution is a pure function of the spec (per-job
 RNG streams are re-derived from the spec's run seed), so all backends
 produce bit-identical results in submission order.
 """
@@ -30,16 +30,14 @@ import time
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.views import ServiceStats
 from repro.service.backends import (
-    BaselineBackend,
+    FleetBackend,
+    ProcessBackend,
     SerialBackend,
-    create_backend,
     default_workers,
     execute_with_retry,
 )
 from repro.service.cache import CompileCache, ReplayCache
-from repro.service.dispatch import Dispatcher
 from repro.service.faults import FaultPlan
 from repro.service.policy import RetryPolicy
 from repro.service.job import (
@@ -65,7 +63,7 @@ def grid(**axes: Iterable) -> list[dict]:
 
 
 class ExperimentService:
-    """Batched experiment orchestration over cache + pool + dispatcher."""
+    """Batched experiment orchestration over cache + pool + one engine."""
 
     BACKENDS = ("serial", "process", "fleet")
 
@@ -77,8 +75,7 @@ class ExperimentService:
                  retry: RetryPolicy | None = None,
                  faults: FaultPlan | None = None,
                  job_timeout: float | None = None,
-                 fleet_workers: Sequence[str] | None = None,
-                 max_quarantine: int | None = None):
+                 fleet_workers: Sequence[str] | None = None):
         if backend not in self.BACKENDS:
             raise ConfigurationError(
                 f"unknown backend {backend!r}; choose from {self.BACKENDS}")
@@ -93,37 +90,36 @@ class ExperimentService:
         #: back to ``$REPRO_FLEET_WORKERS`` when None).
         self.fleet_workers = (tuple(fleet_workers)
                               if fleet_workers is not None else None)
-        self.max_quarantine = max_quarantine
         # Failure semantics: service-wide defaults for specs that carry
         # none of their own, and the (explicit or ambient-from-env) chaos
-        # plan, armed uniformly on every route's executor.
+        # plan, armed on the engine.
         self.retry = retry
         self.job_timeout = job_timeout
         self.faults = faults if faults is not None else FaultPlan.from_env()
-        # Service-local state: the serial route shares it; run_job always
+        # Service-local state: the serial engine shares it; run_job always
         # uses it (inline execution even on concurrent backends).
         self.cache = (cache if cache is not None
                       else CompileCache(persist_dir=cache_dir))
         self.pool = pool if pool is not None else MachinePool(label="service")
         self.replay_cache = (replay_cache if replay_cache is not None
                              else ReplayCache())
+        # Inline run_job execution needs a registry in this process; the
+        # serial engine shares cache + pool with the service, so it shares
+        # this registry too rather than split one process's counts in two.
+        self._inline_metrics = MetricsRegistry()
+        # The engine: the one executor backend every spec runs on.
         if backend == "serial":
-            quma = SerialBackend(pool=self.pool, cache=self.cache,
-                                 replay_cache=self.replay_cache,
-                                 faults=self.faults,
-                                 max_quarantine=max_quarantine)
+            self.engine = SerialBackend(self.pool, self.cache,
+                                        self.replay_cache,
+                                        self._inline_metrics,
+                                        faults=self.faults)
+        elif backend == "process":
+            self.engine = ProcessBackend(self.workers, cache_dir=cache_dir,
+                                         faults=self.faults)
         else:
-            kwargs = dict(cache_dir=cache_dir, faults=self.faults,
-                          max_quarantine=max_quarantine)
-            if backend == "fleet":
-                kwargs["addresses"] = self.fleet_workers
-            else:
-                kwargs["workers"] = self.workers
-            quma = create_backend(backend, **kwargs)
-        self.dispatcher = Dispatcher({
-            "quma": quma,
-            "baseline": BaselineBackend(faults=self.faults,
-                                        max_quarantine=max_quarantine)})
+            self.engine = FleetBackend(self.fleet_workers,
+                                       cache_dir=cache_dir,
+                                       faults=self.faults)
         # Stream bookkeeping; guarded by the lock because submit may be
         # called from several threads while iter_completed drains.
         # ``_pending`` holds futures submitted but not yet yielded by any
@@ -140,17 +136,12 @@ class ExperimentService:
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
         self._worker_snapshots: dict[str, dict] = {}
-        # Inline run_job execution needs a registry in this process; the
-        # serial route shares cache + pool with the service, so share its
-        # registry too rather than split one process's counts in two.
-        self._inline_metrics = (quma.metrics if isinstance(quma, SerialBackend)
-                                else MetricsRegistry())
 
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down every route's executor (no-op for in-process ones)."""
-        self.dispatcher.close()
+        """Shut down the engine (no-op for the serial one)."""
+        self.engine.close()
 
     def __enter__(self) -> "ExperimentService":
         return self
@@ -161,7 +152,7 @@ class ExperimentService:
     # -- futures API ---------------------------------------------------------
 
     def submit(self, spec: JobSpec, *, stream: bool = True) -> JobFuture:
-        """Queue one job on its route's executor; returns its future.
+        """Queue one job on the engine; returns its future.
 
         With ``stream=True`` (the default) the submission feeds the
         service-wide :meth:`iter_completed` — take results from the
@@ -173,7 +164,7 @@ class ExperimentService:
         experiment layer submits this way).
         """
         self._apply_defaults(spec)
-        future = self.dispatcher.submit(spec)
+        future = self.engine.submit(spec)
         with self._stream_lock:
             future.index = self._submitted
             self._submitted += 1
@@ -309,7 +300,7 @@ class ExperimentService:
             yield future.result()
 
     def drain(self, timeout: float | None = None) -> None:
-        """Block until every route's submitted work has resolved.
+        """Block until every submitted job has resolved.
 
         ``timeout`` bounds the whole drain; an expired one raises
         :class:`TimeoutError` rather than hanging forever on a stuck
@@ -317,36 +308,33 @@ class ExperimentService:
         handling, so an expired drain means jobs are genuinely still
         running or hung).
         """
-        self.dispatcher.drain(timeout=timeout)
+        self.engine.drain(timeout=timeout)
 
     # -- execution -----------------------------------------------------------
 
     def run_job(self, spec: JobSpec) -> JobResult:
         """Execute a single job inline (serially, even on worker backends).
 
-        QuMA specs run against the service-local cache and pool; other
-        routes go through their executor synchronously.  Failure
+        The job runs against the service-local cache and pool.  Failure
         semantics match submitted execution: the spec's (or service's)
         retry policy, timeout, and fault plan all apply.
         """
         self._apply_defaults(spec)
-        if spec.executor == "quma":
-            return execute_with_retry(
-                spec, self.pool, self.cache, self.replay_cache,
-                metrics=self._inline_metrics, faults=self.faults)
-        return self.dispatcher.submit(spec).result()
+        return execute_with_retry(
+            spec, self.pool, self.cache, self.replay_cache,
+            metrics=self._inline_metrics, faults=self.faults)
 
     def run_batch(self, specs: Sequence[JobSpec]) -> SweepResult:
         """Execute jobs, returning results in submission order.
 
         The deterministic-order wrapper over the futures API: all specs
-        are submitted (fanning out across routes and workers), then
+        are submitted (fanning out across workers), then
         gathered in submission order, so the merged :class:`SweepResult`
         is bit-identical across backends for the same specs.
         """
         specs = list(specs)
         t0 = time.perf_counter()
-        if len(specs) == 1 and specs[0].executor == "quma":
+        if len(specs) == 1:
             # A lone job never pays worker-pool spin-up.  Wrapped in a
             # future anyway so queue-wait stamping and the service-side
             # metrics harvest see it like any other job.
@@ -408,19 +396,14 @@ class ExperimentService:
                 MetricsRegistry.merge(list(snapshots.values())))
         return summary
 
-    def stats(self) -> ServiceStats:
-        """Service-local cache/pool state plus per-route executor stats.
-
-        A :class:`~repro.obs.views.ServiceStats` — a mapping, so existing
-        ``stats()["routes"]`` indexing keeps working, with named
-        accessors (``stats().routes``, ``stats().metrics``) on top.
-        """
-        return ServiceStats({
+    def stats(self) -> dict:
+        """Service-local cache/pool state plus the engine's stats."""
+        return {
             "backend": self.backend,
             "submitted": self._submitted,
-            "routes": self.dispatcher.stats(),
+            "engine": self.engine.stats(),
             "cache": self.cache.stats(),
             "pool": self.pool.stats(),
             "replay_cache": self.replay_cache.stats(),
             "metrics": self.metrics_summary(),
-        })
+        }

@@ -192,28 +192,24 @@ class Session:
                  retry: RetryPolicy | None = None,
                  faults: FaultPlan | None = None,
                  job_timeout: float | None = None,
-                 fleet_workers=None,
-                 max_quarantine: int | None = None):
+                 fleet_workers=None):
         self.registry = registry if registry is not None else REGISTRY
         self._own_service = service is None
         if service is not None and (retry is not None or faults is not None
                                     or job_timeout is not None
-                                    or fleet_workers is not None
-                                    or max_quarantine is not None):
-            # A wrapped service already armed its executors; failure
-            # semantics must be configured where the backends are built.
+                                    or fleet_workers is not None):
+            # A wrapped service already armed its engine; failure
+            # semantics must be configured where the engine is built.
             raise ConfigurationError(
-                "pass retry=/faults=/job_timeout=/fleet_workers=/"
-                "max_quarantine= to the ExperimentService itself when "
-                "wrapping one with service=")
+                "pass retry=/faults=/job_timeout=/fleet_workers= to the "
+                "ExperimentService itself when wrapping one with service=")
         self.service = (service if service is not None
                         else ExperimentService(backend=backend,
                                                workers=workers,
                                                cache_dir=cache_dir,
                                                retry=retry, faults=faults,
                                                job_timeout=job_timeout,
-                                               fleet_workers=fleet_workers,
-                                               max_quarantine=max_quarantine))
+                                               fleet_workers=fleet_workers))
         self.config = config
         self.seed = seed
         # ``telemetry`` marks every submitted spec so results carry

@@ -1,4 +1,4 @@
-"""Unit tests for ``repro.obs``: spans, metrics, exporters, views.
+"""Unit tests for ``repro.obs``: spans, metrics, exporters.
 
 The subsystem contracts under test:
 
@@ -8,8 +8,7 @@ The subsystem contracts under test:
 * metrics registry snapshot/merge semantics (counters and gauges sum
   across workers, histogram reservoirs pool with exact count/total);
 * Chrome trace-event export (schema validity, both service-span and
-  simulator timelines) and the metrics artifact round trip;
-* typed stats views staying fully Mapping-compatible.
+  simulator timelines) and the metrics artifact round trip.
 """
 
 import json
@@ -21,11 +20,8 @@ from repro.obs import (
     STAGE_COMPILE,
     STAGE_EXECUTE,
     STAGE_QUEUE_WAIT,
-    BackendStats,
     JobTelemetry,
     MetricsRegistry,
-    RouteStats,
-    ServiceStats,
     Span,
     SpanRecorder,
     chrome_trace_events,
@@ -259,40 +255,3 @@ def test_load_rejects_foreign_json(tmp_path):
         json.dump({"hello": "world"}, f)
     with pytest.raises(ValueError):
         load_metrics_artifact(path)
-
-
-# -- typed views -------------------------------------------------------------
-
-
-def test_backend_stats_is_mapping_and_named():
-    stats = BackendStats({"backend": "serial", "submitted": 3,
-                          "failed": 0, "pending": 1})
-    assert stats["submitted"] == 3  # dict-style indexing keeps working
-    assert stats.submitted == 3
-    assert stats.backend == "serial"
-    assert set(stats) == {"backend", "submitted", "failed", "pending"}
-    assert len(stats) == 4
-
-
-def test_route_stats_wraps_each_route():
-    routes = RouteStats({"quma": {"backend": "serial", "submitted": 2,
-                                  "failed": 0, "pending": 0}})
-    assert routes["quma"]["submitted"] == 2
-    assert routes.route("quma").submitted == 2
-    assert routes.routes == ("quma",)
-
-
-def test_service_stats_as_dict_is_plain_json():
-    stats = ServiceStats({
-        "backend": "serial", "submitted": 1,
-        "routes": RouteStats({"quma": {"backend": "serial", "submitted": 1,
-                                       "failed": 0, "pending": 0}}),
-        "cache": {}, "pool": {}, "replay_cache": {},
-        "metrics": {"service": {"counters": {}}},
-    })
-    plain = stats.as_dict()
-    assert isinstance(plain["routes"], dict)
-    assert not isinstance(plain["routes"], RouteStats)
-    json.dumps(plain)  # fully serializable
-    assert stats.routes.route("quma").backend == "serial"
-    assert stats.metrics == {"service": {"counters": {}}}

@@ -24,7 +24,6 @@ from repro.service import (
     FaultPlan,
     JobSpec,
     SweepResult,
-    create_backend,
 )
 from repro.utils.errors import ConfigurationError, ReproError
 
@@ -70,8 +69,6 @@ class TestBackendRegistry:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ConfigurationError):
             ExperimentService(backend="threads")
-        with pytest.raises(ConfigurationError):
-            create_backend("threads")
 
 
 class TestParity:

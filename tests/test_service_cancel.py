@@ -75,7 +75,7 @@ class TestCancelQueued:
                   for i in range(3)]
         wins = [f.cancel() for f in queued]
         service.drain(timeout=120.0)
-        stats = service.stats()["routes"]["quma"]
+        stats = service.stats()["engine"]
 
         assert head.exception() is None  # the running job is untouched
         assert stats["failed"] == 0
@@ -121,4 +121,4 @@ class TestCancelQueued:
             f.cancel()
         service.drain(timeout=120.0)  # must not hang on cancelled futures
         assert head.done() and all(f.done() for f in tail)
-        assert service.stats()["routes"]["quma"]["pending"] == 0
+        assert service.stats()["engine"]["pending"] == 0

@@ -1,4 +1,15 @@
-"""Dispatcher: heterogeneous QuMA/APS2 routing and merged sweeps."""
+"""Mixed QuMA + APS2 baseline batches on the service's one engine.
+
+Baseline specs (``executor="baseline"``) run on whatever engine the
+service has, next to QuMA sweeps, and a mixed batch lands bit-identical
+to the serial engine's.
+
+Set ``REPRO_SERVICE_BACKEND=serial|process|fleet`` to pin the
+parametrized backend (the CI matrix runs one backend per job); unset,
+the tests cover serial and process.
+"""
+
+import os
 
 import numpy as np
 import pytest
@@ -13,14 +24,17 @@ from repro.baseline import (
 from repro.baseline.jobs import metric
 from repro.compiler import CompilerOptions, QuantumProgram
 from repro.core import MachineConfig
-from repro.service import (
-    BaselineBackend,
-    Dispatcher,
-    ExperimentService,
-    JobSpec,
-    SerialBackend,
-)
+from repro.service import ExperimentService, JobSpec
 from repro.utils.errors import ConfigurationError
+
+ALL_BACKENDS = ("serial", "process")
+_PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
+BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
+
+
+@pytest.fixture(params=BACKENDS_UNDER_TEST)
+def backend(request):
+    return request.param
 
 
 def flip_spec(seed=None):
@@ -50,30 +64,6 @@ class TestJobSpecRoutes:
             JobSpec(asm="halt")
 
 
-class TestDispatcher:
-    def test_routes_by_executor_field(self):
-        dispatcher = Dispatcher({"quma": SerialBackend(),
-                                 "baseline": BaselineBackend()})
-        quma = flip_spec()
-        baseline = baseline_job(allxy_spec())
-        assert dispatcher.backend_for(quma).name == "serial"
-        assert dispatcher.backend_for(baseline).name == "baseline"
-        result = dispatcher.submit(baseline).result()
-        assert result.executor == "baseline"
-        dispatcher.drain()
-        assert dispatcher.stats()["baseline"]["submitted"] == 1
-        dispatcher.close()
-
-    def test_unrouted_executor_raises(self):
-        dispatcher = Dispatcher({"quma": SerialBackend()})
-        with pytest.raises(ConfigurationError):
-            dispatcher.submit(baseline_job(allxy_spec()))
-
-    def test_empty_route_table_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Dispatcher({})
-
-
 class TestBaselineJobs:
     def test_metrics_match_direct_comparison(self):
         spec = allxy_spec()
@@ -96,6 +86,24 @@ class TestBaselineJobs:
         assert metric(slow, "aps2_upload_s") == \
             pytest.approx(4 * metric(fast, "aps2_upload_s"))
 
+    def test_baseline_jobs_run_on_the_engine(self, backend):
+        specs = [baseline_job(synthetic_spec(4, 2), label=f"b{i}")
+                 for i in range(3)]
+        for spec in specs:
+            spec.telemetry = True
+        with ExperimentService(backend=backend, workers=2) as svc:
+            futures = [svc.submit(spec, stream=False) for spec in specs]
+            results = [future.result(timeout=60.0) for future in futures]
+            engine = svc.stats()["engine"]
+        assert engine["backend"] == backend
+        assert engine["submitted"] == len(specs)
+        assert [r.executor for r in results] == ["baseline"] * len(specs)
+        if backend == "serial":
+            names = {f"pid:{os.getpid()}"}
+        else:
+            names = {w["remote"]["worker"] for w in engine["workers"]}
+        assert all(r.telemetry.worker in names for r in results)
+
 
 class TestMergedBatches:
     def test_mixed_batch_returns_merged_sweep_in_order(self):
@@ -116,17 +124,19 @@ class TestMergedBatches:
         assert np.array_equal(sweep[2].averages, pure[1].averages)
         assert metric(sweep[1], "quma_binaries") == 1.0
 
-    def test_mixed_batch_on_concurrent_backend(self):
+    def test_mixed_batch_matches_serial(self, backend):
         specs = [flip_spec(seed=1), baseline_job(allxy_spec()),
                  flip_spec(seed=2)]
         serial = ExperimentService().run_batch(specs)
-        with ExperimentService(backend="process", workers=2) as svc:
+        with ExperimentService(backend=backend, workers=2) as svc:
             merged = svc.run_batch(specs)
-            routes = svc.stats()["routes"]
+            engine = svc.stats()["engine"]
+        assert [j.executor for j in merged] == ["quma", "baseline", "quma"]
         for s, p in zip(serial, merged):
-            assert np.array_equal(s.averages, p.averages)
-        assert routes["quma"]["submitted"] == 2
-        assert routes["baseline"]["submitted"] == 1
+            assert np.asarray(s.averages).tobytes() \
+                == np.asarray(p.averages).tobytes()
+            assert (s.seed, s.params) == (p.seed, p.params)
+        assert engine["submitted"] == len(specs)
 
     def test_mixed_stream_completes_everything(self):
         specs = [flip_spec(seed=s) for s in (1, 2)] + \

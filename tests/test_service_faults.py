@@ -34,6 +34,7 @@ from repro.core import MachineConfig
 from repro.obs import STAGE_ATTEMPT_FAILED
 from repro.pulse import PulseCalibration
 from repro.service import (
+    ExecutorBackend,
     ExperimentService,
     FaultPlan,
     JobSpec,
@@ -268,7 +269,7 @@ class TestChaosDeterminism:
             retries = rabi.sweep.total_retries + bell.sweep.total_retries
             assert retries > 0  # the chaos actually bit
             stats = session.stats()
-            assert stats["routes"]["quma"]["failed"] == 0
+            assert stats["engine"]["failed"] == 0
             service = stats["metrics"]["service"]["counters"]
             assert service["service.retries"] == retries
 
@@ -355,7 +356,7 @@ class TestRetryExecution:
             assert exc.quarantined and exc.attempts == 2
             assert exc.exc_type == "FaultInjected"
             assert "(after 2 attempts)" in str(exc)
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["engine"]
             assert stats["failed"] == 1 and stats["quarantined"] == 1
             entry = stats["quarantine"][0]
             assert entry["label"] == "poison" and entry["exhausted"]
@@ -421,7 +422,7 @@ class TestWorkerLoss:
                                                   backoff_s=0.001))
         with svc:
             sweep = svc.run_batch([flip_spec(seed=i) for i in range(5)])
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["engine"]
         assert np.array_equal(sweep.averages(), baseline.averages())
         assert stats["worker_losses"] > 0  # workers really died
         assert stats["failed"] == 0
@@ -450,7 +451,7 @@ class TestWorkerLoss:
                                                   backoff_s=0.001))
         with svc:
             futures = [svc.submit(spec, stream=False) for spec in specs]
-            backend = svc.dispatcher.routes["quma"]
+            backend = svc.engine
             victim = backend.stats()["workers"][0]["pid"]
             os.kill(victim, signal.SIGKILL)
             svc.drain(timeout=60.0)  # must not hang — the satellite fix
@@ -475,7 +476,7 @@ class TestWorkerLoss:
             future = svc.submit(flip_spec(seed=0, label="doomed"))
             svc.drain(timeout=60.0)
             exc = future.exception()
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["engine"]
         assert isinstance(exc, JobError)
         assert exc.exc_type == "WorkerLost"
         assert stats["worker_losses"] >= 2
@@ -487,12 +488,12 @@ class TestWorkerLoss:
                          sites=("execute",))
         svc = ExperimentService(backend="process", workers=1, faults=plan)
         with svc:
-            backend = svc.dispatcher.routes["quma"]
+            backend = svc.engine
             backend.KILL_GRACE_S = 0.1
             future = svc.submit(flip_spec(seed=0, timeout=0.2))
             svc.drain(timeout=30.0)
             exc = future.exception()
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["engine"]
         assert isinstance(exc, JobError)
         assert stats["hang_kills"] >= 1
 
@@ -503,7 +504,7 @@ class TestWorkerLoss:
                          sites=("execute",))
         svc = ExperimentService(backend="process", workers=1, faults=plan)
         with svc:
-            backend = svc.dispatcher.routes["quma"]
+            backend = svc.engine
             backend.KILL_GRACE_S = 0.1
             future = svc.submit(flip_spec(seed=0, timeout=1.0))
             deadline = time.monotonic() + 30.0
@@ -517,7 +518,7 @@ class TestWorkerLoss:
             while backend.hang_kills < 1:
                 assert time.monotonic() < deadline, "hung job never killed"
                 time.sleep(0.01)
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["engine"]
         assert future.cancelled()
         assert stats["cancelled"] == 1 and stats["failed"] == 0
 
@@ -608,8 +609,8 @@ class TestFailingJobParity:
                                 retry=RetryPolicy(max_attempts=2,
                                                   backoff_s=0.0))
         with svc:
-            # The plan poisons every QuMA job at compile; the baseline
-            # route has no compile site, so its jobs stay healthy.
+            # The plan poisons every QuMA job at compile; a baseline job
+            # has no compile site, so it stays healthy on the same engine.
             from repro.baseline.jobs import baseline_job
             from repro.baseline.spec import synthetic_spec
 
@@ -620,7 +621,7 @@ class TestFailingJobParity:
             svc.drain(timeout=60.0)
             assert isinstance(poisoned.exception(), JobError)
             assert all(f.exception() is None for f in healthy)
-            assert svc.stats()["routes"]["quma"]["quarantined"] == 1
+            assert svc.stats()["engine"]["quarantined"] == 1
 
 
 # -- CLI surface --------------------------------------------------------------
@@ -659,26 +660,26 @@ class TestCLI:
 
 
 class TestQuarantineBound:
-    """``max_quarantine``: a configurable cap on retained failure reports.
+    """``ExecutorBackend.MAX_QUARANTINE``: a cap on retained failure reports.
 
     Failures beyond the cap evict the oldest entries (counted in
     ``quarantine_evicted``) so a pathological sweep cannot grow the
     stats payload without bound.
     """
 
-    def _poison_service(self, max_quarantine=None):
+    def _poison_service(self):
         plan = FaultPlan(seed=1, rate=1.0, max_faults_per_site=None)
         return ExperimentService(backend="serial", faults=plan,
                                  retry=RetryPolicy(max_attempts=2,
-                                                   backoff_s=0.0),
-                                 max_quarantine=max_quarantine)
+                                                   backoff_s=0.0))
 
-    def test_cap_evicts_oldest_and_counts(self):
-        with self._poison_service(max_quarantine=2) as svc:
+    def test_cap_evicts_oldest_and_counts(self, monkeypatch):
+        monkeypatch.setattr(ExecutorBackend, "MAX_QUARANTINE", 2)
+        with self._poison_service() as svc:
             for i in range(5):
                 svc.submit(flip_spec(seed=i, label=f"p{i}"))
             svc.drain()
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["engine"]
         assert stats["failed"] == 5
         assert len(stats["quarantine"]) == 2
         assert stats["quarantine_evicted"] == 3
@@ -689,19 +690,6 @@ class TestQuarantineBound:
         with self._poison_service() as svc:
             svc.submit(flip_spec(seed=0))
             svc.drain()
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["engine"]
         assert stats["quarantined"] == 1
         assert stats["quarantine_evicted"] == 0
-
-    def test_invalid_cap_is_a_configuration_error(self):
-        with pytest.raises(ConfigurationError, match="max_quarantine"):
-            ExperimentService(backend="serial", max_quarantine=0)
-
-    def test_session_passes_the_cap_through(self):
-        from repro.session import Session
-
-        with Session(max_quarantine=7) as session:
-            stats = session.service.stats()["routes"]["quma"]
-            assert stats["quarantine_evicted"] == 0
-            route = session.service.dispatcher.routes["quma"]
-            assert route.max_quarantine == 7

@@ -6,8 +6,9 @@ The acceptance contract of the fleet subsystem (DESIGN.md "Fleet"):
   checked in both directions — a mismatched peer is refused with a
   ``REJECT`` frame (worker side) or :class:`ProtocolError` (client
   side), never half-spoken to;
-* a sweep through ``backend="fleet"`` (and the single-address
-  :class:`RemoteBackend`) is bit-identical to the serial backend,
+* a sweep through ``backend="fleet"`` (and a single-address
+  :class:`FleetBackend` that re-dials on loss) is bit-identical to the
+  serial backend,
   including failing jobs, which surface the same ``JobError`` type and
   message;
 * a SIGKILLed worker daemon maps to :class:`WorkerLost`: retryable
@@ -46,7 +47,6 @@ from repro.service.fleet import (
     FLEET_WORKERS_ENV,
     FleetBackend,
     PROTOCOL_VERSION,
-    RemoteBackend,
     WorkerClient,
     WorkerServer,
     fleet_addresses_from_env,
@@ -292,7 +292,7 @@ class TestFleetParity:
         with ExperimentService(backend="fleet",
                                fleet_workers=fleet_addrs) as svc:
             got = svc.run_batch(specs)
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["engine"]
         for a, b in zip(ref, got):
             assert a.seed == b.seed
             np.testing.assert_array_equal(a.averages, b.averages)
@@ -302,7 +302,8 @@ class TestFleetParity:
     def test_remote_backend_single_worker_matches_serial(self, worker_pair):
         specs = [flip_spec(seed=i + 1) for i in range(4)]
         ref = self._reference(specs)
-        backend = RemoteBackend(addr_of(worker_pair[0]))
+        backend = FleetBackend([addr_of(worker_pair[0])],
+                               reconnect_lost=True)
         try:
             futures = [backend.submit(s) for s in specs]
             got = [f.result(timeout=60.0) for f in futures]
@@ -350,7 +351,7 @@ class TestDispatch:
                                faults=hang) as svc:
             futures = [svc.submit(flip_spec(seed=i + 1), stream=False)
                        for i in range(6)]
-            stats = svc.stats()["routes"]["quma"]
+            stats = svc.stats()["engine"]
             for future in futures:
                 future.cancel()  # close drains; don't wait out the hangs
         assert [w["outstanding"] for w in stats["workers"]] == [1, 1]
@@ -370,7 +371,7 @@ class TestDispatch:
         timed.timeout = 1.0
         with ExperimentService(backend="process", workers=1,
                                faults=plan) as svc:
-            backend = svc.dispatcher.routes["quma"]
+            backend = svc.engine
             head = svc.submit(hung, stream=False)
 
             def hanging():
@@ -417,7 +418,7 @@ class TestDispatch:
         try:
             with ExperimentService(backend="process", workers=4) as svc:
                 got = svc.run_batch(specs)
-                stats = svc.stats()["routes"]["quma"]
+                stats = svc.stats()["engine"]
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(ref.averages(), got.averages())
@@ -431,7 +432,7 @@ class TestDispatch:
             ref = svc.run_batch(specs)
         with ExperimentService(backend="process", workers=2) as svc:
             svc.submit(flip_spec(seed=99)).result(timeout=60.0)
-            backend = svc.dispatcher.routes["quma"]
+            backend = svc.engine
             os.kill(backend.stats()["workers"][1]["pid"], signal.SIGKILL)
             deadline = time.monotonic() + 30.0
             while backend.worker_losses < 1:
@@ -462,7 +463,7 @@ class TestWorkerLoss:
                 time.sleep(0.6)
                 os.kill(p1.pid, signal.SIGKILL)
                 got = [f.result(timeout=120.0) for f in futures]
-                stats = svc.stats()["routes"]["quma"]
+                stats = svc.stats()["engine"]
         finally:
             stop_worker(p1)
             stop_worker(p2)
@@ -524,11 +525,11 @@ class TestWorkerLoss:
 
     def test_remote_backend_reconnects_to_restarted_address(self,
                                                             worker_pair):
-        # RemoteBackend defaults reconnect_lost=True: a loss re-dials the
-        # same address before resolving victims, so a still-listening
-        # daemon picks the work straight back up.
-        backend = RemoteBackend(addr_of(worker_pair[0]))
-        assert backend.address == addr_of(worker_pair[0])
+        # With reconnect_lost a loss re-dials the same address before
+        # resolving victims, so a still-listening daemon picks the work
+        # straight back up.
+        backend = FleetBackend([addr_of(worker_pair[0])],
+                               reconnect_lost=True)
         try:
             first = backend.submit(flip_spec(seed=1, retry=RETRY))
             first.result(timeout=60.0)
@@ -571,7 +572,8 @@ class TestRecordedFailures:
 
     def test_failed_reconnect_is_counted(self):
         worker = WorkerServer().start()
-        backend = RemoteBackend(addr_of(worker), connect_timeout=2.0)
+        backend = FleetBackend([addr_of(worker)], connect_timeout=2.0,
+                               reconnect_lost=True)
         try:
             backend.submit(flip_spec(seed=1)).result(timeout=60.0)
             worker.stop()  # the re-dial after the loss finds no listener
@@ -579,6 +581,25 @@ class TestRecordedFailures:
             assert backend.stats()["worker_losses"] == 1
         finally:
             backend.close()
+
+    def test_failed_stats_request_is_counted(self, fleet_addrs):
+        backend = FleetBackend(fleet_addrs)
+        try:
+            backend.submit(flip_spec(seed=1)).result(timeout=60.0)
+
+            def refuse(timeout=None):
+                raise TimeoutError("no STATS_REPLY within 5.0 s")
+
+            backend._clients[0].stats = refuse
+            stats = backend.stats()
+        finally:
+            backend.close()
+        assert stats["stats_failures"] == 1
+        first, second = stats["workers"]
+        assert first["stats_error"] == \
+            "TimeoutError: no STATS_REPLY within 5.0 s"
+        assert "remote" not in first
+        assert "stats_error" not in second and "remote" in second
 
     def test_failed_close_time_cache_sync_is_counted(self, tmp_path):
         worker = WorkerServer(cache_dir=tmp_path / "w").start()
@@ -706,7 +727,7 @@ class TestDaemon:
         with ExperimentService(backend="fleet",
                                fleet_workers=fleet_addrs) as svc:
             svc.run_batch([flip_spec(seed=i + 1) for i in range(4)])
-            workers = svc.stats()["routes"]["quma"]["workers"]
+            workers = svc.stats()["engine"]["workers"]
         assert len(workers) == 2
         for entry in workers:
             assert entry["alive"]
