@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.config import MachineConfig
+from repro.core.quma import readout_calibrations
 from repro.pulse.lut import SINGLE_QUBIT_PULSES, PulseCalibration, build_single_qubit_lut
 from repro.pulse.waveform import Waveform
 from repro.qubit.device import QuantumDevice
 from repro.readout.adc import adc_quantize
-from repro.readout.calibration import ReadoutCalibration, calibrate_readout
+from repro.readout.calibration import ReadoutCalibration
 from repro.readout.data_collection import DataCollectionUnit
 from repro.readout.resonator import transmitted_trace
 from repro.readout.weights import integrate
@@ -56,9 +57,9 @@ class WaveformSequencer:
         self._waveforms: list[Waveform] = []
         self._sequences: list[tuple[str, ...]] = []
         self.upload_bytes_total = 0.0
-        self._readout: ReadoutCalibration = calibrate_readout(
-            self.config.readout, cycles_to_ns(self.config.msmt_cycles),
-            n_shots=self.config.calibration_shots, seed=self.config.seed)
+        #: The record a QuMA built from this config discriminates with.
+        self.readout_calibration: ReadoutCalibration = readout_calibrations(
+            self.config)[self.qubit]
 
     # -- waveform preparation ------------------------------------------------
 
@@ -119,6 +120,7 @@ class WaveformSequencer:
         dcu = DataCollectionUnit(len(self._waveforms))
         init_ns = cycles_to_ns(40000)
         msmt_ns = cycles_to_ns(self.config.msmt_cycles)
+        readout = self.config.readout_for(self.qubit)
         now = 0
         for _ in range(n_rounds):
             for waveform in self._waveforms:
@@ -127,10 +129,9 @@ class WaveformSequencer:
                     device.play_waveform((0,), waveform, now)
                     now += waveform.duration_ns
                 outcome = device.measure_project(0, now)
-                trace = transmitted_trace(self.config.readout, outcome,
-                                          msmt_ns, 0, rng)
+                trace = transmitted_trace(readout, outcome, msmt_ns, 0, rng)
                 statistic = integrate(adc_quantize(trace),
-                                      self._readout.weights)
+                                      self.readout_calibration.weights)
                 dcu.record(statistic)
                 now += msmt_ns
         return SequencerRunResult(
@@ -139,7 +140,3 @@ class WaveformSequencer:
             waveforms_uploaded=len(self._waveforms),
             upload_bytes_total=self.upload_bytes_total,
         )
-
-    @property
-    def readout_calibration(self) -> ReadoutCalibration:
-        return self._readout

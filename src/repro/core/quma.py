@@ -9,6 +9,7 @@ collection unit) and the register-file feedback loop.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,7 +31,7 @@ from repro.pulse.envelopes import square
 from repro.pulse.lut import WaveformLUT, build_single_qubit_lut
 from repro.pulse.waveform import Waveform
 from repro.qubit.device import QuantumDevice
-from repro.readout.calibration import calibrate_readout
+from repro.readout.calibration import ReadoutCalibration, calibrate_readout
 from repro.readout.data_collection import DataCollectionUnit
 from repro.readout.mdu import MeasurementDiscriminationUnit
 from repro.sim import Simulator, TraceRecorder
@@ -55,6 +56,39 @@ class RunResult:
     #: When > 0, ``duration_ns``/``instructions_executed``/``stall_ns`` are
     #: extrapolated from the recorded rounds (see DESIGN.md).
     replayed_rounds: int = 0
+
+
+def calibration_key(config: MachineConfig, qubit: int) -> tuple:
+    """The content that decides one wired qubit's readout calibration.
+
+    The first wired qubit keeps the historical shared noise stream
+    (``None``: single-qubit runs stay bit-identical across versions);
+    the others calibrate on their own ``q{n}`` streams.
+    """
+    return (config.readout_for(qubit), cycles_to_ns(config.msmt_cycles),
+            config.calibration_shots, config.seed,
+            None if qubit == config.qubits[0] else qubit)
+
+
+@functools.lru_cache(maxsize=64)
+def cached_calibration(params, msmt_ns, n_shots, seed, stream):
+    """:func:`calibrate_readout`, memoized on :func:`calibration_key`."""
+    return calibrate_readout(params, msmt_ns, n_shots=n_shots, seed=seed,
+                             qubit=stream)
+
+
+def readout_calibrations(config: MachineConfig, qubits=None
+                         ) -> dict[int, ReadoutCalibration]:
+    """Per-qubit readout calibrations (default: every wired qubit).
+
+    QuMA, the mitigation layer and the baseline all take their records
+    from this one bounded, process-wide memo.  It is keyed on
+    :func:`calibration_key` at each call, never on the (mutable) config
+    object, so equal-content configs share a record.  Records are
+    immutable; never modify one.
+    """
+    qubits = config.qubits if qubits is None else qubits
+    return {q: cached_calibration(*calibration_key(config, q)) for q in qubits}
 
 
 def check_run_result(result: RunResult) -> None:
@@ -118,19 +152,9 @@ class QuMA:
                 delay_ns=self.config.uop_delay_ns, trace=self.trace)
 
         # -- measurement direction -------------------------------------------
-        msmt_ns = cycles_to_ns(self.config.msmt_cycles)
-        self.mdus = {}
-        calibrations = {}
-        for q in self.config.qubits:
-            # The first wired qubit keeps the historical shared stream
-            # (bit-identical single-qubit runs); the rest calibrate on
-            # independent per-qubit streams.
-            cal = calibrate_readout(
-                self.config.readout_for(q), msmt_ns,
-                n_shots=self.config.calibration_shots, seed=self.config.seed,
-                qubit=None if q == self.config.qubits[0] else q)
-            calibrations[q] = cal
-            self.mdus[q] = MeasurementDiscriminationUnit(qubit=q, calibration=cal)
+        calibrations = readout_calibrations(self.config)
+        self.mdus = {q: MeasurementDiscriminationUnit(qubit=q, calibration=cal)
+                     for q, cal in calibrations.items()}
         #: calibration of the first wired qubit (single-qubit experiments)
         self.readout_calibration = calibrations[self.config.qubits[0]]
         self.readout_calibrations = calibrations
@@ -164,9 +188,10 @@ class QuMA:
         noise, classical jitter) from ``seed`` — defaulting to the
         construction seed, in which case the machine is bit-for-bit
         indistinguishable from a freshly built ``QuMA(config)``.  The
-        expensive construction artifacts (readout calibration, drive LUTs,
-        pulse-unitary caches) are deterministic functions of the config and
-        are kept, which is what makes pooled reuse cheap.
+        drive LUTs and pulse-unitary caches are deterministic functions
+        of the config and are kept, which is what makes pooled reuse
+        cheap; the readout calibrations are shared records from
+        :func:`readout_calibrations` and outlive any one machine.
 
         ``dcu_points`` resizes the data collection unit for the next
         program's K (and updates ``config.dcu_points`` to match).

@@ -11,12 +11,13 @@ protocol, composed by the registered ``mitigated`` experiment wrapper
   to zero noise (Richardson / linear / exponential).
 * **Readout-error mitigation** — :mod:`repro.mitigation.readout` builds
   the full ``2^w × 2^w`` joint confusion matrix from calibration shots
-  (reproducing the machine's own thresholds and matched filters from
-  the config) and inverts it with regularized least squares.
+  (on the machine's own memoized calibration records, shared through
+  :func:`~repro.core.quma.readout_calibrations`) and inverts it with
+  regularized least squares; :class:`ReadoutMitigator` keeps each
+  matrix in a process-wide memo, so warm sweeps reuse it.
 """
 
 from repro.mitigation.base import (
-    MITIGATION_METRICS,
     Mitigator,
     ReadoutMitigator,
     ZNEMitigator,
@@ -39,7 +40,6 @@ from repro.mitigation.readout import (
     confusion_matrix,
     correct_counts,
     correct_probabilities,
-    register_calibrations,
 )
 from repro.mitigation.zne import (
     EXTRAPOLATORS,
@@ -49,7 +49,6 @@ from repro.mitigation.zne import (
 )
 
 __all__ = [
-    "MITIGATION_METRICS",
     "Mitigator",
     "ReadoutMitigator",
     "ZNEMitigator",
@@ -66,7 +65,6 @@ __all__ = [
     "confusion_matrix",
     "correct_counts",
     "correct_probabilities",
-    "register_calibrations",
     "EXTRAPOLATORS",
     "extrapolate_to_zero",
     "extrapolation_weights",

@@ -20,30 +20,28 @@ functions of their specs — expansion and reduction both happen in the
 submitting process with explicitly derived seeds, which is what keeps
 them bit-identical across the serial/process/fleet backends.
 
-Module-level counters land in :data:`MITIGATION_METRICS` (folded specs,
-confusion-matrix builds, inversions); the service-side scheduler
-additionally counts mitigated jobs as results stream back.
+The service-side scheduler counts mitigated jobs as results stream
+back; confusion matrices are memoized per process (see
+:class:`ReadoutMitigator`).
 """
 
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import replace
 from typing import ClassVar
 
 import numpy as np
 
+from repro.core.quma import calibration_key
 from repro.mitigation.folding import fold_asm, fold_program, fold_rng
 from repro.mitigation.readout import (DEFAULT_RIDGE, confusion_matrix,
                                       correct_counts)
 from repro.mitigation.zne import (EXTRAPOLATORS, extrapolate_to_zero,
                                   noise_amplification)
-from repro.obs.metrics import MetricsRegistry
 from repro.service.job import JobSpec, derive_job_seed
 from repro.utils.errors import CalibrationError, ConfigurationError
-
-#: Process-wide mitigation counters (technique-level, not per-service).
-MITIGATION_METRICS = MetricsRegistry()
 
 
 class Mitigator(abc.ABC):
@@ -155,7 +153,6 @@ class ZNEMitigator(Mitigator):
             kwargs["asm"] = fold_asm(spec.asm, scale, rng)
         else:
             kwargs["program"] = fold_program(spec.program, scale, rng)
-        MITIGATION_METRICS.counter("mitigation.folded_specs").inc()
         return replace(spec, **kwargs)
 
     def combine(self, values: np.ndarray) -> np.ndarray:
@@ -170,12 +167,29 @@ class ZNEMitigator(Mitigator):
         return noise_amplification(self.scales, self.extrapolator)
 
 
+class _ContentKey(tuple):
+    """A memo key that hashes as a plain tuple but carries a config."""
+
+
+@functools.lru_cache(maxsize=16)
+def cached_response(key: _ContentKey) -> np.ndarray:
+    """:func:`confusion_matrix`, memoized read-only on ``key``'s content."""
+    targets, shots, _ = key
+    config, key.config = key.config, None  # the memo keeps content only
+    response = confusion_matrix(config, targets, cal_shots=shots)
+    response.setflags(write=False)
+    return response
+
+
 class ReadoutMitigator(Mitigator):
     """Confusion-matrix inversion over the register's joint outcomes.
 
-    Response matrices are built lazily per register and cached for the
-    experiment's lifetime — one calibration-shot simulation per distinct
-    ``cal_targets``, however many jobs it corrects.
+    Response matrices live in one bounded, process-wide memo keyed on
+    the register, the resolved ``cal_shots`` and each register qubit's
+    :func:`~repro.core.quma.calibration_key`: all that
+    :func:`~repro.mitigation.readout.confusion_matrix` reads from the
+    config.  So a warm sweep never builds one again, whichever config
+    object it carries.  Cached matrices are read-only.
     """
 
     name = "readout"
@@ -190,18 +204,16 @@ class ReadoutMitigator(Mitigator):
         self.config = config
         self.ridge = float(ridge)
         self.cal_shots = None if cal_shots is None else int(cal_shots)
-        self._responses: dict[tuple[int, ...], np.ndarray] = {}
 
     def response_for(self, cal_targets: tuple[int, ...]) -> np.ndarray:
-        key = tuple(int(q) for q in cal_targets)
-        if key not in self._responses:
-            self._responses[key] = confusion_matrix(
-                self.config, key, cal_shots=self.cal_shots)
-            MITIGATION_METRICS.counter("mitigation.confusion_builds").inc()
-        return self._responses[key]
+        targets = tuple(int(q) for q in cal_targets)
+        shots = self.cal_shots or int(self.config.calibration_shots)
+        key = _ContentKey((targets, shots, tuple(
+            calibration_key(self.config, q) for q in targets)))
+        key.config = self.config
+        return cached_response(key)
 
     def correct(self, counts: np.ndarray,
                 cal_targets: tuple[int, ...]) -> np.ndarray:
-        MITIGATION_METRICS.counter("mitigation.inversions").inc()
         return correct_counts(self.response_for(cal_targets), counts,
                               ridge=self.ridge)

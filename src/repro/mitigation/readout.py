@@ -9,17 +9,15 @@ outcome probabilities under a ``2^w × 2^w`` response (confusion) matrix
 ``R`` whose column ``j`` is the outcome distribution of calibration
 shots prepared in word ``j``.
 
-:func:`confusion_matrix` reproduces the machine's own calibration
-parent-side — identical thresholds and matched-filter weights as
-:class:`~repro.core.quma.QuMA` builds from the config (same
-``calibrate_readout`` seeds), identical multiplexed signal synthesis,
-ADC quantization, and weighted integration as the measurement path —
-then estimates ``R`` from ``cal_shots`` simulated calibration shots per
-prepared word.  :func:`correct_counts` inverts ``q = R p`` by ridge-
-regularized least squares with nonnegativity clipping and
-renormalization, which keeps near-singular responses (degenerate IFs)
-well-behaved while recovering the measured distribution exactly when
-crosstalk is zero and the regularizer is off.
+:func:`confusion_matrix` pushes ``cal_shots`` simulated calibration
+shots per prepared word through the measurement path's multiplexed
+signal synthesis, ADC quantization and weighted integration, and
+thresholds them with the executing machine's own calibration records
+(:func:`~repro.core.quma.readout_calibrations`).  :func:`correct_counts`
+inverts ``q = R p`` by ridge-regularized least squares with
+nonnegativity clipping and renormalization, which keeps near-singular
+responses (degenerate IFs) well-behaved while recovering the measured
+distribution exactly when crosstalk is zero and the regularizer is off.
 """
 
 from __future__ import annotations
@@ -27,8 +25,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import MachineConfig
+from repro.core.quma import readout_calibrations
 from repro.readout.adc import adc_quantize
-from repro.readout.calibration import ReadoutCalibration, calibrate_readout
+# calibrate_readout: unused, but perfbench patches it on this module.
+from repro.readout.calibration import calibrate_readout  # noqa: F401
 from repro.readout.multiplex import multiplexed_signal_table
 from repro.readout.weights import prepare_weights
 from repro.utils.errors import CalibrationError
@@ -43,25 +43,6 @@ DEFAULT_RIDGE = 1e-6
 #: Registers wider than this would need a dense 2^w x 2^w response —
 #: the same bound the joint replay path enforces.
 MAX_REGISTER_WIDTH = 8
-
-
-def register_calibrations(config: MachineConfig,
-                          targets: tuple[int, ...]
-                          ) -> dict[int, ReadoutCalibration]:
-    """The per-qubit calibrations the machine itself would build.
-
-    Same seeds, same shot counts, same first-wired-qubit stream
-    namespacing as :class:`~repro.core.quma.QuMA`'s construction — so
-    the mitigation layer's thresholds and weights match the executing
-    machine's bit-for-bit, from the config alone, without touching a
-    pooled machine.
-    """
-    msmt_ns = cycles_to_ns(config.msmt_cycles)
-    return {q: calibrate_readout(
-        config.readout_for(q), msmt_ns,
-        n_shots=config.calibration_shots, seed=config.seed,
-        qubit=None if q == config.qubits[0] else q)
-        for q in targets}
 
 
 def confusion_matrix(config: MachineConfig, targets: tuple[int, ...],
@@ -94,7 +75,7 @@ def confusion_matrix(config: MachineConfig, targets: tuple[int, ...],
             f"need at least 1 calibration shot per prepared word "
             f"(got {shots})")
     msmt_ns = cycles_to_ns(config.msmt_cycles)
-    cals = register_calibrations(config, targets)
+    cals = readout_calibrations(config, targets)
     table, noise_std = multiplexed_signal_table(
         {q: config.readout_for(q) for q in targets}, msmt_ns)
     weights = np.stack([prepare_weights(cals[q].weights, msmt_ns)

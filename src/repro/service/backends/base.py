@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from repro.core.quma import check_run_result
+from repro.core.quma import cached_calibration, check_run_result
 from repro.core.replay import run_with_replay
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import (
@@ -52,10 +52,24 @@ from repro.utils.errors import (
 )
 
 
+def calibration_stats() -> dict:
+    """Hits, misses and entries of this process's calibration memos."""
+    # Deferred: the repro.mitigation package init imports repro.service.
+    from repro.mitigation.base import cached_response
+
+    stats = {}
+    for name, memo in (("readout", cached_calibration),
+                       ("confusion", cached_response)):
+        hits, misses, _, entries = memo.cache_info()
+        stats.update({f"{name}_hits": hits, f"{name}_misses": misses,
+                      f"{name}_entries": entries})
+    return stats
+
+
 def snapshot_worker_state(metrics: MetricsRegistry, pool: MachinePool,
                           cache: CompileCache,
                           replay_cache: ReplayCache | None) -> dict:
-    """Mirror pool/cache internals into gauges and snapshot the registry.
+    """Mirror pool/cache/memo stats into gauges and snapshot the registry.
 
     Called at job end on telemetry-enabled jobs, so the snapshot that
     rides home on the result reflects this worker's *lifetime* state —
@@ -65,7 +79,8 @@ def snapshot_worker_state(metrics: MetricsRegistry, pool: MachinePool,
     """
     for prefix, stats in (("pool", pool.stats()), ("cache", cache.stats()),
                           ("replay_cache", replay_cache.stats()
-                           if replay_cache is not None else {})):
+                           if replay_cache is not None else {}),
+                          ("calibration", calibration_stats())):
         for key, value in stats.items():
             if isinstance(value, (int, float)):
                 metrics.gauge(f"{prefix}.{key}").set(value)

@@ -37,6 +37,7 @@ from repro.service.backends import (
     default_workers,
     execute_with_retry,
 )
+from repro.service.backends.base import calibration_stats
 from repro.service.cache import CompileCache, ReplayCache
 from repro.service.faults import FaultPlan
 from repro.service.policy import RetryPolicy
@@ -397,7 +398,7 @@ class ExperimentService:
         return summary
 
     def stats(self) -> dict:
-        """Service-local cache/pool state plus the engine's stats."""
+        """Service-local cache/pool/memo state plus the engine's stats."""
         return {
             "backend": self.backend,
             "submitted": self._submitted,
@@ -405,5 +406,6 @@ class ExperimentService:
             "cache": self.cache.stats(),
             "pool": self.pool.stats(),
             "replay_cache": self.replay_cache.stats(),
+            "calibration": calibration_stats(),
             "metrics": self.metrics_summary(),
         }

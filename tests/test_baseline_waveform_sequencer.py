@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baseline import WaveformSequencer
-from repro.core import MachineConfig
+from repro.core import MachineConfig, QuMA
 from repro.experiments.allxy import ALLXY_PAIRS, rescale_with_calibration_points
 from repro.pulse import PulseCalibration
+from repro.readout import ReadoutParams
 from repro.utils.errors import ConfigurationError
 
 NAMES = {"i": "I", "x": "X180", "y": "Y180", "x90": "X90", "y90": "Y90"}
@@ -41,6 +42,24 @@ def test_identity_waveform_stays_ground():
     ro = seq.readout_calibration
     p1 = (result.averages[0] - ro.s_ground) / (ro.s_excited - ro.s_ground)
     assert abs(p1) < 0.1
+
+
+def test_readout_chain_is_the_wired_qubits_own():
+    """Calibration and traces use the qubit's ``readout_for`` params, so
+    the sequencer discriminates exactly as QuMA on the same config."""
+    config = MachineConfig(qubits=(2,),
+                           readouts=(ReadoutParams(f_if_hz=52e6),))
+    seq = WaveformSequencer(config)
+    ours, theirs = seq.readout_calibration, QuMA(config).readout_calibration
+    assert ours.threshold == theirs.threshold
+    assert ours.s_ground == theirs.s_ground
+    assert ours.s_excited == theirs.s_excited
+    assert ours.assignment_fidelity == theirs.assignment_fidelity
+    assert np.array_equal(ours.weights, theirs.weights)
+    seq.upload([("X180",)])
+    result = seq.run(n_rounds=4)
+    p1 = (result.averages[0] - ours.s_ground) / (ours.s_excited - ours.s_ground)
+    assert p1 > 0.9
 
 
 def test_run_without_upload_rejected():
