@@ -66,7 +66,7 @@ def _assert_parity(reference, sweep):
         np.testing.assert_array_equal(ref.averages, got.averages)
 
 
-def test_fleet_scaling_vs_process(tmp_path):
+def test_fleet_scaling_vs_process():
     specs = _specs()
     with ExperimentService(backend="serial") as svc:
         reference, serial_s = _timed_sweep(svc, specs)
@@ -75,13 +75,12 @@ def test_fleet_scaling_vs_process(tmp_path):
         process_sweep, process_s = _timed_sweep(svc, specs)
     _assert_parity(reference, process_sweep)
 
-    cache_dir = str(tmp_path / "fleet-cache")
     fleet_rows = []
     for size in FLEET_SIZES:
         procs, addrs = [], []
         try:
             for _ in range(size):
-                proc, addr = launch_worker(cache_dir=cache_dir)
+                proc, addr = launch_worker()
                 procs.append(proc)
                 addrs.append(addr)
             with ExperimentService(backend="fleet",

@@ -211,8 +211,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     """Host a fleet worker daemon until interrupted."""
     from repro.service.fleet.worker import run_worker
 
-    return run_worker(args.listen, cache_dir=args.cache_dir,
-                      slots=args.slots, name=args.name)
+    return run_worker(args.listen, slots=args.slots, name=args.name)
 
 
 def cmd_exp(args: argparse.Namespace) -> int:
@@ -255,8 +254,8 @@ def cmd_exp(args: argparse.Namespace) -> int:
     # only when a Chrome trace is (its records are the bulky part).
     telemetry = bool(args.trace_out or args.metrics_out)
     with Session(backend=args.backend, workers=args.workers, seed=args.seed,
-                 cache_dir=args.cache_dir, telemetry=telemetry,
-                 sim_trace=bool(args.trace_out), retry=_retry_policy(args),
+                 telemetry=telemetry, sim_trace=bool(args.trace_out),
+                 retry=_retry_policy(args),
                  job_timeout=args.job_timeout,
                  fleet_workers=_parse_fleet_workers(args.fleet_workers)
                  ) as session:
@@ -350,7 +349,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
     config = MachineConfig(qubits=_parse_qubits(args.qubits), seed=args.seed,
                            trace_enabled=False)
     with ExperimentService(backend=args.backend, workers=args.workers,
-                           cache_dir=args.cache_dir,
                            retry=_retry_policy(args),
                            job_timeout=args.job_timeout,
                            fleet_workers=_parse_fleet_workers(
@@ -527,8 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", action="store_true",
                    help="print each job and the refined incremental fit "
                         "as results stream in completion order")
-    p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                   help="spill the compile cache to this directory")
     p.add_argument("--save", default=None,
                    help="write the sweep as a JSON artifact to this path")
     p.add_argument("--trace-out", default=None, dest="trace_out",
@@ -578,9 +574,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stream", action="store_true",
                    help="print jobs as they complete (futures API) instead "
                         "of waiting for the whole batch")
-    p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                   help="spill the compile cache to this directory so "
-                        "later runs (and worker processes) start warm")
     p.add_argument("--save", default=None,
                    help="write the sweep as a JSON artifact to this path")
     p.add_argument("--metrics-out", default=None, dest="metrics_out",
@@ -610,9 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                    help="bind address; port 0 picks a free port and the "
                         "chosen one is announced on stdout")
-    p.add_argument("--cache-dir", default=None, dest="cache_dir",
-                   help="spill compile caches here; shared across the "
-                        "fleet via the cache-sync protocol frames")
     p.add_argument("--slots", type=int, default=1,
                    help="concurrent job lanes in this daemon")
     p.add_argument("--name", default=None,

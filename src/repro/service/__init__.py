@@ -1,14 +1,14 @@
 """Experiment-orchestration service: batched execution of compiled programs.
 
 The classical analogue of a lab-control stack driving a real processor:
-jobs (:class:`JobSpec`) describe one compiled-program execution; a
-compile cache reuses codegen and assembly across sweep points (and can
-spill to disk so cold processes start warm); a machine pool reuses
-:class:`~repro.core.quma.QuMA` control stacks across jobs with compatible
-configs; and an :class:`ExperimentService` runs specs on one executor
-backend — serial, local worker processes, or remote worker daemons —
-with deterministic per-job seeding.  The same engine runs ``baseline``
-specs (APS2 cost-model jobs) next to QuMA sweeps.
+jobs (:class:`JobSpec`) describe one compiled-program execution; an
+in-memory compile cache reuses codegen and assembly across sweep points;
+a machine pool reuses :class:`~repro.core.quma.QuMA` control stacks
+across jobs with compatible configs; and an :class:`ExperimentService`
+runs specs on one executor backend — serial, local worker processes, or
+remote worker daemons — with deterministic per-job seeding.  The same
+engine runs ``baseline`` specs (APS2 cost-model jobs) next to QuMA
+sweeps.
 
 Quick use::
 

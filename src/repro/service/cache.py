@@ -13,23 +13,15 @@ compile once, execute many):
 Keys are stable content digests — program structure, compiler options,
 operation names, microprogram definitions, and (for raw-asm jobs) the
 source hash — so two processes compute identical keys for identical work.
-
-With ``persist_dir`` the cache additionally spills resolved work to disk
-under those same content keys: codegen results as JSON, assembled
-programs as their binary encoding.  Cold processes (new workers, new CLI
-invocations with ``--cache-dir``) then start warm — a disk hit counts as
-a cache hit on the :class:`JobResult`.
+Both levels live in memory: each process (each worker) warms its own.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import astuple, dataclass, replace
-from pathlib import Path
 
 from repro.compiler.codegen import CompilerOptions, compile_program
 from repro.compiler.program import QuantumProgram
@@ -37,14 +29,6 @@ from repro.isa.assembler import assemble
 from repro.isa.operations import DEFAULT_OPERATIONS
 from repro.isa.program import Program
 from repro.service.job import JobSpec
-
-#: Format tag written into every spilled entry and required back on
-#: load.  Spill directories are shared across hosts and across releases
-#: (fleet workers publish entries to each other), so the read side must
-#: never trust bytes blindly: an entry from a different format
-#: generation — or a corrupt/truncated one — is ignored as a miss and
-#: recomputed, never half-parsed.  Bump the suffix on any layout change.
-CACHE_FORMAT = "repro.cache/v1"
 
 
 def program_fingerprint(program: QuantumProgram) -> str:
@@ -109,68 +93,18 @@ class CompileCache:
     Entries are immutable once stored (``Program`` is only ever read by
     the execution controller), so one cache instance can serve every job
     a scheduler backend executes in its process.
-
-    ``persist_dir`` enables the disk-spill level: resolved work is also
-    written under its content key, and misses in the in-memory LRU fall
-    through to disk before recomputing.  Several processes (worker processes,
-    successive CLI runs) can share one directory — writes go through a
-    same-directory temp file + ``os.replace``, so concurrent writers of
-    the same key are safe (last writer wins with identical content).
     """
 
-    def __init__(self, max_entries: int = 256,
-                 persist_dir: str | os.PathLike | None = None):
+    def __init__(self, max_entries: int = 256):
         self._codegen = _LRU(max_entries)
         self._assembly = _LRU(max_entries)
-        self.persist_dir = Path(persist_dir) if persist_dir is not None else None
-        if self.persist_dir is not None:
-            self.persist_dir.mkdir(parents=True, exist_ok=True)
-        # Reentrant: resolve() holds it across both cache levels.  The
-        # in-process backends touch a cache from one thread, but a fleet
-        # worker with several job lanes shares one instance.
-        self._mutex = threading.RLock()
+        # The in-process backends touch a cache from one thread, but a
+        # fleet worker with several job lanes shares one instance.
+        self._mutex = threading.Lock()
         self.codegen_hits = 0
         self.codegen_misses = 0
         self.assembly_hits = 0
         self.assembly_misses = 0
-        self.disk_hits = 0
-        self.disk_writes = 0
-        self.disk_rejects = 0
-
-    # -- disk spill ----------------------------------------------------------
-
-    def _spill(self, filename: str, entry: dict) -> None:
-        payload = json.dumps({"format": CACHE_FORMAT, **entry}).encode()
-        tmp = self.persist_dir / f".{filename}.{os.getpid()}.tmp"
-        tmp.write_bytes(payload)
-        os.replace(tmp, self.persist_dir / filename)
-        self.disk_writes += 1
-
-    def _disk_load(self, filename: str, keys: tuple[str, ...]) -> dict | None:
-        """A spilled entry, or None — defensively.
-
-        Unreadable bytes, non-JSON content, a missing or mismatched
-        format tag, and absent fields all count as a miss (tallied in
-        ``disk_rejects``) rather than an exception: a shared spill
-        directory may hold entries written by a different release or a
-        writer that died mid-life, and the worst a bad entry may cost is
-        a recompute.
-        """
-        try:
-            payload = (self.persist_dir / filename).read_bytes()
-        except OSError:
-            return None
-        try:
-            data = json.loads(payload)
-        except (ValueError, UnicodeDecodeError):
-            self.disk_rejects += 1
-            return None
-        if (not isinstance(data, dict) or data.get("format") != CACHE_FORMAT
-                or any(key not in data for key in keys)):
-            self.disk_rejects += 1
-            return None
-        self.disk_hits += 1
-        return data
 
     # -- levels --------------------------------------------------------------
 
@@ -183,21 +117,10 @@ class CompileCache:
             if entry is not None:
                 self.codegen_hits += 1
                 return entry
-            filename = f"cg_{key[0][:32]}_{key[1][:32]}.json"
-            if self.persist_dir is not None:
-                data = self._disk_load(filename, keys=("asm", "k_points"))
-                if data is not None:
-                    entry = (data["asm"], data["k_points"])
-                    self.codegen_hits += 1
-                    self._codegen.put(key, entry)
-                    return entry
             self.codegen_misses += 1
             compiled = compile_program(program, options)
             entry = (compiled.asm, compiled.k_points)
             self._codegen.put(key, entry)
-            if self.persist_dir is not None:
-                self._spill(filename,
-                            {"asm": entry[0], "k_points": entry[1]})
             return entry
 
     def assembled_for(self, asm: str, extra_ops: tuple[str, ...] = (),
@@ -219,37 +142,12 @@ class CompileCache:
             if program is not None:
                 self.assembly_hits += 1
                 return program, True
+            self.assembly_misses += 1
             table = DEFAULT_OPERATIONS.copy()
             for name in extra_ops:
                 table.define(name)
-            # The spill records the program's own uprog-name order next to
-            # the binary: QCall operands are encoded as indices into the
-            # *used* microprogram list, which a spec's declaration order
-            # cannot reconstruct.
-            filename = f"as_{key[:48]}.json"
-            if self.persist_dir is not None:
-                data = self._disk_load(filename, keys=("binary", "uprogs"))
-                if data is not None:
-                    try:
-                        program = Program.from_binary(
-                            bytes.fromhex(data["binary"]), op_table=table,
-                            uprog_names=list(data["uprogs"]))
-                    except Exception:
-                        # Valid envelope, undecodable body (a truncated
-                        # writer, a foreign binary layout): recompute.
-                        self.disk_rejects += 1
-                        program = None
-                    if program is not None:
-                        self.assembly_hits += 1
-                        self._assembly.put(key, program)
-                        return program, True
-            self.assembly_misses += 1
             program = assemble(asm, op_table=table, uprogs=uprog_names)
             self._assembly.put(key, program)
-            if self.persist_dir is not None:
-                self._spill(filename,
-                            {"binary": program.to_binary().hex(),
-                             "uprogs": list(program.uprog_names)})
             return program, False
 
     # -- job resolution ------------------------------------------------------
@@ -277,20 +175,8 @@ class CompileCache:
                 "codegen_misses": self.codegen_misses,
                 "assembly_hits": self.assembly_hits,
                 "assembly_misses": self.assembly_misses,
-                "disk_hits": self.disk_hits,
-                "disk_writes": self.disk_writes,
-                "disk_rejects": self.disk_rejects,
                 "entries": len(self._codegen) + len(self._assembly),
             }
-
-    def clear(self) -> None:
-        """Drop the in-memory levels (the disk spill is left in place)."""
-        with self._mutex:
-            self._codegen.clear()
-            self._assembly.clear()
-            self.codegen_hits = self.codegen_misses = 0
-            self.assembly_hits = self.assembly_misses = 0
-            self.disk_hits = self.disk_writes = self.disk_rejects = 0
 
 
 class ReplayCache:
@@ -355,8 +241,3 @@ class ReplayCache:
         with self._mutex:
             return {"hits": self.hits, "misses": self.misses,
                     "entries": len(self._plans)}
-
-    def clear(self) -> None:
-        with self._mutex:
-            self._plans.clear()
-            self.hits = self.misses = 0

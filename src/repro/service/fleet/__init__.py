@@ -4,7 +4,7 @@ The fleet extends the service layer across host boundaries:
 
 * :mod:`repro.service.fleet.protocol` — the length-prefixed socket
   protocol (hello/welcome handshake with version checks, submit/result,
-  heartbeat, cache-sharing, shutdown frames);
+  heartbeat, stats and shutdown frames);
 * :mod:`repro.service.fleet.worker` — :class:`WorkerServer`, the
   ``repro worker`` daemon hosting a warm machine pool and compile/replay
   caches;

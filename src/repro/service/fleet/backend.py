@@ -15,12 +15,6 @@ jobs are held again at ``base_attempt + 1`` when their retry policy
 allows, or resolved with a terminal :class:`JobError`.  Job execution is
 a pure function of the spec, so a sweep that loses a worker mid-flight
 still gathers bit-identical results.
-
-:meth:`FleetBackend.sync_compile_caches` unions the workers'
-content-addressed compile-cache spills (``CACHE_LIST`` / ``GET`` /
-``PUT`` frames) and mirrors the union into the local ``cache_dir`` when
-one is configured — one host's codegen warms every host.  The sync also
-runs best-effort at :meth:`close`.
 """
 
 from __future__ import annotations
@@ -68,13 +62,7 @@ class FleetBackend(ExecutorBackend):
 
     name = "fleet"
 
-    #: Run :meth:`sync_compile_caches` at close.  Local workers spill
-    #: into the backend's own ``cache_dir``, so the process backend has
-    #: nothing to sync.
-    sync_caches = True
-
-    def __init__(self, addresses=None, *, cache_dir: str | None = None,
-                 faults: FaultPlan | None = None,
+    def __init__(self, addresses=None, *, faults: FaultPlan | None = None,
                  connect_timeout: float = 5.0,
                  request_timeout: float = 60.0,
                  heartbeat_s: float = 1.0, heartbeat_misses: int = 5,
@@ -92,7 +80,6 @@ class FleetBackend(ExecutorBackend):
                 f"host:port[,host:port...] after starting daemons with "
                 f"'repro worker --listen host:port'")
         self.faults = faults
-        self.cache_dir = cache_dir
         self.connect_timeout = connect_timeout
         self.request_timeout = request_timeout
         self.heartbeat_s = heartbeat_s
@@ -102,11 +89,9 @@ class FleetBackend(ExecutorBackend):
         self.resubmissions = 0
         self.reconnects = 0
         self.reconnect_failures = 0
-        self.cache_sync_failures = 0
         #: Workers whose ``stats()`` request failed; the error text lands
         #: on that worker's entry as ``stats_error``.
         self.stats_failures = 0
-        self.last_cache_sync: dict | None = None
         # Reentrant: loss handling runs inside submit-path sends and
         # recursively when a resubmission target dies in the same breath.
         self._fleet_lock = threading.RLock()
@@ -360,73 +345,6 @@ class FleetBackend(ExecutorBackend):
         except RuntimeError:
             pass
 
-    # -- cache sharing -------------------------------------------------------
-
-    def sync_compile_caches(self) -> dict:
-        """Union the fleet's content-addressed compile-cache entries.
-
-        Every worker ends up holding every entry any worker (or the
-        local ``cache_dir``) holds; the union is mirrored locally when
-        ``cache_dir`` is set.  Content-addressed names make the pushes
-        idempotent — concurrent syncs race to identical bytes.  Workers
-        without a ``--cache-dir`` advertise ``cache_share: False`` and
-        are skipped.
-        """
-        with self._fleet_lock:
-            members = [(i, self._clients[i]) for i in self._live_indices()
-                       if self._clients[i].welcome.get("cache_share")]
-        holdings: dict[int, set] = {}
-        union: dict[str, int] = {}  # name -> an owner index
-        for index, client in members:
-            names = client.cache_names()
-            holdings[index] = set(names)
-            for name in names:
-                union.setdefault(name, index)
-        local: dict[str, bytes] = {}
-        local_dir = None
-        if self.cache_dir is not None:
-            from repro.service.fleet.worker import _CACHE_NAME
-            from pathlib import Path
-            local_dir = Path(self.cache_dir)
-            local_dir.mkdir(parents=True, exist_ok=True)
-            for path in local_dir.iterdir():
-                if _CACHE_NAME.match(path.name):
-                    local[path.name] = path.read_bytes()
-            for name in local:
-                union.setdefault(name, -1)
-        clients = dict(members)
-        fetched: dict[str, bytes] = {}
-
-        def content(name: str) -> bytes | None:
-            if name in local:
-                return local[name]
-            if name in fetched:
-                return fetched[name]
-            data = clients[union[name]].cache_get(name)
-            if data is not None:
-                fetched[name] = data
-            return data
-
-        pushed = pulled = 0
-        for index, client in members:
-            for name in sorted(set(union) - holdings[index]):
-                data = content(name)
-                if data is not None and client.cache_put(name, data):
-                    pushed += 1
-        if local_dir is not None:
-            for name in sorted(set(union) - set(local)):
-                data = content(name)
-                if data is None:
-                    continue
-                tmp = local_dir / f".{name}.{os.getpid()}.pull.tmp"
-                tmp.write_bytes(data)
-                os.replace(tmp, local_dir / name)
-                pulled += 1
-        summary = {"workers": len(members), "entries": len(union),
-                   "pushed": pushed, "pulled": pulled}
-        self.last_cache_sync = summary
-        return summary
-
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -435,14 +353,7 @@ class FleetBackend(ExecutorBackend):
             if self._closing:
                 return
             self._closing = True
-            started = self._started
             self._held.clear()
-        if started and self.sync_caches:
-            try:
-                self.sync_compile_caches()
-            except Exception:
-                # Best-effort: a half-dead fleet still closes cleanly.
-                self.cache_sync_failures += 1
         for client in self._clients:
             if client is not None:
                 client.close()
@@ -493,9 +404,6 @@ class FleetBackend(ExecutorBackend):
         stats["resubmissions"] = self.resubmissions
         stats["reconnects"] = self.reconnects
         stats["reconnect_failures"] = self.reconnect_failures
-        stats["cache_sync_failures"] = self.cache_sync_failures
         stats["stats_failures"] = self.stats_failures
-        if self.last_cache_sync is not None:
-            stats["cache_sync"] = self.last_cache_sync
         return stats
 

@@ -8,7 +8,7 @@ other end a local worker process serves:
   the matching ``RESULT``/``ERROR`` frames come back whenever the worker
   finishes and are delivered through the ``on_result``/``on_error``
   callbacks (on the reader thread);
-* **requests** — ping/stats/cache/shutdown frames matched by ``rid``;
+* **requests** — ping/stats/shutdown frames matched by ``rid``;
   :meth:`_request` blocks the calling thread until the reply (or its
   timeout) while jobs keep flowing;
 * **liveness** — a heartbeat thread pings on a period and watches the
@@ -29,21 +29,9 @@ import threading
 import time
 
 from repro.service.fleet import protocol
-from repro.service.fleet.protocol import recv_frame, send_frame
+from repro.service.fleet.protocol import parse_address, recv_frame, send_frame
 from repro.service.job import JobSpec
 from repro.utils.errors import ProtocolError, WorkerLost
-
-
-def parse_address(address: str) -> tuple[str, int]:
-    host, sep, port = address.rpartition(":")
-    if not sep or not host:
-        raise ProtocolError(
-            f"worker address {address!r} is not of the form host:port")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ProtocolError(
-            f"worker address {address!r} has a non-numeric port") from None
 
 
 class WorkerClient:
@@ -279,22 +267,6 @@ class WorkerClient:
 
     def stats(self, timeout: float | None = None) -> dict:
         return self._request(protocol.STATS, timeout=timeout)[1]["stats"]
-
-    def cache_names(self, timeout: float | None = None) -> tuple[str, ...]:
-        reply = self._request(protocol.CACHE_LIST, timeout=timeout)
-        return tuple(reply[1].get("names", ()))
-
-    def cache_get(self, name: str,
-                  timeout: float | None = None) -> bytes | None:
-        reply = self._request(protocol.CACHE_GET, {"name": name},
-                              timeout=timeout)
-        return reply[1].get("data")
-
-    def cache_put(self, name: str, data: bytes,
-                  timeout: float | None = None) -> bool:
-        reply = self._request(protocol.CACHE_PUT,
-                              {"name": name, "data": data}, timeout=timeout)
-        return bool(reply[1].get("stored"))
 
     def request_shutdown(self, timeout: float | None = None) -> None:
         """Ask the daemon to exit (answered with BYE before it stops)."""

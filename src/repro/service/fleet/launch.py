@@ -19,14 +19,12 @@ from repro.utils.errors import ConfigurationError
 _ANNOUNCE = re.compile(r"repro worker listening on (\S+:\d+)")
 
 
-def launch_worker(*, cache_dir: str | None = None, slots: int = 1,
-                  listen: str = "127.0.0.1:0", env: dict | None = None,
-                  timeout: float = 30.0) -> tuple[subprocess.Popen, str]:
+def launch_worker(*, slots: int = 1, listen: str = "127.0.0.1:0",
+                  env: dict | None = None, timeout: float = 30.0
+                  ) -> tuple[subprocess.Popen, str]:
     """Start one daemon; returns ``(process, "host:port")`` once it's up."""
     cmd = [sys.executable, "-m", "repro", "worker", "--listen", listen,
            "--slots", str(slots)]
-    if cache_dir is not None:
-        cmd += ["--cache-dir", str(cache_dir)]
     run_env = dict(os.environ if env is None else env)
     # The daemon needs the same import path as its launcher.
     src = os.path.dirname(os.path.dirname(os.path.dirname(

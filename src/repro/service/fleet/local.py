@@ -32,8 +32,7 @@ def default_workers() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-def serve_local(sock: socket.socket, inherited: tuple,
-                cache_dir: str | None) -> None:
+def serve_local(sock: socket.socket, inherited: tuple) -> None:
     """Child side: serve the backend on ``sock`` until it disconnects.
 
     ``inherited`` holds the backend's socket ends a forked child got
@@ -44,13 +43,12 @@ def serve_local(sock: socket.socket, inherited: tuple,
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for other in inherited:
         other.close()
-    WorkerServer(None, cache_dir=cache_dir, name=f"pid:{os.getpid()}",
-                 allow_crash=True).serve(sock)
+    WorkerServer(None, name=f"pid:{os.getpid()}", allow_crash=True).serve(sock)
     # Nobody wants the result of a job still running on a lane thread.
     os._exit(0)
 
 
-def start_worker(context, cache_dir: str | None, inherited: list | None):
+def start_worker(context, inherited: list | None):
     """Start one worker; returns ``(process, backend end of its socket)``.
 
     ``inherited`` (fork only) collects the backend ends created so far,
@@ -61,7 +59,7 @@ def start_worker(context, cache_dir: str | None, inherited: list | None):
         inherited.append(ours)
     process = context.Process(
         target=serve_local, name="repro-worker", daemon=True,
-        args=(theirs, tuple(inherited or ()), cache_dir))
+        args=(theirs, tuple(inherited or ())))
     try:
         process.start()
     except BaseException:
@@ -83,17 +81,14 @@ def reap(process, grace_s: float) -> None:
 class ProcessBackend(FleetBackend):
     """N local worker processes behind the fleet executor.
 
-    ``cache_dir`` points every worker's compile cache at one shared
-    spill directory.  Workers are expendable: injected crash faults
-    really kill them, a worker whose job overstays its whole attempt
-    budget (``timeout`` x remaining attempts + backoff + grace) is
-    SIGKILLed (``hang_kills``), and each loss is replaced
-    (``reconnects``).  ``close()`` first drains every submitted job, then
-    joins every worker process.
+    Workers are expendable: injected crash faults really kill them, a
+    worker whose job overstays its whole attempt budget (``timeout`` x
+    remaining attempts + backoff + grace) is SIGKILLed (``hang_kills``),
+    and each loss is replaced (``reconnects``).  ``close()`` first drains
+    every submitted job, then joins every worker process.
     """
 
     name = "process"
-    sync_caches = False
 
     #: Slack added to a job's whole attempt budget before its worker is
     #: presumed hung and killed.
@@ -102,14 +97,12 @@ class ProcessBackend(FleetBackend):
     WATCH_INTERVAL_S = 0.05
 
     def __init__(self, workers: int | None = None, *,
-                 cache_dir: str | None = None,
                  faults: FaultPlan | None = None):
         workers = workers if workers is not None else default_workers()
         if workers < 1:
             raise ConfigurationError("need at least one worker")
         super().__init__([f"local:{i}" for i in range(workers)],
-                         cache_dir=cache_dir, faults=faults,
-                         reconnect_lost=True)
+                         faults=faults, reconnect_lost=True)
         self.workers = workers
         self.hang_kills = 0
         self._processes: list = [None] * workers
@@ -125,8 +118,7 @@ class ProcessBackend(FleetBackend):
         started, clients = [], []
         try:
             for _ in range(self.workers):
-                started.append(start_worker(context, self.cache_dir,
-                                            inherited))
+                started.append(start_worker(context, inherited))
             # Only now do the clients start their threads.
             for process, sock in started:
                 clients.append(self._connect(process, sock))
@@ -149,8 +141,8 @@ class ProcessBackend(FleetBackend):
             lost, self._processes[index] = self._processes[index], None
         if lost is not None:
             reap(lost, 0.0)
-        process, sock = start_worker(multiprocessing.get_context("spawn"),
-                                     self.cache_dir, None)
+        process, sock = start_worker(
+            multiprocessing.get_context("spawn"), None)
         with self._fleet_lock:
             self._processes[index] = process
         return self._connect(process, sock)

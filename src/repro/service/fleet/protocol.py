@@ -9,14 +9,14 @@ anything.
 
 The conversation starts with a version handshake: the client sends
 ``HELLO {version, client}``; the worker answers ``WELCOME {version,
-worker, slots, cache_share}`` or ``REJECT {reason}`` when the versions
+worker, pid, slots}`` or ``REJECT {reason}`` when the versions
 disagree.  Both sides check — a protocol bump must never be papered
 over by luck of pickle compatibility.
 
 Job frames are multiplexed over one connection by client-chosen
-``token``; request/response frames (ping, stats, cache ops, shutdown)
-are matched by client-chosen ``rid``, so heartbeats keep flowing while
-jobs execute.
+``token``; request/response frames (ping, stats, shutdown) are matched
+by client-chosen ``rid``, so heartbeats keep flowing while jobs
+execute.
 
 Trust model: the fleet runs between mutually trusting hosts (pickle on
 the wire), same as ``multiprocessing`` — bind workers to loopback or a
@@ -31,19 +31,19 @@ import struct
 from repro.utils.errors import ProtocolError
 
 #: Bump on any incompatible frame change; both ends refuse a mismatch.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 MAGIC = b"RPFL"
 _HEADER = struct.Struct(">4sI")
 
 #: Ceiling on one frame's payload (a sweep job spec is kilobytes; even a
-#: fat LUT-upload spec or cache entry stays far under this).
+#: fat LUT-upload spec stays far under this).
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 # -- frame kinds --------------------------------------------------------------
 
 HELLO = "hello"              #: client -> worker: {version, client}
-WELCOME = "welcome"          #: worker -> client: {version, worker, pid, slots, cache_share}
+WELCOME = "welcome"          #: worker -> client: {version, worker, pid, slots}
 REJECT = "reject"            #: worker -> client: {reason, version}
 SUBMIT = "submit"            #: client -> worker: {token, spec, base_attempt}
 CANCEL = "cancel"            #: client -> worker: {token} (ERROR if it dequeued the job)
@@ -53,18 +53,24 @@ PING = "ping"                #: client -> worker: {rid}
 PONG = "pong"                #: worker -> client: {rid, active}
 STATS = "stats"              #: client -> worker: {rid}
 STATS_REPLY = "stats-reply"  #: worker -> client: {rid, stats}
-CACHE_LIST = "cache-list"    #: client -> worker: {rid}
-CACHE_NAMES = "cache-names"  #: worker -> client: {rid, names}
-CACHE_GET = "cache-get"      #: client -> worker: {rid, name}
-CACHE_DATA = "cache-data"    #: worker -> client: {rid, name, data | None}
-CACHE_PUT = "cache-put"      #: client -> worker: {rid, name, data}
-CACHE_OK = "cache-ok"        #: worker -> client: {rid, stored}
 SHUTDOWN = "shutdown"        #: client -> worker: {rid}
 BYE = "bye"                  #: worker -> client: {rid}
 
 #: Reply kinds carrying an ``rid`` (matched to a waiting request).
-REPLY_KINDS = frozenset(
-    {PONG, STATS_REPLY, CACHE_NAMES, CACHE_DATA, CACHE_OK, BYE})
+REPLY_KINDS = frozenset({PONG, STATS_REPLY, BYE})
+
+
+def parse_address(address: str) -> tuple[str, int]:
+    """``host:port`` -> ``(host, port)``; port 0 binds an ephemeral port."""
+    host, sep, port = address.rpartition(":")
+    if not sep or not host:
+        raise ProtocolError(
+            f"address {address!r} is not of the form host:port")
+    try:
+        return host, int(port)
+    except ValueError:
+        raise ProtocolError(
+            f"address {address!r} has a non-numeric port") from None
 
 
 def send_frame(sock, kind: str, body: dict | None = None) -> None:

@@ -1,10 +1,10 @@
 """The ``repro worker`` daemon: warm pool + caches behind a socket.
 
-A :class:`WorkerServer` owns one machine pool, one compile cache
-(optionally disk-spilled via ``--cache-dir``), one replay cache, and one
-metrics registry — the warm state of a worker, served to TCP clients
-as a daemon or on one socketpair as a local worker process of the
-``process`` backend (:mod:`repro.service.fleet.local`).  Jobs arrive as
+A :class:`WorkerServer` owns one machine pool, one in-memory compile
+cache, one replay cache, and one metrics registry — the warm state of a
+worker, served to TCP clients as a daemon or on one socketpair as a
+local worker process of the ``process`` backend
+(:mod:`repro.service.fleet.local`).  Jobs arrive as
 pickled :class:`JobSpec`\\ s on ``SUBMIT`` frames and run through
 :func:`execute_with_retry`, so the worker-side failure semantics
 (per-spec retry policy, fault plan from its own environment, uniform
@@ -16,8 +16,8 @@ Concurrency model: one accept loop (daemons only), one reader thread
 per connection, and a shared :class:`ThreadPoolExecutor` with ``slots``
 job lanes (default 1 — scale a host by running more daemons, which
 keeps each daemon's pool/cache access effectively serial).  Heartbeats
-and cache ops are answered from the reader thread, so a worker stays
-responsive while a job runs.
+and stats requests are answered from the reader thread, so a worker
+stays responsive while a job runs.
 
 Injected *crash* faults degrade to transient errors in a daemon (like
 the serial backend): a daemon is shared infrastructure that outlives any
@@ -30,7 +30,6 @@ one client and are expendable, so they run with ``allow_crash=True``.
 from __future__ import annotations
 
 import os
-import re
 import signal
 import socket
 import threading
@@ -41,46 +40,24 @@ from repro.service.backends.base import execute_with_retry
 from repro.service.cache import CompileCache, ReplayCache
 from repro.service.faults import FaultPlan
 from repro.service.fleet import protocol
-from repro.service.fleet.protocol import recv_frame, send_frame
+from repro.service.fleet.protocol import parse_address, recv_frame, send_frame
 from repro.service.job import JobResult, JobSpec
 from repro.service.pool import MachinePool
 from repro.utils.errors import JobCancelled, ProtocolError
-
-#: Content-addressed compile-cache spill names a worker will serve or
-#: store — anything else (path tricks, foreign files) is refused.
-_CACHE_NAME = re.compile(r"^(cg|as)_[0-9a-f_]{8,200}\.json$")
-
-
-def parse_listen(listen: str) -> tuple[str, int]:
-    """``host:port`` -> ``(host, port)``; port 0 binds an ephemeral port."""
-    host, sep, port = listen.rpartition(":")
-    if not sep or not host:
-        raise ProtocolError(
-            f"listen address {listen!r} is not of the form host:port")
-    try:
-        return host, int(port)
-    except ValueError:
-        raise ProtocolError(
-            f"listen address {listen!r} has a non-numeric port") from None
 
 
 class WorkerServer:
     """One fleet worker: accept loop, job lanes, warm pool + caches.
 
-    ``cache_dir`` enables both the disk-spilled compile cache *and* the
-    cache-sharing protocol frames (``CACHE_LIST``/``GET``/``PUT``
-    operate on that directory's content-addressed entries); without it
-    the worker reports ``cache_share: False`` in its welcome and serves
-    an in-memory cache only.  ``host=None`` opens no listener: the
-    worker then serves only the sockets passed to :meth:`serve`.
+    ``host=None`` opens no listener: the worker then serves only the
+    sockets passed to :meth:`serve`.
     """
 
     def __init__(self, host: str | None = "127.0.0.1", port: int = 0, *,
-                 cache_dir: str | os.PathLike | None = None, slots: int = 1,
-                 faults: FaultPlan | None = None, name: str | None = None,
-                 allow_crash: bool = False):
+                 slots: int = 1, faults: FaultPlan | None = None,
+                 name: str | None = None, allow_crash: bool = False):
         self.pool = MachinePool(label="fleet-worker")
-        self.cache = CompileCache(persist_dir=cache_dir)
+        self.cache = CompileCache()
         self.replay_cache = ReplayCache()
         self.metrics = MetricsRegistry()
         self.faults = faults if faults is not None else FaultPlan.from_env()
@@ -112,6 +89,9 @@ class WorkerServer:
         #: client had disconnected.
         self.results_undelivered = 0
         self.rejects = 0
+        #: Connections dropped because the peer spoke garbage: a bad
+        #: frame, or a frame kind this protocol version does not know.
+        self.protocol_errors = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -200,8 +180,11 @@ class WorkerServer:
             while not self._closed.is_set():
                 kind, body = recv_frame(conn)
                 self._handle_frame(conn, wlock, pending, kind, body or {})
-        except (EOFError, OSError, ProtocolError):
-            pass  # client went away (or spoke garbage): drop the connection
+        except (EOFError, OSError):
+            pass  # client went away: drop the connection
+        except ProtocolError:
+            with self._state_lock:
+                self.protocol_errors += 1
         finally:
             with self._state_lock:
                 if pending in self._conn_pending:
@@ -239,7 +222,6 @@ class WorkerServer:
                 "worker": self.name,
                 "pid": os.getpid(),
                 "slots": self.slots,
-                "cache_share": self.cache.persist_dir is not None,
             })
         return True
 
@@ -265,20 +247,6 @@ class WorkerServer:
         elif kind == protocol.STATS:
             self._reply(conn, wlock, protocol.STATS_REPLY,
                         {"rid": body.get("rid"), "stats": self.stats()})
-        elif kind == protocol.CACHE_LIST:
-            self._reply(conn, wlock, protocol.CACHE_NAMES,
-                        {"rid": body.get("rid"),
-                         "names": self._cache_names()})
-        elif kind == protocol.CACHE_GET:
-            name = body.get("name", "")
-            self._reply(conn, wlock, protocol.CACHE_DATA,
-                        {"rid": body.get("rid"), "name": name,
-                         "data": self._cache_read(name)})
-        elif kind == protocol.CACHE_PUT:
-            stored = self._cache_write(body.get("name", ""),
-                                       body.get("data", b""))
-            self._reply(conn, wlock, protocol.CACHE_OK,
-                        {"rid": body.get("rid"), "stored": stored})
         elif kind == protocol.SHUTDOWN:
             self._reply(conn, wlock, protocol.BYE, {"rid": body.get("rid")})
             # stop() joins this very reader's connection teardown, so it
@@ -341,42 +309,6 @@ class WorkerServer:
             with self._state_lock:
                 self.results_undelivered += 1
 
-    # -- cache sharing -------------------------------------------------------
-
-    def _cache_names(self) -> tuple[str, ...]:
-        if self.cache.persist_dir is None:
-            return ()
-        try:
-            names = [p.name for p in self.cache.persist_dir.iterdir()
-                     if _CACHE_NAME.match(p.name)]
-        except OSError:
-            return ()
-        return tuple(sorted(names))
-
-    def _cache_read(self, name: str) -> bytes | None:
-        if self.cache.persist_dir is None or not _CACHE_NAME.match(name):
-            return None
-        try:
-            return (self.cache.persist_dir / name).read_bytes()
-        except OSError:
-            return None
-
-    def _cache_write(self, name: str, data: bytes) -> bool:
-        if (self.cache.persist_dir is None or not _CACHE_NAME.match(name)
-                or not isinstance(data, bytes)
-                or len(data) > protocol.MAX_FRAME_BYTES):
-            return False
-        # Same atomic write discipline as CompileCache._spill: published
-        # entries are content-addressed, so concurrent writers of one
-        # name race to identical bytes.
-        tmp = self.cache.persist_dir / f".{name}.{os.getpid()}.push.tmp"
-        try:
-            tmp.write_bytes(data)
-            os.replace(tmp, self.cache.persist_dir / name)
-        except OSError:
-            return False
-        return True
-
     # -- inspection ----------------------------------------------------------
 
     def stats(self) -> dict:
@@ -397,7 +329,7 @@ class WorkerServer:
             "jobs_cancelled": self.jobs_cancelled,
             "results_undelivered": self.results_undelivered,
             "rejects": self.rejects,
-            "cache_share": self.cache.persist_dir is not None,
+            "protocol_errors": self.protocol_errors,
             "pool": self.pool.stats(),
             "cache": self.cache.stats(),
             "replay_cache": self.replay_cache.stats(),
@@ -405,8 +337,7 @@ class WorkerServer:
         }
 
 
-def run_worker(listen: str = "127.0.0.1:0",
-               cache_dir: str | None = None, slots: int = 1,
+def run_worker(listen: str = "127.0.0.1:0", slots: int = 1,
                name: str | None = None) -> int:
     """``repro worker`` entry point: serve until SIGINT/SIGTERM/shutdown.
 
@@ -414,13 +345,11 @@ def run_worker(listen: str = "127.0.0.1:0",
     ephemeral port), which is how launchers discover where an ephemeral
     worker landed.
     """
-    host, port = parse_listen(listen)
-    server = WorkerServer(host, port, cache_dir=cache_dir, slots=slots,
-                          name=name)
+    host, port = parse_address(listen)
+    server = WorkerServer(host, port, slots=slots, name=name)
     print(f"repro worker listening on "
           f"{server.address[0]}:{server.address[1]} "
-          f"(pid {os.getpid()}, slots {server.slots}, "
-          f"cache_dir {cache_dir or '-'})", flush=True)
+          f"(pid {os.getpid()}, slots {server.slots})", flush=True)
 
     def _terminate(signum, frame):
         raise SystemExit(0)

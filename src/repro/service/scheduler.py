@@ -72,7 +72,6 @@ class ExperimentService:
                  cache: CompileCache | None = None,
                  pool: MachinePool | None = None,
                  replay_cache: ReplayCache | None = None,
-                 cache_dir: str | None = None,
                  retry: RetryPolicy | None = None,
                  faults: FaultPlan | None = None,
                  job_timeout: float | None = None,
@@ -86,7 +85,6 @@ class ExperimentService:
             raise ConfigurationError("job_timeout must be positive (or None)")
         self.backend = backend
         self.workers = workers if workers is not None else default_workers()
-        self.cache_dir = cache_dir
         #: ``host:port`` daemon addresses for ``backend="fleet"`` (falls
         #: back to ``$REPRO_FLEET_WORKERS`` when None).
         self.fleet_workers = (tuple(fleet_workers)
@@ -99,8 +97,7 @@ class ExperimentService:
         self.faults = faults if faults is not None else FaultPlan.from_env()
         # Service-local state: the serial engine shares it; run_job always
         # uses it (inline execution even on concurrent backends).
-        self.cache = (cache if cache is not None
-                      else CompileCache(persist_dir=cache_dir))
+        self.cache = cache if cache is not None else CompileCache()
         self.pool = pool if pool is not None else MachinePool(label="service")
         self.replay_cache = (replay_cache if replay_cache is not None
                              else ReplayCache())
@@ -115,12 +112,9 @@ class ExperimentService:
                                         self._inline_metrics,
                                         faults=self.faults)
         elif backend == "process":
-            self.engine = ProcessBackend(self.workers, cache_dir=cache_dir,
-                                         faults=self.faults)
+            self.engine = ProcessBackend(self.workers, faults=self.faults)
         else:
-            self.engine = FleetBackend(self.fleet_workers,
-                                       cache_dir=cache_dir,
-                                       faults=self.faults)
+            self.engine = FleetBackend(self.fleet_workers, faults=self.faults)
         # Stream bookkeeping; guarded by the lock because submit may be
         # called from several threads while iter_completed drains.
         # ``_pending`` holds futures submitted but not yet yielded by any

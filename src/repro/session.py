@@ -177,15 +177,15 @@ class Session:
     ``service`` wraps an existing
     :class:`~repro.service.scheduler.ExperimentService` (it stays the
     caller's to close); otherwise the session builds and owns one from
-    ``backend``/``workers``/``cache_dir``.  ``config`` pins one machine
-    configuration for every run; without it each run builds a fresh
+    ``backend``/``workers``.  ``config`` pins one machine configuration
+    for every run; without it each run builds a fresh
     :class:`MachineConfig` wiring the requested ``qubits`` (traces off,
     ``seed`` applied).
     """
 
     def __init__(self, config: MachineConfig | None = None, *,
                  backend: str = "serial", workers: int | None = None,
-                 cache_dir: str | None = None, seed: int | None = None,
+                 seed: int | None = None,
                  service: ExperimentService | None = None,
                  registry: ExperimentRegistry | None = None,
                  telemetry: bool = False, sim_trace: bool = False,
@@ -206,7 +206,6 @@ class Session:
         self.service = (service if service is not None
                         else ExperimentService(backend=backend,
                                                workers=workers,
-                                               cache_dir=cache_dir,
                                                retry=retry, faults=faults,
                                                job_timeout=job_timeout,
                                                fleet_workers=fleet_workers))

@@ -1,4 +1,4 @@
-"""Executor backends: parity, futures, streaming, and the disk-spill cache.
+"""Executor backends: parity, futures, streaming, and sweep artifacts.
 
 The determinism contract under test: ``run_batch`` on every backend
 returns bit-identical ``SweepResult.averages()`` for the same specs, and
@@ -19,7 +19,6 @@ from repro.compiler import CompilerOptions, QuantumProgram
 from repro.core import MachineConfig
 from repro.experiments.rabi import rabi_job
 from repro.service import (
-    CompileCache,
     ExperimentService,
     FaultPlan,
     JobSpec,
@@ -265,63 +264,6 @@ class TestScopedDraining:
         assert np.array_equal(serial.averages(), sweep.averages())
         assert sorted(r.seed for r in seen) == sorted(s.run_seed
                                                       for s in specs)
-
-
-class TestDiskSpillCache:
-    def test_cold_cache_starts_warm_from_disk(self, tmp_path):
-        spec = flip_spec(seed=4)
-        warm = CompileCache(persist_dir=tmp_path)
-        first = warm.resolve(spec)
-        assert not first.cache_hit
-        assert warm.disk_writes >= 2  # codegen json + assembly binary
-
-        cold = CompileCache(persist_dir=tmp_path)  # a new process's cache
-        resolved = cold.resolve(spec)
-        assert resolved.cache_hit
-        assert cold.disk_hits >= 2
-        assert cold.assembly_misses == 0 and cold.codegen_misses == 0
-
-    def test_disk_loaded_program_executes_identically(self, tmp_path):
-        spec = flip_spec(seed=4)
-        fresh = ExperimentService().run_job(spec)
-        svc = ExperimentService(cache=CompileCache(persist_dir=tmp_path))
-        svc.run_job(spec)
-        cold = ExperimentService(cache=CompileCache(persist_dir=tmp_path))
-        from_disk = cold.run_job(spec)
-        assert from_disk.cache_hit
-        assert np.array_equal(fresh.averages, from_disk.averages)
-
-    def test_disk_cache_respects_microprogram_bodies(self, tmp_path):
-        asm = """
-            mov r15, 40000
-            QNopReg r15
-            FLIP q2
-            Wait 4
-            MPG {q2}, 300
-            MD {q2}
-            halt
-        """
-        config = MachineConfig(qubits=(2,), trace_enabled=False)
-        x_spec = JobSpec(config=config, asm=asm, microprograms=(
-            ("FLIP", 1, "Pulse {q0}, X180\nWait 4"),))
-        i_spec = JobSpec(config=config, asm=asm, microprograms=(
-            ("FLIP", 1, "Pulse {q0}, I\nWait 4"),))
-        warm = CompileCache(persist_dir=tmp_path)
-        warm.resolve(x_spec)
-        cold = CompileCache(persist_dir=tmp_path)
-        assert not cold.resolve(i_spec).cache_hit  # body is in the key
-        assert cold.resolve(x_spec).cache_hit
-
-    def test_worker_processes_share_cache_dir(self, tmp_path, backend):
-        if backend == "serial":
-            pytest.skip("serial shares the in-process cache directly")
-        specs = [flip_spec(seed=s) for s in (1, 2)]
-        with ExperimentService(backend=backend, workers=2,
-                               cache_dir=tmp_path) as svc:
-            svc.run_batch(specs)
-        # The workers spilled their resolutions; a cold local cache hits.
-        cold = CompileCache(persist_dir=tmp_path)
-        assert cold.resolve(specs[0]).cache_hit
 
 
 class TestSweepArtifacts:

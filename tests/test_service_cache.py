@@ -114,97 +114,3 @@ class TestResolve:
         assert r1.k_points == 1
         assert not r1.cache_hit and r2.cache_hit
         assert r1.program is r2.program
-
-
-class TestSpillFormatVersion:
-    """Defensive reads of the disk-spill format (``CACHE_FORMAT`` tag).
-
-    A shared spill directory may hold entries written by another
-    release, a dying writer, or something else entirely; every such
-    entry must degrade to a recompute (a miss counted in
-    ``disk_rejects``), never an exception or a wrong program.
-    """
-
-    def _warm(self, tmp_path):
-        cache = CompileCache(persist_dir=tmp_path)
-        cache.assembled_for("    Wait 4\n    halt\n")
-        spills = sorted(p for p in tmp_path.iterdir()
-                        if not p.name.startswith("."))
-        assert spills, "expected at least one spilled entry"
-        return spills
-
-    def _cold_stats(self, tmp_path):
-        cold = CompileCache(persist_dir=tmp_path)
-        cold.assembled_for("    Wait 4\n    halt\n")
-        return cold.stats()
-
-    def test_spills_carry_the_format_tag(self, tmp_path):
-        import json
-
-        from repro.service.cache import CACHE_FORMAT
-
-        for path in self._warm(tmp_path):
-            assert json.loads(path.read_bytes())["format"] == CACHE_FORMAT
-
-    def test_corrupt_json_is_a_miss_not_a_crash(self, tmp_path):
-        for path in self._warm(tmp_path):
-            path.write_bytes(b"\x00\xffnot json")
-        stats = self._cold_stats(tmp_path)
-        assert stats["disk_hits"] == 0
-        assert stats["disk_rejects"] >= 1
-        assert stats["assembly_misses"] == 1  # recomputed cleanly
-
-    def test_missing_format_tag_is_a_miss(self, tmp_path):
-        import json
-
-        for path in self._warm(tmp_path):
-            data = json.loads(path.read_bytes())
-            del data["format"]
-            path.write_text(json.dumps(data))
-        stats = self._cold_stats(tmp_path)
-        assert stats["disk_hits"] == 0 and stats["disk_rejects"] >= 1
-
-    def test_mismatched_format_version_is_a_miss(self, tmp_path):
-        import json
-
-        for path in self._warm(tmp_path):
-            data = json.loads(path.read_bytes())
-            data["format"] = "repro.cache/v999"
-            path.write_text(json.dumps(data))
-        stats = self._cold_stats(tmp_path)
-        assert stats["disk_hits"] == 0 and stats["disk_rejects"] >= 1
-
-    def test_missing_fields_are_a_miss(self, tmp_path):
-        import json
-
-        from repro.service.cache import CACHE_FORMAT
-
-        for path in self._warm(tmp_path):
-            path.write_text(json.dumps({"format": CACHE_FORMAT}))
-        stats = self._cold_stats(tmp_path)
-        assert stats["disk_hits"] == 0 and stats["disk_rejects"] >= 1
-
-    def test_rejected_entry_is_respilled_by_the_recompute(self, tmp_path):
-        spills = self._warm(tmp_path)
-        for path in spills:
-            path.write_bytes(b"garbage")
-        self._cold_stats(tmp_path)  # recomputes and re-spills
-        fresh = CompileCache(persist_dir=tmp_path)
-        fresh.assembled_for("    Wait 4\n    halt\n")
-        assert fresh.stats()["disk_hits"] >= 1
-        assert fresh.stats()["disk_rejects"] == 0
-
-    def test_undecodable_binary_body_is_a_miss(self, tmp_path):
-        import json
-
-        from repro.service.cache import CACHE_FORMAT
-
-        for path in self._warm(tmp_path):
-            path.write_text(json.dumps({
-                "format": CACHE_FORMAT, "binary": "zz-not-hex",
-                "uprogs": []}))
-        stats = self._cold_stats(tmp_path)
-        # Valid envelope (counted as a disk hit on load) but the body
-        # fails to decode: rejected, and the program is recomputed.
-        assert stats["disk_rejects"] >= 1
-        assert stats["assembly_misses"] == 1

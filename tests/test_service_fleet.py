@@ -17,8 +17,8 @@ The acceptance contract of the fleet subsystem (DESIGN.md "Fleet"):
   hanging ``drain()``;
 * a silent (SIGSTOPped) worker is detected by missed heartbeats, not
   just socket death;
-* compile caches are content-addressed and shared: workers' disk
-  spills union through ``CACHE_LIST``/``GET``/``PUT`` frames.
+* a peer that speaks garbage after the handshake loses its connection,
+  and the worker counts it in ``protocol_errors``.
 
 Set ``REPRO_FLEET_WORKERS=host:port,host:port`` to aim the fleet at
 already-running daemons (the CI loopback job does); these tests launch
@@ -52,10 +52,8 @@ from repro.service.fleet import (
     fleet_addresses_from_env,
 )
 from repro.service.fleet import protocol
-from repro.service.fleet.client import parse_address
 from repro.service.fleet.launch import launch_worker, stop_worker
-from repro.service.fleet.protocol import recv_frame, send_frame
-from repro.service.fleet.worker import parse_listen
+from repro.service.fleet.protocol import parse_address, recv_frame, send_frame
 from repro.utils.errors import (
     ConfigurationError,
     JobError,
@@ -118,12 +116,10 @@ def fleet_addrs(worker_pair):
 class TestAddresses:
     def test_parse_address_and_listen(self):
         assert parse_address("127.0.0.1:80") == ("127.0.0.1", 80)
-        assert parse_listen("0.0.0.0:0") == ("0.0.0.0", 0)
+        assert parse_address("0.0.0.0:0") == ("0.0.0.0", 0)
         for bad in ("no-port", ":1234", "host:", "host:abc"):
             with pytest.raises(ProtocolError):
                 parse_address(bad)
-            with pytest.raises(ProtocolError):
-                parse_listen(bad)
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv(FLEET_WORKERS_ENV,
@@ -190,11 +186,13 @@ class TestProtocol:
         finally:
             b.close()
 
-    def test_worker_rejects_version_mismatch(self, worker_pair):
+    @pytest.mark.parametrize("skew", [-1, 1], ids=["older", "newer"])
+    def test_worker_rejects_version_mismatch(self, worker_pair, skew):
         host, port = worker_pair[0].address
         with socket.create_connection((host, port), timeout=5.0) as sock:
             send_frame(sock, protocol.HELLO,
-                       {"version": PROTOCOL_VERSION + 1, "client": "test"})
+                       {"version": PROTOCOL_VERSION + skew,
+                        "client": "test"})
             kind, body = recv_frame(sock)
         assert kind == protocol.REJECT
         assert body["version"] == PROTOCOL_VERSION
@@ -206,10 +204,28 @@ class TestProtocol:
             kind, _ = recv_frame(sock)
         assert kind == protocol.REJECT
 
-    def test_client_rejects_version_mismatch(self):
-        # A fake worker speaking a future protocol: the client must
-        # refuse its welcome.  (Patching PROTOCOL_VERSION in-process
-        # would change both sides at once — they share the module.)
+    def test_unknown_frame_kind_is_a_counted_protocol_error(self):
+        # "cache-list" is a kind this protocol version does not define.
+        worker = WorkerServer().start()
+        try:
+            with socket.create_connection(worker.address,
+                                          timeout=5.0) as sock:
+                send_frame(sock, protocol.HELLO,
+                           {"version": PROTOCOL_VERSION, "client": "test"})
+                assert recv_frame(sock)[0] == protocol.WELCOME
+                send_frame(sock, "cache-list", {"rid": 0})
+                with pytest.raises(EOFError):
+                    recv_frame(sock)
+            assert worker.stats()["protocol_errors"] == 1
+        finally:
+            worker.stop()
+
+    @pytest.mark.parametrize("skew", [-1, 1], ids=["older", "newer"])
+    def test_client_rejects_version_mismatch(self, skew):
+        # A fake worker speaking an older or a future protocol: the
+        # client must refuse its welcome.  (Patching PROTOCOL_VERSION
+        # in-process would change both sides at once — they share the
+        # module.)
         import threading
 
         listener = socket.create_server(("127.0.0.1", 0))
@@ -220,7 +236,7 @@ class TestProtocol:
             with conn:
                 recv_frame(conn)  # the client's hello
                 send_frame(conn, protocol.WELCOME,
-                           {"version": PROTOCOL_VERSION + 1,
+                           {"version": PROTOCOL_VERSION + skew,
                             "worker": "fake"})
 
         thread = threading.Thread(target=fake_worker, daemon=True)
@@ -600,69 +616,6 @@ class TestRecordedFailures:
             "TimeoutError: no STATS_REPLY within 5.0 s"
         assert "remote" not in first
         assert "stats_error" not in second and "remote" in second
-
-    def test_failed_close_time_cache_sync_is_counted(self, tmp_path):
-        worker = WorkerServer(cache_dir=tmp_path / "w").start()
-        not_a_dir = tmp_path / "file"
-        not_a_dir.write_text("")
-        backend = FleetBackend([addr_of(worker)], cache_dir=not_a_dir)
-        try:
-            backend.submit(flip_spec(seed=1)).result(timeout=60.0)
-            backend.close()
-            assert backend.stats()["cache_sync_failures"] == 1
-        finally:
-            worker.stop()
-
-
-# -- cache sharing ------------------------------------------------------------
-
-
-class TestCacheSharing:
-    def test_sync_unions_spills_across_fleet(self, tmp_path):
-        dirs = [tmp_path / name for name in ("w1", "w2", "client")]
-        for d in dirs:
-            d.mkdir()
-        w1 = WorkerServer(cache_dir=dirs[0]).start()
-        w2 = WorkerServer(cache_dir=dirs[1]).start()
-        backend = FleetBackend([addr_of(w1), addr_of(w2)],
-                               cache_dir=dirs[2])
-        try:
-            # Pin both jobs to w1 by draining between submissions: its
-            # spills exist, w2's cache dir is empty.
-            backend.submit(flip_spec(seed=1)).result(timeout=60.0)
-            report = backend.sync_compile_caches()
-            assert report["workers"] == 2
-            assert report["entries"] >= 1
-            names = {f.name for f in dirs[0].iterdir()}
-            assert names  # w1 spilled
-            assert {f.name for f in dirs[1].iterdir()} == names  # pushed
-            assert {f.name for f in dirs[2].iterdir()} == names  # pulled
-        finally:
-            backend.close()
-            w1.stop()
-            w2.stop()
-
-    def test_close_syncs_best_effort(self, tmp_path):
-        wdir, cdir = tmp_path / "w", tmp_path / "c"
-        wdir.mkdir()
-        cdir.mkdir()
-        worker = WorkerServer(cache_dir=wdir).start()
-        backend = FleetBackend([addr_of(worker)], cache_dir=cdir)
-        backend.submit(flip_spec(seed=5)).result(timeout=60.0)
-        backend.close()
-        worker.stop()
-        assert list(cdir.iterdir())  # worker spills arrived at close
-
-    def test_cache_put_refuses_foreign_names(self, worker_pair, tmp_path):
-        worker = WorkerServer(cache_dir=tmp_path / "w").start()
-        client = WorkerClient(addr_of(worker)).connect()
-        try:
-            for name in ("../escape.json", "cg_upper-CASE.json", "x" * 300):
-                assert not client.cache_put(name, b"{}", timeout=10.0)
-            assert client.cache_get("../escape.json", timeout=10.0) is None
-        finally:
-            client.close()
-            worker.stop()
 
 
 # -- daemon lifecycle and CLI -------------------------------------------------
