@@ -211,7 +211,7 @@ def cmd_worker(args: argparse.Namespace) -> int:
     """Host a fleet worker daemon until interrupted."""
     from repro.service.fleet.worker import run_worker
 
-    return run_worker(args.listen, slots=args.slots, name=args.name)
+    return run_worker(args.listen, name=args.name)
 
 
 def cmd_exp(args: argparse.Namespace) -> int:
@@ -330,7 +330,8 @@ def _run_specs(svc, specs, stream: bool):
         return svc.run_batch(specs)
     t0 = time.perf_counter()
     futures = [svc.submit(spec, stream=False) for spec in specs]
-    for job in svc.iter_completed(futures):
+    for future in svc.iter_futures(futures):
+        job = future.result()
         note = ""
         if job.replay_fallback_reason is not None:
             note = f"  [no replay: {job.replay_fallback_reason}]"
@@ -603,8 +604,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--listen", default="127.0.0.1:0", metavar="HOST:PORT",
                    help="bind address; port 0 picks a free port and the "
                         "chosen one is announced on stdout")
-    p.add_argument("--slots", type=int, default=1,
-                   help="concurrent job lanes in this daemon")
     p.add_argument("--name", default=None,
                    help="worker name reported in job telemetry "
                         "(default worker:HOST:PORT)")

@@ -43,7 +43,6 @@ from repro.obs.spans import (
     STAGE_REPLAY,
     JobTelemetry,
     Span,
-    SpanRecorder,
     rebase_job_spans,
 )
 
@@ -63,7 +62,6 @@ __all__ = [
     "STAGE_QUEUE_WAIT",
     "STAGE_REPLAY",
     "Span",
-    "SpanRecorder",
     "chrome_trace_events",
     "load_metrics_artifact",
     "percentile",

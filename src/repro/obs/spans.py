@@ -23,8 +23,6 @@ the number the worker backends would otherwise be blind to.
 
 from __future__ import annotations
 
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
@@ -66,32 +64,6 @@ class Span:
         """The same span translated by ``offset_s`` (clock rebase)."""
         return replace(self, start_s=self.start_s + offset_s,
                        end_s=self.end_s + offset_s)
-
-
-class SpanRecorder:
-    """Collects spans against one epoch; used worker-side per job."""
-
-    def __init__(self, epoch: float | None = None):
-        self.epoch = time.perf_counter() if epoch is None else epoch
-        self.spans: list[Span] = []
-
-    def record(self, name: str, start: float, end: float,
-               category: str = "job", **meta: Any) -> Span:
-        """Record a span from absolute ``perf_counter`` stamps."""
-        span = Span(name, start - self.epoch, end - self.epoch,
-                    category=category, meta=meta)
-        self.spans.append(span)
-        return span
-
-    @contextmanager
-    def span(self, name: str, category: str = "job", **meta: Any):
-        """Record a span around a block."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.record(name, t0, time.perf_counter(),
-                        category=category, **meta)
 
 
 @dataclass

@@ -1,26 +1,29 @@
 """Experiment-orchestration service: batched execution of compiled programs.
 
 The classical analogue of a lab-control stack driving a real processor:
-jobs (:class:`JobSpec`) describe one compiled-program execution; an
-in-memory compile cache reuses codegen and assembly across sweep points;
+jobs (:class:`JobSpec`) describe one compiled-program execution, and an
+:class:`ExperimentService` runs every job on its one executor backend,
+its engine — serial, local worker processes, or remote worker daemons —
+with deterministic per-job seeding.  Wherever jobs run, an in-memory
+compile cache there reuses codegen and assembly across sweep points and
 a machine pool reuses :class:`~repro.core.quma.QuMA` control stacks
-across jobs with compatible configs; and an :class:`ExperimentService`
-runs specs on one executor backend — serial, local worker processes, or
-remote worker daemons — with deterministic per-job seeding.  The same
-engine runs ``baseline`` specs (APS2 cost-model jobs) next to QuMA
-sweeps.
+across jobs with compatible configs; the serial engine and each worker
+own one of each.  The same engine runs ``baseline`` specs (APS2
+cost-model jobs) next to QuMA sweeps.
 
 Quick use::
 
     from repro.service import ExperimentService, JobSpec, grid
 
-    service = ExperimentService(backend="process", workers=4)
-    for spec in (make_job(p) for p in grid(amplitude=amps)):
-        service.submit(spec)
-    for result in service.iter_completed():   # completion order
-        print(result.label, result.normalized[0])
+    with ExperimentService(backend="process", workers=4) as service:
+        for spec in (make_job(p) for p in grid(amplitude=amps)):
+            service.submit(spec)
+        for result in service.iter_completed():   # completion order
+            print(result.label, result.normalized[0])
 
-    sweep = service.run_sweep(make_job, grid(amplitude=amps), seed_root=7)
+        sweep = service.run_sweep(make_job, grid(amplitude=amps),
+                                  seed_root=7)
+        one = service.run_job(make_job({"amplitude": 0.5}))  # on a worker
 """
 
 from repro.service.backends import (

@@ -14,7 +14,7 @@ of them, its engine, picked by ``backend=``:
   fleet socket protocol (``repro worker``).
 
 ``ProcessBackend`` and ``FleetBackend`` share one dispatch path (one
-job in flight per worker slot, the rest held client-side) and one
+job in flight per worker, the rest held client-side) and one
 ``WorkerLost`` recovery path.
 """
 

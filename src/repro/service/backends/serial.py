@@ -1,6 +1,6 @@
 """In-process serial executor: the reference backend.
 
-Executes each job eagerly on the submitting thread against one shared
+Executes each job eagerly on the submitting thread against its own
 compile cache, replay cache, and machine pool.  ``submit`` therefore
 returns an already-resolved future — the simplest implementation of the
 futures contract, and the oracle the parity tests compare the concurrent
@@ -18,25 +18,23 @@ from repro.service.pool import MachinePool
 
 
 class SerialBackend(ExecutorBackend):
-    """Run jobs inline, one at a time, on the caller's cache + pool state.
+    """Run jobs inline, one at a time, in the submitting process.
 
-    The service hands its own pool, caches and in-process metrics
-    registry to its serial engine, so inline ``run_job`` calls and
-    submitted jobs share one process's state.  Retries run inline under
-    the spec's policy; injected ``crash`` faults degrade to transient
-    exceptions here (chaos must never kill the submitting process).
+    Like a fleet worker, the engine owns its warm state: one machine
+    pool, compile cache, replay cache and metrics registry.  Retries run
+    inline under the spec's policy; injected ``crash`` faults degrade to
+    transient exceptions here (chaos must never kill the submitting
+    process).
     """
 
     name = "serial"
 
-    def __init__(self, pool: MachinePool, cache: CompileCache,
-                 replay_cache: ReplayCache, metrics: MetricsRegistry,
-                 faults: FaultPlan | None = None):
+    def __init__(self, faults: FaultPlan | None = None):
         super().__init__()
-        self.pool = pool
-        self.cache = cache
-        self.replay_cache = replay_cache
-        self.metrics = metrics
+        self.pool = MachinePool()
+        self.cache = CompileCache()
+        self.replay_cache = ReplayCache()
+        self.metrics = MetricsRegistry()
         self.faults = faults
 
     def _submit(self, spec: JobSpec) -> JobFuture:

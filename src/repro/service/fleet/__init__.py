@@ -7,11 +7,11 @@ The fleet extends the service layer across host boundaries:
   heartbeat, stats and shutdown frames);
 * :mod:`repro.service.fleet.worker` — :class:`WorkerServer`, the
   ``repro worker`` daemon hosting a warm machine pool and compile/replay
-  caches;
+  caches, running one job at a time;
 * :mod:`repro.service.fleet.client` — :class:`WorkerClient`, one
   multiplexed connection to a worker with reader + heartbeat threads;
 * :mod:`repro.service.fleet.backend` — :class:`FleetBackend`, jobs
-  dispatched across N workers (one in flight per worker slot), mapping
+  dispatched across N workers (one in flight per worker), mapping
   dead connections and missed heartbeats to
   :class:`~repro.utils.errors.WorkerLost` so the retry/quarantine
   machinery recovers;

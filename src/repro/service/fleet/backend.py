@@ -8,11 +8,12 @@ dialed by address, or (``backend="process"``,
 processes on socketpairs.  Both share this module's dispatch and loss
 handling.
 
-Dispatch keeps at most one job in flight per worker slot and holds the
-rest client-side.  A dead connection or heartbeat silence marks a
-worker lost (:class:`~repro.utils.errors.WorkerLost`); its in-flight
-jobs are held again at ``base_attempt + 1`` when their retry policy
-allows, or resolved with a terminal :class:`JobError`.  Job execution is
+Each worker runs one job at a time, so dispatch keeps at most one job
+in flight per worker and holds the rest client-side.  A dead connection
+or heartbeat silence marks a worker lost
+(:class:`~repro.utils.errors.WorkerLost`); its in-flight jobs are held
+again at ``base_attempt + 1`` when their retry policy allows, or
+resolved with a terminal :class:`JobError`.  Job execution is
 a pure function of the spec, so a sweep that loses a worker mid-flight
 still gathers bit-identical results.
 """
@@ -97,7 +98,6 @@ class FleetBackend(ExecutorBackend):
         self._fleet_lock = threading.RLock()
         n = len(self.addresses)
         self._clients: list[WorkerClient | None] = [None] * n
-        self._slots = [1] * n
         self._loads = [0] * n
         self._shipped = [0] * n
         #: Jobs not yet shipped, as ``(spec, future, base_attempt)``.
@@ -137,16 +137,11 @@ class FleetBackend(ExecutorBackend):
                 f"{self.addresses[len(clients)]}: {exc}") from exc
         return clients
 
-    def _attach(self, index: int, client: WorkerClient) -> None:
-        self._clients[index] = client
-        self._slots[index] = max(1, int(client.welcome.get("slots", 1)))
-
     def _ensure_started(self) -> None:
         with self._fleet_lock:
             if self._started:
                 return
-            for index, client in enumerate(self._open_workers()):
-                self._attach(index, client)
+            self._clients = self._open_workers()
             self._started = True
 
     def _index_of(self, client: WorkerClient) -> int | None:
@@ -171,25 +166,22 @@ class FleetBackend(ExecutorBackend):
         return future
 
     def _pick(self) -> int | None:
-        """The live worker with a free slot and the fewest jobs in flight.
+        """An idle live worker, or None when every one is busy.
 
-        Ties rotate among the tied workers, so a sweep's first job does
+        Ties rotate among the idle workers, so a sweep's first job does
         not always land on the same worker.
         """
-        free = [i for i in self._live_indices()
-                if self._loads[i] < self._slots[i]]
-        if not free:
+        idle = [i for i in self._live_indices() if not self._loads[i]]
+        if not idle:
             return None
-        least = min(self._loads[i] for i in free)
-        tied = [i for i in free if self._loads[i] == least]
-        if len(tied) == 1:
-            return tied[0]
+        if len(idle) == 1:
+            return idle[0]
         self._ties += 1
-        return tied[(self._ties - 1) % len(tied)]
+        return idle[(self._ties - 1) % len(idle)]
 
     def _dispatch(self) -> None:
-        """Ship held jobs while workers have free slots (lock held); with
-        no worker live or rejoining, resolve them with WorkerLost."""
+        """Ship held jobs while workers are idle (lock held); with no
+        worker live or rejoining, resolve them with WorkerLost."""
         while self._held:
             index = self._pick()
             if index is None:
@@ -233,10 +225,10 @@ class FleetBackend(ExecutorBackend):
     def _cancel_inflight(self, future: JobFuture) -> None:
         """Ask the worker to drop a cancelled in-flight job (best-effort).
 
-        The entry keeps its slot, and a local worker's overstay watch,
-        until the worker answers the token: with the job's outcome if
-        it already started, or with an ``ERROR`` frame if the ``CANCEL``
-        dequeued it.
+        The entry keeps its worker busy, and a local worker's overstay
+        watch, until the worker answers the token: with the job's outcome
+        if it already started, or with an ``ERROR`` frame if the
+        ``CANCEL`` dequeued it.
         """
         if not future.cancelled():
             return
@@ -329,7 +321,7 @@ class FleetBackend(ExecutorBackend):
             elif client is None:
                 self.reconnect_failures += 1
             else:
-                self._attach(index, client)
+                self._clients[index] = client
                 self.reconnects += 1
             self._dispatch()
 

@@ -164,9 +164,9 @@ class ProcessBackend(FleetBackend):
                               * max(1, policy.max_attempts - base)
                               + policy.total_backoff_s(base)
                               + self.KILL_GRACE_S)
-                    # A job ships only to a free slot, so it starts on
-                    # arrival; a cancelled one holds its slot until the
-                    # worker is done with it, and stays watched.
+                    # A job ships only to an idle worker, so it starts on
+                    # arrival; a cancelled one keeps its worker busy until
+                    # the worker is done with it, and stays watched.
                     if now - entry["shipped_at"] > budget:
                         entry["killed"] = True
                         process.kill()

@@ -9,8 +9,7 @@ anything.
 
 The conversation starts with a version handshake: the client sends
 ``HELLO {version, client}``; the worker answers ``WELCOME {version,
-worker, pid, slots}`` or ``REJECT {reason}`` when the versions
-disagree.  Both sides check — a protocol bump must never be papered
+worker, pid}`` or ``REJECT {reason}`` when the versions disagree.  Both sides check — a protocol bump must never be papered
 over by luck of pickle compatibility.
 
 Job frames are multiplexed over one connection by client-chosen
@@ -43,7 +42,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 # -- frame kinds --------------------------------------------------------------
 
 HELLO = "hello"              #: client -> worker: {version, client}
-WELCOME = "welcome"          #: worker -> client: {version, worker, pid, slots}
+WELCOME = "welcome"          #: worker -> client: {version, worker, pid}
 REJECT = "reject"            #: worker -> client: {reason, version}
 SUBMIT = "submit"            #: client -> worker: {token, spec, base_attempt}
 CANCEL = "cancel"            #: client -> worker: {token} (ERROR if it dequeued the job)

@@ -13,11 +13,10 @@ pickled :class:`JobSpec`\\ s on ``SUBMIT`` frames and run through
 by the client's token.
 
 Concurrency model: one accept loop (daemons only), one reader thread
-per connection, and a shared :class:`ThreadPoolExecutor` with ``slots``
-job lanes (default 1 — scale a host by running more daemons, which
-keeps each daemon's pool/cache access effectively serial).  Heartbeats
-and stats requests are answered from the reader thread, so a worker
-stays responsive while a job runs.
+per connection, and one job thread, so a worker runs one job at a time
+(scale a host by running more daemons).  Heartbeats and stats requests
+are answered from the reader thread, so a worker stays responsive while
+a job runs.
 
 Injected *crash* faults degrade to transient errors in a daemon (like
 the serial backend): a daemon is shared infrastructure that outlives any
@@ -47,21 +46,20 @@ from repro.utils.errors import JobCancelled, ProtocolError
 
 
 class WorkerServer:
-    """One fleet worker: accept loop, job lanes, warm pool + caches.
+    """One fleet worker: accept loop, one job thread, warm pool + caches.
 
     ``host=None`` opens no listener: the worker then serves only the
     sockets passed to :meth:`serve`.
     """
 
     def __init__(self, host: str | None = "127.0.0.1", port: int = 0, *,
-                 slots: int = 1, faults: FaultPlan | None = None,
+                 faults: FaultPlan | None = None,
                  name: str | None = None, allow_crash: bool = False):
-        self.pool = MachinePool(label="fleet-worker")
+        self.pool = MachinePool()
         self.cache = CompileCache()
         self.replay_cache = ReplayCache()
         self.metrics = MetricsRegistry()
         self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.slots = max(1, int(slots))
         self.allow_crash = allow_crash
         #: ``(host, port)`` of the listener; None for a worker that only
         #: serves sockets handed to :meth:`serve` (``host=None``).
@@ -72,7 +70,7 @@ class WorkerServer:
             self.address = self._listener.getsockname()[:2]
         self.name = (name if name is not None
                      else "worker:%s:%d" % self.address)
-        self._jobs = ThreadPoolExecutor(max_workers=self.slots,
+        self._jobs = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="fleet-job")
         self._closed = threading.Event()
         self._accept_thread: threading.Thread | None = None
@@ -221,7 +219,6 @@ class WorkerServer:
                 "version": protocol.PROTOCOL_VERSION,
                 "worker": self.name,
                 "pid": os.getpid(),
-                "slots": self.slots,
             })
         return True
 
@@ -235,7 +232,7 @@ class WorkerServer:
             if handle is not None and handle.cancel():
                 # Dequeued before it started (the done-callback counts
                 # it): no result will follow, so say so — the client
-                # holds the job's slot until the token is answered.
+                # counts the worker busy until the token is answered.
                 self._reply(conn, wlock, protocol.ERROR, {
                     "token": token,
                     "error": JobCancelled(f"job {token} dequeued")})
@@ -320,7 +317,6 @@ class WorkerServer:
             "pid": os.getpid(),
             "address": ("%s:%d" % self.address if self.address is not None
                         else None),
-            "slots": self.slots,
             "active": active,
             "connections": connections,
             "connections_total": self.connections_total,
@@ -337,8 +333,7 @@ class WorkerServer:
         }
 
 
-def run_worker(listen: str = "127.0.0.1:0", slots: int = 1,
-               name: str | None = None) -> int:
+def run_worker(listen: str = "127.0.0.1:0", name: str | None = None) -> int:
     """``repro worker`` entry point: serve until SIGINT/SIGTERM/shutdown.
 
     Prints the bound address on stdout (``--listen host:0`` picks an
@@ -346,10 +341,10 @@ def run_worker(listen: str = "127.0.0.1:0", slots: int = 1,
     worker landed.
     """
     host, port = parse_address(listen)
-    server = WorkerServer(host, port, slots=slots, name=name)
+    server = WorkerServer(host, port, name=name)
     print(f"repro worker listening on "
           f"{server.address[0]}:{server.address[1]} "
-          f"(pid {os.getpid()}, slots {server.slots})", flush=True)
+          f"(pid {os.getpid()})", flush=True)
 
     def _terminate(signum, frame):
         raise SystemExit(0)

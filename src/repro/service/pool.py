@@ -33,22 +33,19 @@ def pool_key(config: MachineConfig) -> str:
 
 
 class MachinePool:
-    """Idle QuMA instances grouped by config compatibility key.
+    """Idle QuMA instances grouped by config compatibility key."""
 
-    ``max_idle_total`` bounds memory for long-lived pools (such as a
-    worker daemon's) sweeping many distinct configs: when
-    the bound is hit, the least-recently-released machine is evicted,
-    whatever key it belongs to.
-    """
+    #: Idle machines kept per compatibility key; a release past it drops
+    #: the machine.
+    MAX_IDLE_PER_KEY = 4
+    #: Idle machines kept in all.  Bounds memory for long-lived pools
+    #: (such as a worker daemon's) sweeping many distinct configs: when
+    #: the bound is hit, the least-recently-released machine is evicted,
+    #: whatever key it belongs to.
+    MAX_IDLE_TOTAL = 16
 
-    def __init__(self, max_idle_per_key: int = 4, max_idle_total: int = 16,
-                 label: str = ""):
-        #: owner tag shown in stats (e.g. whether the service or a fleet
-        #: worker holds this pool).
-        self.label = label
-        self.max_idle_per_key = max_idle_per_key
-        self.max_idle_total = max_idle_total
-        # Fleet workers with several job lanes share one pool; machine
+    def __init__(self):
+        # A serial engine runs jobs on every thread that submits; machine
         # *construction* stays outside the lock (it dominates and is
         # purely local), only the idle bookkeeping is guarded.
         self._mutex = threading.Lock()
@@ -80,11 +77,11 @@ class MachinePool:
         key = pool_key(machine.config)
         with self._mutex:
             idle = self._idle.setdefault(key, [])
-            if len(idle) >= self.max_idle_per_key:
+            if len(idle) >= self.MAX_IDLE_PER_KEY:
                 return
             idle.append(machine)
             self._released.append((key, machine))
-            while self._idle_count() > self.max_idle_total and self._released:
+            while self._idle_count() > self.MAX_IDLE_TOTAL and self._released:
                 old_key, old_machine = self._released.popleft()
                 old_idle = self._idle.get(old_key, [])
                 if old_machine in old_idle:  # skip stale (re-acquired) entries
@@ -95,19 +92,7 @@ class MachinePool:
     def _idle_count(self) -> int:
         return sum(len(v) for v in self._idle.values())
 
-    def idle_count(self) -> int:
-        with self._mutex:
-            return self._idle_count()
-
     def stats(self) -> dict:
         with self._mutex:
-            stats = {"builds": self.builds, "reuses": self.reuses,
-                     "idle": self._idle_count(), "keys": len(self._idle)}
-        if self.label:
-            stats["label"] = self.label
-        return stats
-
-    def clear(self) -> None:
-        with self._mutex:
-            self._idle.clear()
-            self._released.clear()
+            return {"builds": self.builds, "reuses": self.reuses,
+                    "idle": self._idle_count(), "keys": len(self._idle)}

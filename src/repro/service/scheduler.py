@@ -7,15 +7,17 @@ One :class:`ExperimentService` owns one executor backend, its engine
 * :meth:`submit` — hand one spec to the engine, get a
   :class:`~repro.service.job.JobFuture` back immediately;
 * :meth:`iter_completed` — stream :class:`JobResult`\\ s in *completion*
-  order as outstanding submissions finish;
+  order as outstanding submissions finish (:meth:`iter_futures` is the
+  scoped drain of one submission group);
 * :meth:`run_batch` / :meth:`run_sweep` — thin deterministic-order
   wrappers: submit everything, gather in submission order.
 
 ``backend=`` selects the engine: ``"serial"``, ``"process"`` (local
 worker processes) or ``"fleet"`` (remote ``repro worker`` daemons named
-by ``fleet_workers=``/``$REPRO_FLEET_WORKERS``).  The engine runs both
-kinds of spec: ``executor="quma"`` event-kernel jobs and
-``executor="baseline"`` APS2 cost-model jobs, so one batch can
+by ``fleet_workers=``/``$REPRO_FLEET_WORKERS``).  Every job runs on the
+engine, :meth:`run_job` and a one-spec :meth:`run_batch` included.  The
+engine runs both kinds of spec: ``executor="quma"`` event-kernel jobs
+and ``executor="baseline"`` APS2 cost-model jobs, so one batch can
 interleave both.  Job execution is a pure function of the spec (per-job
 RNG streams are re-derived from the spec's run seed), so all backends
 produce bit-identical results in submission order.
@@ -23,6 +25,7 @@ produce bit-identical results in submission order.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import queue
 import threading
@@ -35,10 +38,8 @@ from repro.service.backends import (
     ProcessBackend,
     SerialBackend,
     default_workers,
-    execute_with_retry,
 )
 from repro.service.backends.base import calibration_stats
-from repro.service.cache import CompileCache, ReplayCache
 from repro.service.faults import FaultPlan
 from repro.service.policy import RetryPolicy
 from repro.service.job import (
@@ -48,7 +49,6 @@ from repro.service.job import (
     SweepResult,
     derive_job_seed,
 )
-from repro.service.pool import MachinePool
 from repro.utils.errors import ConfigurationError
 
 
@@ -64,14 +64,11 @@ def grid(**axes: Iterable) -> list[dict]:
 
 
 class ExperimentService:
-    """Batched experiment orchestration over cache + pool + one engine."""
+    """Batched experiment orchestration over one engine."""
 
     BACKENDS = ("serial", "process", "fleet")
 
     def __init__(self, backend: str = "serial", workers: int | None = None,
-                 cache: CompileCache | None = None,
-                 pool: MachinePool | None = None,
-                 replay_cache: ReplayCache | None = None,
                  retry: RetryPolicy | None = None,
                  faults: FaultPlan | None = None,
                  job_timeout: float | None = None,
@@ -95,22 +92,10 @@ class ExperimentService:
         self.retry = retry
         self.job_timeout = job_timeout
         self.faults = faults if faults is not None else FaultPlan.from_env()
-        # Service-local state: the serial engine shares it; run_job always
-        # uses it (inline execution even on concurrent backends).
-        self.cache = cache if cache is not None else CompileCache()
-        self.pool = pool if pool is not None else MachinePool(label="service")
-        self.replay_cache = (replay_cache if replay_cache is not None
-                             else ReplayCache())
-        # Inline run_job execution needs a registry in this process; the
-        # serial engine shares cache + pool with the service, so it shares
-        # this registry too rather than split one process's counts in two.
-        self._inline_metrics = MetricsRegistry()
-        # The engine: the one executor backend every spec runs on.
+        # The engine: the one executor backend every spec runs on.  It
+        # owns the warm state (pool, caches) wherever the jobs run.
         if backend == "serial":
-            self.engine = SerialBackend(self.pool, self.cache,
-                                        self.replay_cache,
-                                        self._inline_metrics,
-                                        faults=self.faults)
+            self.engine = SerialBackend(faults=self.faults)
         elif backend == "process":
             self.engine = ProcessBackend(self.workers, faults=self.faults)
         else:
@@ -154,12 +139,11 @@ class ExperimentService:
         future or from the stream, either way exactly once per job.
         ``stream=False`` keeps the job out of the service-wide stream
         entirely: the caller owns its future and drains it directly or
-        via a scoped ``iter_completed(futures)``/:meth:`iter_futures`,
-        with no race against a concurrent service-wide consumer (the
-        experiment layer submits this way).
+        via the scoped :meth:`iter_futures`, with no race against a
+        concurrent service-wide consumer (the experiment layer submits
+        this way).  ``spec`` itself is never modified.
         """
-        self._apply_defaults(spec)
-        future = self.engine.submit(spec)
+        future = self.engine.submit(self._apply_defaults(spec))
         with self._stream_lock:
             future.index = self._submitted
             self._submitted += 1
@@ -172,17 +156,21 @@ class ExperimentService:
             future.add_done_callback(self._completed.put)
         return future
 
-    def _apply_defaults(self, spec: JobSpec) -> None:
-        """Fill a spec's unset failure-semantics fields from the service.
+    def _apply_defaults(self, spec: JobSpec) -> JobSpec:
+        """``spec`` with its unset failure-semantics fields filled in.
 
         A spec's own ``retry``/``timeout`` always wins; the service-wide
         defaults only cover the gaps, so one batch can mix per-job
-        policies with the ambient ones.
+        policies with the ambient ones.  The defaults land on a copy,
+        made only when one applies: the caller's spec may be submitted
+        again through another service.
         """
+        changes = {}
         if spec.retry is None and self.retry is not None:
-            spec.retry = self.retry
+            changes["retry"] = self.retry
         if spec.timeout is None and self.job_timeout is not None:
-            spec.timeout = self.job_timeout
+            changes["timeout"] = self.job_timeout
+        return dataclasses.replace(spec, **changes) if changes else spec
 
     def _observe(self, future: JobFuture) -> None:
         """Harvest one resolved future into the service-side registry.
@@ -261,21 +249,16 @@ class ExperimentService:
                 future.stream_collected = True
             yield future
 
-    def iter_completed(self, futures: Sequence[JobFuture] | None = None,
-                       timeout: float | None = None
+    def iter_completed(self, *, timeout: float | None = None
                        ) -> Iterator[JobResult]:
         """Yield results of outstanding submissions in completion order.
 
-        With ``futures`` (a submission group from :meth:`submit`), only
-        that group is drained; otherwise every submission not yet
-        collected by any stream is.  Either way each job is yielded
-        exactly once across all streams; jobs that failed re-raise here.
-        ``timeout`` bounds the wait for each *next* completion.
+        The service-wide stream: every streamed submission not yet
+        collected by any stream (a scoped drain of one group is
+        :meth:`iter_futures`).  Each job is yielded exactly once across
+        all streams; jobs that failed re-raise here.  ``timeout`` bounds
+        the wait for each *next* completion.
         """
-        if futures is not None:
-            for future in self.iter_futures(futures, timeout=timeout):
-                yield future.result()
-            return
         while True:
             with self._stream_lock:
                 if not self._pending:
@@ -308,16 +291,11 @@ class ExperimentService:
     # -- execution -----------------------------------------------------------
 
     def run_job(self, spec: JobSpec) -> JobResult:
-        """Execute a single job inline (serially, even on worker backends).
+        """Execute a single job on the engine and return its result.
 
-        The job runs against the service-local cache and pool.  Failure
-        semantics match submitted execution: the spec's (or service's)
-        retry policy, timeout, and fault plan all apply.
+        Kept out of the service-wide stream; a failed job re-raises here.
         """
-        self._apply_defaults(spec)
-        return execute_with_retry(
-            spec, self.pool, self.cache, self.replay_cache,
-            metrics=self._inline_metrics, faults=self.faults)
+        return self.submit(spec, stream=False).result()
 
     def run_batch(self, specs: Sequence[JobSpec]) -> SweepResult:
         """Execute jobs, returning results in submission order.
@@ -327,22 +305,9 @@ class ExperimentService:
         gathered in submission order, so the merged :class:`SweepResult`
         is bit-identical across backends for the same specs.
         """
-        specs = list(specs)
         t0 = time.perf_counter()
-        if len(specs) == 1:
-            # A lone job never pays worker-pool spin-up.  Wrapped in a
-            # future anyway so queue-wait stamping and the service-side
-            # metrics harvest see it like any other job.
-            future = JobFuture(specs[0])
-            try:
-                future.set_result(self.run_job(specs[0]))
-            except Exception as exc:
-                future.set_exception(exc)
-            self._observe(future)
-            results = [future.result()]
-        else:
-            futures = [self.submit(spec, stream=False) for spec in specs]
-            results = [future.result() for future in futures]
+        futures = [self.submit(spec, stream=False) for spec in specs]
+        results = [future.result() for future in futures]
         return SweepResult.from_jobs(results, time.perf_counter() - t0,
                                      self.backend)
 
@@ -392,14 +357,11 @@ class ExperimentService:
         return summary
 
     def stats(self) -> dict:
-        """Service-local cache/pool/memo state plus the engine's stats."""
+        """The engine's stats plus this process's memos and metrics."""
         return {
             "backend": self.backend,
             "submitted": self._submitted,
             "engine": self.engine.stats(),
-            "cache": self.cache.stats(),
-            "pool": self.pool.stats(),
-            "replay_cache": self.replay_cache.stats(),
             "calibration": calibration_stats(),
             "metrics": self.metrics_summary(),
         }

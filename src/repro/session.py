@@ -31,6 +31,7 @@ submission-ordered sweep, so outputs stay bit-identical across backends.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from typing import Callable, Iterator
 
@@ -40,7 +41,6 @@ from repro.experiments.base import (
     REGISTRY,
     Estimate,
     Experiment,
-    ExperimentRegistry,
     estimate_artifact,
     normalize_targets,
 )
@@ -187,13 +187,11 @@ class Session:
                  backend: str = "serial", workers: int | None = None,
                  seed: int | None = None,
                  service: ExperimentService | None = None,
-                 registry: ExperimentRegistry | None = None,
                  telemetry: bool = False, sim_trace: bool = False,
                  retry: RetryPolicy | None = None,
                  faults: FaultPlan | None = None,
                  job_timeout: float | None = None,
                  fleet_workers=None):
-        self.registry = registry if registry is not None else REGISTRY
         self._own_service = service is None
         if service is not None and (retry is not None or faults is not None
                                     or job_timeout is not None
@@ -240,7 +238,7 @@ class Session:
 
     def experiments(self) -> tuple[str, ...]:
         """Registered experiment names."""
-        return self.registry.names()
+        return REGISTRY.names()
 
     #: IF spacing between neighboring wired qubits on an auto-built
     #: multiplexed config (Hz).
@@ -290,7 +288,7 @@ class Session:
         without the caller spelling one out.  A session-pinned config
         instead lets the experiment pick defaults from the wiring.
         """
-        cls = self.registry.get(name)
+        cls = REGISTRY.get(name)
         normalized = normalize_targets(targets, qubits)
         if normalized is None and self.config is None:
             normalized = cls.default_session_targets(params)
@@ -314,11 +312,14 @@ class Session:
         Specs are submitted outside the service-wide stream
         (``stream=False``): the returned future owns its jobs, so a
         concurrent ``service.iter_completed()`` consumer never sees them.
+        The session's ``telemetry`` flag lands on copies: the experiment
+        keeps its own specs as built.
         """
         specs = experiment.build_specs()
         if self.telemetry:
-            for spec in specs:
-                spec.telemetry = True
+            specs = [spec if spec.telemetry
+                     else dataclasses.replace(spec, telemetry=True)
+                     for spec in specs]
         t0 = time.perf_counter()
         futures = [self.service.submit(spec, stream=False) for spec in specs]
         return ExperimentFuture(experiment, futures, self.service, t0)

@@ -21,7 +21,6 @@ parametrized backend (the CI matrix runs one backend per job).
 """
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -34,9 +33,7 @@ from repro.readout.calibration import joint_outcome_counts
 from repro.service import ExperimentService, JobSpec
 from repro.utils.errors import CalibrationError, ConfigurationError, JobError
 
-ALL_BACKENDS = ("serial", "process")
-_PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
-BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
+from conftest import BACKENDS_UNDER_TEST
 
 #: Fast parameters for the registry-driven parity suite: every
 #: registered experiment MUST have an entry (asserted below), so a new

@@ -16,16 +16,13 @@ parametrized backend (the CI matrix runs one backend per job).
 """
 
 import dataclasses
-import os
 
 import numpy as np
 import pytest
 
 from repro.session import Session
 
-ALL_BACKENDS = ("serial", "process")
-_PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
-BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
+from conftest import BACKENDS_UNDER_TEST
 
 #: (experiment, targets, params) — widths 2-4 across the whole family.
 CASES = (
@@ -121,7 +118,7 @@ class TestJointPlanCache:
         for job in jobs[1:]:
             assert job.replay_plan_hit
             assert job.replayed_rounds == 8  # all rounds, no event kernel
-        cache_stats = stats["replay_cache"]
+        cache_stats = stats["engine"]["replay_cache"]
         assert cache_stats["hits"] >= 2
 
     def test_fallback_reason_surfaces_on_jobs(self):

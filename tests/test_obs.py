@@ -23,7 +23,6 @@ from repro.obs import (
     JobTelemetry,
     MetricsRegistry,
     Span,
-    SpanRecorder,
     chrome_trace_events,
     load_metrics_artifact,
     percentile,
@@ -47,18 +46,6 @@ def test_span_duration_and_shift():
     assert moved.name == "compile"
     assert moved.meta == {"cache_hit": True}
     assert span.start_s == 1.0  # original untouched (frozen)
-
-
-def test_span_recorder_is_epoch_relative():
-    rec = SpanRecorder(epoch=100.0)
-    rec.record("compile", 100.25, 100.75, cache_hit=False)
-    with rec.span("execute"):
-        pass
-    assert rec.spans[0].start_s == pytest.approx(0.25)
-    assert rec.spans[0].end_s == pytest.approx(0.75)
-    assert rec.spans[0].meta == {"cache_hit": False}
-    assert rec.spans[1].name == "execute"
-    assert rec.spans[1].duration_s >= 0.0
 
 
 def test_rebase_prepends_queue_wait_and_anchors_epoch():

@@ -10,8 +10,6 @@ parametrized backend (the CI matrix runs one backend per job); unset, the
 tests cover serial and process.
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -26,9 +24,7 @@ from repro.service import (
 )
 from repro.utils.errors import ConfigurationError, ReproError
 
-ALL_BACKENDS = ("serial", "process")
-_PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
-BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
+from conftest import BACKENDS_UNDER_TEST
 
 
 @pytest.fixture(params=BACKENDS_UNDER_TEST)
@@ -100,6 +96,24 @@ class TestParity:
             results = [f.result() for f in futures]
         assert np.array_equal(serial.averages(),
                               np.stack([r.averages for r in results]))
+
+
+class TestOneLane:
+    def test_run_job_and_lone_batch_run_on_the_engine(self, backend):
+        """Neither call has a path of its own: both jobs are the
+        engine's, counted like any submission, with serial's bytes."""
+        spec = flip_spec(seed=4, label="lone")
+        serial = ExperimentService().run_job(spec)
+        with ExperimentService(backend=backend, workers=2) as svc:
+            jobs = [svc.run_job(spec), svc.run_batch([spec])[0]]
+            stats = svc.stats()
+        assert stats["engine"]["submitted"] == 2
+        assert stats["metrics"]["service"]["counters"]["service.jobs"] == 2
+        for job in jobs:
+            assert job.averages.tobytes() == serial.averages.tobytes()
+            assert (job.s_ground, job.s_excited) == \
+                (serial.s_ground, serial.s_excited)
+            assert (job.seed, job.label) == (serial.seed, serial.label)
 
 
 class TestFutures:
@@ -189,8 +203,12 @@ class TestIterCompleted:
             assert len(list(svc.iter_completed(timeout=10))) == 1
 
 
+def labels(futures):
+    return [future.result().label for future in futures]
+
+
 class TestScopedDraining:
-    """iter_completed(futures): one sweep's stream on a shared service."""
+    """iter_futures(futures): one sweep's stream on a shared service."""
 
     def test_group_stream_yields_only_its_own_jobs(self, backend):
         with ExperimentService(backend=backend, workers=2) as svc:
@@ -198,8 +216,8 @@ class TestScopedDraining:
                        for s in range(3)]
             group_b = [svc.submit(flip_spec(seed=s, label=f"b{s}"))
                        for s in range(3, 6)]
-            got_a = [r.label for r in svc.iter_completed(group_a)]
-            got_b = [r.label for r in svc.iter_completed(group_b)]
+            got_a = labels(svc.iter_futures(group_a))
+            got_b = labels(svc.iter_futures(group_b))
         assert sorted(got_a) == ["a0", "a1", "a2"]
         assert sorted(got_b) == ["b3", "b4", "b5"]
 
@@ -208,7 +226,7 @@ class TestScopedDraining:
             scoped = [svc.submit(flip_spec(seed=s, label=f"s{s}"))
                       for s in range(2)]
             svc.submit(flip_spec(seed=7, label="loose"))
-            got_scoped = [r.label for r in svc.iter_completed(scoped)]
+            got_scoped = labels(svc.iter_futures(scoped))
             got_global = [r.label for r in svc.iter_completed()]
         assert sorted(got_scoped) == ["s0", "s1"]
         # The service-wide stream skips scoped-collected jobs.
@@ -230,11 +248,11 @@ class TestScopedDraining:
         with ExperimentService(backend=backend, workers=2) as svc:
             futures_a = [svc.submit(spec) for spec in specs_a]
             futures_b = [svc.submit(spec, stream=False) for spec in specs_b]
-            seen_b = list(svc.iter_completed(futures_b))
-            seen_a = list(svc.iter_completed(futures_a))
-        assert sorted(r.label for r in seen_a) == ["a0", "a1", "a2"]
-        assert sorted(r.label for r in seen_b) == ["b0", "b1", "b2"]
-        assert [f.result().label for f in futures_b] == ["b0", "b1", "b2"]
+            seen_b = labels(svc.iter_futures(futures_b))
+            seen_a = labels(svc.iter_futures(futures_a))
+        assert sorted(seen_a) == ["a0", "a1", "a2"]
+        assert sorted(seen_b) == ["b0", "b1", "b2"]
+        assert labels(futures_b) == ["b0", "b1", "b2"]
 
     def test_global_then_scoped_yields_each_job_once(self, backend):
         """A job the service-wide stream already yielded is skipped by a
@@ -242,14 +260,18 @@ class TestScopedDraining:
         with ExperimentService(backend=backend, workers=2) as svc:
             future = svc.submit(flip_spec(seed=1, label="x"))
             got_global = [r.label for r in svc.iter_completed()]
-            got_scoped = [r.label for r in svc.iter_completed([future])]
+            got_scoped = labels(svc.iter_futures([future]))
         assert got_global == ["x"]
         assert got_scoped == []
 
     def test_scoped_timeout(self):
         with ExperimentService() as svc:
             futures = [svc.submit(flip_spec())]
-            assert len(list(svc.iter_completed(futures, timeout=10))) == 1
+            assert len(list(svc.iter_futures(futures, timeout=10))) == 1
+            # The service-wide stream takes no group: a stray positional
+            # argument fails loudly instead of draining nothing.
+            with pytest.raises(TypeError):
+                svc.iter_completed(futures)
 
     def test_scoped_sweep_matches_run_batch(self, backend):
         """A sweep drained through its own futures streams every seed and
@@ -258,7 +280,7 @@ class TestScopedDraining:
         serial = ExperimentService().run_batch(specs)
         with ExperimentService(backend=backend, workers=2) as svc:
             futures = [svc.submit(spec, stream=False) for spec in specs]
-            seen = list(svc.iter_completed(futures))
+            seen = [f.result() for f in svc.iter_futures(futures)]
             sweep = SweepResult.from_jobs([f.result() for f in futures],
                                           0.0, svc.backend)
         assert np.array_equal(serial.averages(), sweep.averages())

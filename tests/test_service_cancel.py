@@ -17,8 +17,6 @@ Set ``REPRO_SERVICE_BACKEND`` to pin the parametrized backend (the CI
 matrix runs one backend per job; the fleet job adds loopback daemons).
 """
 
-import os
-
 import numpy as np
 import pytest
 
@@ -29,9 +27,7 @@ from repro.service import ExperimentService, JobSpec
 from repro.service.fleet import WorkerServer
 from repro.utils.errors import JobCancelled
 
-ALL_BACKENDS = ("serial", "process")
-_PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
-BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
+from conftest import BACKENDS_UNDER_TEST
 
 
 def fast_config():
@@ -56,7 +52,7 @@ def service(request):
     """A one-lane service per backend, so submissions actually queue."""
     backend = request.param
     if backend == "fleet":
-        worker = WorkerServer(slots=1).start()
+        worker = WorkerServer().start()
         svc = ExperimentService(backend="fleet",
                                 fleet_workers=["%s:%d" % worker.address])
         yield svc

@@ -27,9 +27,7 @@ from repro.core import MachineConfig
 from repro.service import ExperimentService, JobSpec
 from repro.utils.errors import ConfigurationError
 
-ALL_BACKENDS = ("serial", "process")
-_PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
-BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
+from conftest import BACKENDS_UNDER_TEST
 
 
 @pytest.fixture(params=BACKENDS_UNDER_TEST)

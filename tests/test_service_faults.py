@@ -53,9 +53,8 @@ from repro.utils.errors import (
     WorkerLost,
 )
 
-ALL_BACKENDS = ("serial", "process")
-_PINNED = os.environ.get("REPRO_SERVICE_BACKEND")
-BACKENDS_UNDER_TEST = (_PINNED,) if _PINNED else ALL_BACKENDS
+from conftest import BACKENDS_UNDER_TEST
+
 CONCURRENT_UNDER_TEST = tuple(b for b in BACKENDS_UNDER_TEST
                               if b != "serial")
 

@@ -254,21 +254,20 @@ class TestProtocol:
             assert client.ping(timeout=10.0)["active"] >= 0
             stats = client.stats(timeout=10.0)
             assert stats["worker"] == worker_pair[0].name
-            assert stats["slots"] == 1
             assert "pool" in stats and "cache" in stats
         finally:
             client.close()
 
     def test_cancel_that_dequeues_a_job_is_answered(self):
-        # Token 1 queues behind token 0's hang on a one-slot worker; the
-        # CANCEL dequeues it, and the worker says so at once, so the
-        # client can free the slot it held for token 1.
+        # Token 1 queues behind token 0's hang on the worker's one job
+        # thread; the CANCEL dequeues it, and the worker says so at once,
+        # so the client stops counting the worker busy with token 1.
         replies = []
 
         def record(client, token, outcome):
             replies.append((token, type(outcome).__name__))
 
-        worker = WorkerServer(slots=1).start()
+        worker = WorkerServer().start()
         client = WorkerClient(addr_of(worker), on_result=record,
                               on_error=record).connect()
         hang = FaultPlan(seed=0, rate=1.0, kinds=("hang",), hang_s=2.0,
@@ -623,12 +622,12 @@ class TestRecordedFailures:
 
 class TestDaemon:
     def test_launch_worker_announces_bound_address(self):
-        proc, addr = launch_worker(slots=2)
+        proc, addr = launch_worker()
         try:
             host, port = parse_address(addr)
             assert host == "127.0.0.1" and port > 0
             client = WorkerClient(addr).connect()
-            assert client.welcome["slots"] == 2
+            assert client.welcome["pid"] == proc.pid
             client.close()
         finally:
             stop_worker(proc)

@@ -64,20 +64,22 @@ class TestMachinePool:
         machine.config.dcu_points = 99
         assert mine.dcu_points == 1
 
-    def test_idle_cap_drops_excess(self):
-        pool = MachinePool(max_idle_per_key=1)
+    def test_idle_cap_drops_excess(self, monkeypatch):
+        monkeypatch.setattr(MachinePool, "MAX_IDLE_PER_KEY", 1)
+        pool = MachinePool()
         m1, _ = pool.acquire(config())
         m2, _ = pool.acquire(config())
         pool.release(m1)
         pool.release(m2)
-        assert pool.idle_count() == 1
+        assert pool.stats()["idle"] == 1
 
-    def test_total_cap_evicts_least_recently_released(self):
-        pool = MachinePool(max_idle_per_key=4, max_idle_total=2)
+    def test_total_cap_evicts_least_recently_released(self, monkeypatch):
+        monkeypatch.setattr(MachinePool, "MAX_IDLE_TOTAL", 2)
+        pool = MachinePool()
         machines = [pool.acquire(config(seed=s))[0] for s in range(3)]
         for m in machines:
             pool.release(m)
-        assert pool.idle_count() == 2
+        assert pool.stats()["idle"] == 2
         # The oldest release (seed=0) was evicted; seed=1 and 2 survive.
         _, reused0 = pool.acquire(config(seed=0))
         _, reused2 = pool.acquire(config(seed=2))

@@ -35,7 +35,7 @@ class TestServiceReplay:
                                    for i in range(3)])
         assert [j.replay_plan_hit for j in sweep] == [False, True, True]
         assert [j.replayed_rounds for j in sweep] == [4, 6, 6]
-        assert service.replay_cache.stats()["hits"] == 2
+        assert service.engine.replay_cache.stats()["hits"] == 2
         # different seeds must still give different draws
         assert not np.array_equal(sweep[0].averages, sweep[1].averages)
 

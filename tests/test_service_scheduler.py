@@ -169,9 +169,3 @@ class TestProcessBackend:
         with ExperimentService(backend="process", workers=2) as service:
             parallel = service.run_sweep(make_rabi, points, seed_root=3)
         assert np.array_equal(serial.averages(), parallel.averages())
-
-    def test_single_job_batch_stays_in_process(self):
-        with ExperimentService(backend="process", workers=2) as service:
-            sweep = service.run_batch([flip_spec()])
-        # No executor spawned for a single job; pool stats show local work.
-        assert service.pool.builds == 1

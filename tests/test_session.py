@@ -280,6 +280,25 @@ def test_session_wraps_external_service_without_closing():
     service.close()
 
 
+def test_submitting_leaves_the_experiments_specs_untouched():
+    """A service's retry/timeout defaults and a session's telemetry flag
+    ride on copies, so the next session runs the experiment as built."""
+    from repro.service import ExperimentService, RetryPolicy
+
+    experiment = Session(fast_config()).create("allxy", n_rounds=2)
+    with ExperimentService(retry=RetryPolicy(max_attempts=3),
+                           job_timeout=30.0) as service:
+        first = Session(service=service, telemetry=True).submit(experiment)
+        first.result()
+    second = Session().submit(experiment)
+    second.result()
+    assert all(job.telemetry is not None for job in first.sweep)
+    assert all(job.telemetry is None for job in second.sweep)
+    for spec in experiment.build_specs():
+        assert (spec.retry, spec.timeout, spec.telemetry) == \
+            (None, None, False)
+
+
 def test_two_sessions_share_service_without_stealing_results():
     """Scoped draining: interleaved experiments keep their own streams."""
     from repro.service import ExperimentService

@@ -24,7 +24,8 @@ from repro.obs import (
     validate_chrome_trace,
 )
 from repro.service import SweepResult
-from test_entangling import BACKENDS_UNDER_TEST, FAST_PARAMS
+from conftest import BACKENDS_UNDER_TEST
+from test_entangling import FAST_PARAMS
 
 
 def _canonical(backend: str, name: str, telemetry: bool,
