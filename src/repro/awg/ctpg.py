@@ -56,7 +56,8 @@ class CodewordTriggeredPulseGenerator:
                 f"{self.name}: codeword {codeword} has no uploaded waveform")
         waveform = self._dac_waveform(codeword)
         start = now + self.fixed_delay_ns
-        self.trace.emit(now, self.name, "codeword", codeword=codeword)
+        if self.trace.enabled:
+            self.trace.emit(now, self.name, "codeword", codeword=codeword)
         self.sim.at(start, lambda: self._play(waveform, codeword))
 
     def _dac_waveform(self, codeword: int) -> Waveform:
@@ -73,8 +74,9 @@ class CodewordTriggeredPulseGenerator:
         return quantized
 
     def _play(self, waveform: Waveform, codeword: int) -> None:
-        self.trace.emit(self.sim.now, self.name, "pulse_start",
-                        codeword=codeword, name=waveform.name,
-                        duration_ns=waveform.duration_ns,
-                        qubits=self.target_qubits)
+        if self.trace.enabled:
+            self.trace.emit(self.sim.now, self.name, "pulse_start",
+                            codeword=codeword, name=waveform.name,
+                            duration_ns=waveform.duration_ns,
+                            qubits=self.target_qubits)
         self.sink(self.target_qubits, waveform, self.sim.now)

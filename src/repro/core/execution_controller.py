@@ -46,11 +46,15 @@ class ExecutionController:
         self.data_memory: dict[int, int] = {}
         self._pending_uinstrs: list[ins.Instruction] = []
         self._stall_started: int | None = None
+        #: per-instruction source registers, decoded once at load
+        self._sources: list[tuple[int, ...]] = []
 
     # -- control --------------------------------------------------------------
 
     def load(self, program: Program) -> None:
         self.program = program
+        self._sources = [self._source_registers(instr)
+                         for instr in program.instructions]
         self.pc = 0
         self.halted = False
         self.instructions_executed = 0
@@ -61,6 +65,7 @@ class ExecutionController:
         self._jitter_rng = derive_rng(
             self.config.seed if seed is None else seed, "classical_jitter")
         self.program = None
+        self._sources = []
         self.pc = 0
         self.halted = True
         self.instructions_executed = 0
@@ -116,12 +121,13 @@ class ExecutionController:
                 return
             instr = self.program.instructions[self.pc]
 
-            sources = self._source_registers(instr)
+            sources = self._sources[self.pc]
             if sources and self.registers.any_pending(sources):
                 # Feedback stall: a measurement result is still in flight.
                 self._begin_stall()
-                self.trace.emit(self.sim.now, "exec_ctrl", "stall_pending",
-                                pc=self.pc, regs=sources)
+                if self.trace.enabled:
+                    self.trace.emit(self.sim.now, "exec_ctrl",
+                                    "stall_pending", pc=self.pc, regs=sources)
                 self.registers.wait_for(sources, self._on_unstalled)
                 return
 
@@ -163,8 +169,9 @@ class ExecutionController:
         while self._pending_uinstrs:
             if not self.qmb.accept(self._pending_uinstrs[0]):
                 self._begin_stall()
-                self.trace.emit(self.sim.now, "exec_ctrl", "stall_backpressure",
-                                pc=self.pc)
+                if self.trace.enabled:
+                    self.trace.emit(self.sim.now, "exec_ctrl",
+                                    "stall_backpressure", pc=self.pc)
                 self.qmb.tcu.wait_for_space(self._on_space)
                 return False
             accepted = self._pending_uinstrs.pop(0)

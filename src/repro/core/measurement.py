@@ -73,9 +73,11 @@ class MeasurementPath:
         signals are frequency-multiplexed into a single record (Section
         5.1.2), which each qubit's MDU later filters.
         """
-        self.trace.emit(self.sim.now, "digital_out", "mpg_trigger",
-                        qubits=event.qubits, duration=event.duration_cycles,
-                        codeword=self.config.msmt_codeword)
+        if self.trace.enabled:
+            self.trace.emit(self.sim.now, "digital_out", "mpg_trigger",
+                            qubits=event.qubits,
+                            duration=event.duration_cycles,
+                            codeword=self.config.msmt_codeword)
         start = self.sim.now + self.config.msmt_path_delay_ns
         duration_ns = cycles_to_ns(event.duration_cycles)
         self.sim.at(start, self._make_begin(event.qubits, duration_ns))
@@ -104,9 +106,11 @@ class MeasurementPath:
                 self._active[q] = _ActiveMeasurement(
                     start_ns=self.sim.now, duration_ns=duration_ns,
                     trace=record, outcome=outcomes[q])
-                self.trace.emit(self.sim.now, "readout", "msmt_pulse_start",
-                                qubit=q, duration_ns=duration_ns,
-                                outcome=outcomes[q])
+                if self.trace.enabled:
+                    self.trace.emit(self.sim.now, "readout",
+                                    "msmt_pulse_start", qubit=q,
+                                    duration_ns=duration_ns,
+                                    outcome=outcomes[q])
         return begin
 
     # -- MD: measurement discrimination -------------------------------------------
@@ -115,8 +119,9 @@ class MeasurementPath:
         """An MD trigger fired at the current time."""
         start = self.sim.now + self.config.msmt_path_delay_ns
         for q in event.qubits:
-            self.trace.emit(self.sim.now, "timing_ctrl", "md_dispatch",
-                            qubit=q, rd=event.rd, mdu=f"mdu{q}")
+            if self.trace.enabled:
+                self.trace.emit(self.sim.now, "timing_ctrl", "md_dispatch",
+                                qubit=q, rd=event.rd, mdu=f"mdu{q}")
             self.sim.at(start, self._make_discriminate(q, event.rd))
 
     def _make_discriminate(self, chip_qubit: int, rd: int | None):
@@ -125,17 +130,20 @@ class MeasurementPath:
             if active is not None and active.start_ns == self.sim.now:
                 record = active.trace
             else:
-                # MD without a matching MPG: the MDU integrates noise.
+                # MD without a matching MPG: the MDU integrates the
+                # noise of the qubit's own readout chain.
                 self.orphan_discriminations += 1
                 duration = cycles_to_ns(self.config.msmt_cycles)
-                record = transmitted_trace(self.config.readout, 0, duration,
-                                           0, self._rng, pulse_on=False)
+                record = transmitted_trace(self.config.readout_for(chip_qubit),
+                                           0, duration, 0, self._rng,
+                                           pulse_on=False)
                 self.trace.emit(self.sim.now, "readout", "orphan_md",
                                 qubit=chip_qubit)
             mdu = self.mdus[chip_qubit]
             result = mdu.discriminate(record, trigger_ns=self.sim.now)
-            self.trace.emit(self.sim.now, f"mdu{chip_qubit}", "discriminate_start",
-                            ready_ns=result.ready_ns)
+            if self.trace.enabled:
+                self.trace.emit(self.sim.now, f"mdu{chip_qubit}",
+                                "discriminate_start", ready_ns=result.ready_ns)
             self.sim.at(result.ready_ns, self._make_writeback(result, rd))
         return discriminate
 
@@ -143,8 +151,10 @@ class MeasurementPath:
         def writeback():
             self.results.append(result)
             self.dcu.record(result.statistic)
-            self.trace.emit(self.sim.now, f"mdu{result.qubit}", "result",
-                            value=result.value, statistic=round(result.statistic, 3))
+            if self.trace.enabled:
+                self.trace.emit(self.sim.now, f"mdu{result.qubit}", "result",
+                                value=result.value,
+                                statistic=round(result.statistic, 3))
             if rd is not None:
                 self.registers.writeback(rd, result.value)
         return writeback

@@ -60,7 +60,9 @@ class MicroOperationUnit:
         Codeword triggers leave after the unit's fixed latency, spaced by
         the sequence's intervals.
         """
-        self.trace.emit(self.sim.now, self.name, "uop", uop=uop, name=op_name)
+        if self.trace.enabled:
+            self.trace.emit(self.sim.now, self.name, "uop", uop=uop,
+                            name=op_name)
         t = self.sim.now + self.delay_ns
         for dt_cycles, codeword in self.sequence_for(uop):
             t += cycles_to_ns(dt_cycles)
@@ -68,7 +70,8 @@ class MicroOperationUnit:
 
     def _make_trigger(self, codeword: int):
         def fire():
-            self.trace.emit(self.sim.now, self.name, "codeword_out",
-                            codeword=codeword, ctpg=self.ctpg.name)
+            if self.trace.enabled:
+                self.trace.emit(self.sim.now, self.name, "codeword_out",
+                                codeword=codeword, ctpg=self.ctpg.name)
             self.ctpg.trigger(codeword)
         return fire

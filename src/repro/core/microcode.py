@@ -14,6 +14,7 @@ technology-independent instruction definition:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.core.config import MachineConfig
@@ -132,6 +133,16 @@ class QControlStore:
         return name.lower() in self._programs
 
 
+@functools.lru_cache(maxsize=256)
+def _register_wait(interval: int) -> ins.Wait:
+    """The ``Wait`` a ``QNopReg`` issues for one register value.
+
+    Instructions are immutable, so every issue with the same value (every
+    round of an averaging loop) shares one instance.
+    """
+    return ins.Wait(interval=interval)
+
+
 class PhysicalMicrocodeUnit:
     """Expands dispatched quantum instructions into QuMIS streams."""
 
@@ -157,9 +168,10 @@ class PhysicalMicrocodeUnit:
                 self.trace.emit(now_ns, "microcode", "skip_wait",
                                 rs=instr.rs, value=value)
                 return []
-            self.trace.emit(now_ns, "microcode", "expand", what="QNopReg",
-                            interval=value)
-            return [ins.Wait(interval=value)]
+            if self.trace.enabled:
+                self.trace.emit(now_ns, "microcode", "expand",
+                                what="QNopReg", interval=value)
+            return [_register_wait(value)]
         if isinstance(instr, ins.Apply):
             self.trace.emit(now_ns, "microcode", "expand", what="Apply",
                             op=instr.op, qubit=instr.qubit)

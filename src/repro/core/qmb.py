@@ -33,6 +33,10 @@ class QuantumMicroinstructionBuffer:
         self._flux_channel = {frozenset(p): f"uop_flux{i}"
                               for i, p in enumerate(config.flux_pairs)}
         self.auto_start = config.td_auto_start
+        # Decoded once per machine: the wiring and the name -> id bindings
+        # of the operation table never change under it.
+        self._routes: dict[tuple, tuple[tuple, ...]] = {}
+        self._wired: set[tuple[int, ...]] = set()
 
     def reset(self) -> None:
         """Forget the label stream (for a fresh run on a reused machine)."""
@@ -41,9 +45,12 @@ class QuantumMicroinstructionBuffer:
 
     # -- routing ---------------------------------------------------------
 
-    def route_pulse_events(self, pulse: ins.Pulse, label: int) -> list[PulseEvent]:
-        """Resolve Pulse pairs to per-channel micro-operation events."""
-        events = []
+    def _route(self, pulse: ins.Pulse) -> tuple[tuple, ...]:
+        """A Pulse's per-channel ``(uop, op, channel, qubits)`` routes."""
+        routes = self._routes.get(pulse.pairs)
+        if routes is not None:
+            return routes
+        routes = []
         for qubits, op in pulse.pairs:
             uop = self.op_table.id_of(op)
             if op in self.config.two_qubit_ops:
@@ -51,15 +58,19 @@ class QuantumMicroinstructionBuffer:
                 if key not in self._flux_channel:
                     raise ConfigurationError(
                         f"no flux channel wired for qubit pair {tuple(qubits)}")
-                events.append(PulseEvent(label=label, uop=uop, op_name=op,
-                                         channel=self._flux_channel[key],
-                                         qubits=tuple(qubits)))
+                routes.append((uop, op, self._flux_channel[key], tuple(qubits)))
             else:
                 for q in qubits:
                     self.config.device_index(q)  # validates wiring
-                    events.append(PulseEvent(label=label, uop=uop, op_name=op,
-                                             channel=f"uop{q}", qubits=(q,)))
-        return events
+                    routes.append((uop, op, f"uop{q}", (q,)))
+        routes = self._routes[pulse.pairs] = tuple(routes)
+        return routes
+
+    def _check_wired(self, qubits: tuple[int, ...]) -> None:
+        if qubits not in self._wired:
+            for q in qubits:
+                self.config.device_index(q)  # validates wiring
+            self._wired.add(qubits)
 
     # -- accept one microinstruction ---------------------------------------
 
@@ -70,7 +81,7 @@ class QuantumMicroinstructionBuffer:
         the back-pressure that stalls the execution controller.
         """
         if isinstance(uinstr, ins.Wait):
-            if not self.tcu.has_space(1, {}):
+            if not self.tcu.has_space(1):
                 return False
             label = self._next_label
             self.tcu.push_time_point(uinstr.interval, label)
@@ -80,20 +91,21 @@ class QuantumMicroinstructionBuffer:
             return True
 
         if isinstance(uinstr, ins.Pulse):
+            routes = self._route(uinstr)
             label, needed_point = self._label_for_events()
-            events = self.route_pulse_events(uinstr, label)
-            if not self.tcu.has_space(needed_point, {"pulse": len(events)}):
+            if not self.tcu.has_space(needed_point, "pulse", len(routes)):
                 return False
             self._commit_label(label, needed_point)
-            for event in events:
-                self.tcu.push_event("pulse", event)
+            for uop, op, channel, qubits in routes:
+                self.tcu.push_event("pulse", PulseEvent(
+                    label=label, uop=uop, op_name=op, channel=channel,
+                    qubits=qubits))
             return True
 
         if isinstance(uinstr, ins.Mpg):
-            for q in uinstr.qubits:
-                self.config.device_index(q)  # validates wiring
+            self._check_wired(uinstr.qubits)
             label, needed_point = self._label_for_events()
-            if not self.tcu.has_space(needed_point, {"mpg": 1}):
+            if not self.tcu.has_space(needed_point, "mpg", 1):
                 return False
             self._commit_label(label, needed_point)
             self.tcu.push_event("mpg", MpgEvent(label=label, qubits=uinstr.qubits,
@@ -101,10 +113,9 @@ class QuantumMicroinstructionBuffer:
             return True
 
         if isinstance(uinstr, ins.Md):
-            for q in uinstr.qubits:
-                self.config.device_index(q)  # validates wiring
+            self._check_wired(uinstr.qubits)
             label, needed_point = self._label_for_events()
-            if not self.tcu.has_space(needed_point, {"md": 1}):
+            if not self.tcu.has_space(needed_point, "md", 1):
                 return False
             self._commit_label(label, needed_point)
             self.tcu.push_event("md", MdEvent(label=label, qubits=uinstr.qubits,

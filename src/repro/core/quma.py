@@ -261,24 +261,23 @@ class QuMA:
             max_events: int | None = None) -> RunResult:
         """Execute the loaded program to completion (or a stop condition).
 
-        ``until_ns`` bounds simulated time; ``until`` is an arbitrary stop
-        predicate evaluated after every event (used by the queue-state
-        benches to pause mid-flight).
+        ``until_ns`` bounds simulated time as :meth:`Simulator.run` does:
+        no event later than it runs, and the clock ends there.  ``until``
+        is an arbitrary stop predicate evaluated before every event (used
+        by the queue-state benches to pause mid-flight).
         """
         if self.exec_ctrl.program is None:
             raise ReproError("no program loaded")
         if self.exec_ctrl.pc == 0 and self.sim.pending() == 0:
             self.exec_ctrl.start()
-        if until is not None:
+        if until is None:
+            self.sim.run(until=until_ns, max_events=max_events)
+        else:
             events = 0
-            while not until() and self.sim.step():
+            while not until() and self.sim.run(until=until_ns, max_events=1):
                 events += 1
-                if until_ns is not None and self.sim.now >= until_ns:
-                    break
                 if max_events is not None and events >= max_events:
                     break
-        else:
-            self.sim.run(until=until_ns, max_events=max_events)
         return self._result()
 
     def run_replayed(self, n_rounds: int | None, plan=None) -> RunResult:

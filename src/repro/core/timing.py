@@ -42,13 +42,14 @@ class EventQueue:
     def space(self) -> int:
         return self.capacity - len(self.entries)
 
-    def fire_label(self, label: int) -> list:
-        """Pop-and-dispatch all front entries carrying ``label``."""
-        fired = []
-        while self.entries and self.entries[0].label == label:
-            event = self.entries.popleft()
-            fired.append(event)
-            self.sink(event)
+    def fire_label(self, label: int) -> int:
+        """Pop-and-dispatch all front entries carrying ``label``; returns
+        how many fired."""
+        entries = self.entries
+        fired = 0
+        while entries and entries[0].label == label:
+            self.sink(entries.popleft())
+            fired += 1
         return fired
 
     def snapshot(self) -> list[str]:
@@ -104,15 +105,13 @@ class TimingControlUnit:
 
     # -- producer side (QMB) -------------------------------------------------
 
-    def timing_space(self) -> int:
-        return self.capacity - len(self.timing_queue)
-
-    def has_space(self, timing_points: int, events: dict[str, int]) -> bool:
-        """Can the given bundle be accepted without overflowing any queue?"""
-        if self.timing_space() < timing_points:
+    def has_space(self, timing_points: int, queue: str | None = None,
+                  count: int = 0) -> bool:
+        """Can ``timing_points`` time points plus ``count`` events on event
+        queue ``queue`` be accepted without overflowing either?"""
+        if len(self.timing_queue) + timing_points > self.capacity:
             return False
-        return all(self.event_queues[name].space() >= count
-                   for name, count in events.items())
+        return queue is None or self.event_queues[queue].space() >= count
 
     def wait_for_space(self, callback: Callable[[], None]) -> None:
         """Call back after the next fire frees queue entries."""
@@ -122,8 +121,9 @@ class TimingControlUnit:
         if len(self.timing_queue) >= self.capacity:
             raise QueueOverflow("timing queue full")
         self.timing_queue.append(TimePoint(interval_cycles, label))
-        self.trace.emit(self.sim.now, "timing_ctrl", "time_point_queued",
-                        interval=interval_cycles, label=label)
+        if self.trace.enabled:
+            self.trace.emit(self.sim.now, "timing_ctrl", "time_point_queued",
+                            interval=interval_cycles, label=label)
         if self.started:
             self._arm()
 
@@ -142,8 +142,9 @@ class TimingControlUnit:
                             queue=queue_name, label=event.label)
             return
         self.event_queues[queue_name].push(event)
-        self.trace.emit(self.sim.now, "timing_ctrl", "event_queued",
-                        queue=queue_name, label=event.label)
+        if self.trace.enabled:
+            self.trace.emit(self.sim.now, "timing_ctrl", "event_queued",
+                            queue=queue_name, label=event.label)
 
     # -- the timing controller -----------------------------------------------
 
@@ -190,8 +191,10 @@ class TimingControlUnit:
         self._counter_zero_ns = self.sim.now
         self.labels_fired += 1
         self.last_fired_label = max(self.last_fired_label, head.label)
-        self.trace.emit(self.sim.now, "timing_ctrl", "fire", label=head.label,
-                        td=ns_to_cycles(self.sim.now - self._td_origin_ns))
+        if self.trace.enabled:
+            self.trace.emit(self.sim.now, "timing_ctrl", "fire",
+                            label=head.label,
+                            td=ns_to_cycles(self.sim.now - self._td_origin_ns))
         for queue in self.event_queues.values():
             queue.fire_label(head.label)
         waiters, self._space_waiters = self._space_waiters, []

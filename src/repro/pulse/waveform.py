@@ -28,6 +28,7 @@ class Waveform:
         samples = np.asarray(self.samples, dtype=complex)
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
+        object.__setattr__(self, "_zero", bool(np.all(samples == 0)))
 
     @property
     def duration_ns(self) -> int:
@@ -43,7 +44,12 @@ class Waveform:
         return self.memory_bits / 8.0
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.samples == 0))
+        """True if every sample is zero (the identity pulse).
+
+        Decided once, at construction: ``samples`` is read-only, and the
+        device asks on every pulse it plays.
+        """
+        return self._zero
 
     def concatenate(self, other: "Waveform", name: str | None = None) -> "Waveform":
         """Back-to-back concatenation (used by the waveform-method baseline)."""

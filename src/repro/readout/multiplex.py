@@ -14,8 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.readout.resonator import (ReadoutParams, transmitted_signal,
-                                     transmitted_trace)
+from repro.readout.resonator import ReadoutParams, transmitted_signal
 from repro.utils.errors import ConfigurationError
 
 #: Default IF spacing between neighboring qubits on one feedline (Hz):
@@ -57,23 +56,19 @@ def multiplexed_trace(params_by_qubit: dict[int, ReadoutParams],
         raise ConfigurationError("no qubits to multiplex")
     if set(outcomes) != set(params_by_qubit):
         raise ConfigurationError("outcomes must cover exactly the qubits")
-    total = np.zeros(int(duration_ns))
+    duration_ns = int(duration_ns)
+    if duration_ns <= 0:
+        raise ValueError("duration must be positive")
+    total = np.zeros(duration_ns)
     noise_std = 0.0
     for qubit, params in params_by_qubit.items():
-        quiet = ReadoutParams(
-            f_if_hz=params.f_if_hz,
-            amp_ground=params.amp_ground,
-            amp_excited=params.amp_excited,
-            phase_ground=params.phase_ground,
-            phase_excited=params.phase_excited,
-            ringup_ns=params.ringup_ns,
-            noise_std=0.0,
-        )
-        total = total + transmitted_trace(quiet, outcomes[qubit],
-                                          duration_ns, 0, rng)
+        # ``+ 0.0`` as in multiplexed_signal_table, so its rows stay
+        # bit-identical to this sum.
+        total = total + (transmitted_signal(params, outcomes[qubit],
+                                            duration_ns, 0) + 0.0)
         noise_std = max(noise_std, params.noise_std)
     if noise_std:
-        total = total + rng.normal(0.0, noise_std, int(duration_ns))
+        total = total + rng.normal(0.0, noise_std, duration_ns)
     return total
 
 

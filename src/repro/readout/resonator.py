@@ -10,6 +10,7 @@ does.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,14 +49,29 @@ def transmitted_signal(params: ReadoutParams, outcome: int, duration_ns: int,
     """Deterministic (noise-free) part of the feedline record.
 
     Shared by the per-shot and batched trace synthesizers so both produce
-    bit-identical signal samples.
+    bit-identical signal samples.  The record is a pure function of its
+    arguments, so it is memoized process-wide: every measurement of a
+    run, the readout calibration and replay-plan builds share one array
+    per content key instead of re-evaluating the window each shot.  The
+    returned array is shared and read-only; callers build their own
+    record from it (``signal + noise``, ``signal + 0.0``, ``np.stack``).
     """
-    amp = params.amp_excited if outcome == 1 else params.amp_ground
-    phase = params.phase_excited if outcome == 1 else params.phase_ground
-    t = np.arange(int(duration_ns), dtype=float)
-    envelope = 1.0 - np.exp(-(t + 0.5) / params.ringup_ns)
-    carrier = np.cos(2.0 * np.pi * params.f_if_hz * (t + float(t0_ns)) * 1e-9 + phase)
-    return amp * envelope * carrier
+    excited = outcome == 1
+    return _signal(params.f_if_hz,
+                   params.amp_excited if excited else params.amp_ground,
+                   params.phase_excited if excited else params.phase_ground,
+                   params.ringup_ns, int(duration_ns), float(t0_ns))
+
+
+@functools.lru_cache(maxsize=64)
+def _signal(f_if_hz: float, amp: float, phase: float, ringup_ns: float,
+            duration_ns: int, t0_ns: float) -> np.ndarray:
+    t = np.arange(duration_ns, dtype=float)
+    envelope = 1.0 - np.exp(-(t + 0.5) / ringup_ns)
+    carrier = np.cos(2.0 * np.pi * f_if_hz * (t + t0_ns) * 1e-9 + phase)
+    signal = amp * envelope * carrier
+    signal.setflags(write=False)
+    return signal
 
 
 def transmitted_trace(params: ReadoutParams, outcome: int, duration_ns: int,
@@ -125,14 +141,7 @@ def transmitted_trace_batch(params: ReadoutParams, outcomes: np.ndarray,
 def mean_trace(params: ReadoutParams, outcome: int, duration_ns: int,
                t0_ns: int) -> np.ndarray:
     """Noise-free expected record (used by weight-function calibration)."""
-    rng = np.random.default_rng(0)
-    quiet = ReadoutParams(
-        f_if_hz=params.f_if_hz,
-        amp_ground=params.amp_ground,
-        amp_excited=params.amp_excited,
-        phase_ground=params.phase_ground,
-        phase_excited=params.phase_excited,
-        ringup_ns=params.ringup_ns,
-        noise_std=0.0,
-    )
-    return transmitted_trace(quiet, outcome, duration_ns, t0_ns, rng)
+    duration_ns = int(duration_ns)
+    if duration_ns <= 0:
+        raise ValueError("duration must be positive")
+    return transmitted_signal(params, outcome, duration_ns, t0_ns) + 0.0

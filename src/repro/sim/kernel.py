@@ -46,6 +46,7 @@ class Simulator:
     >>> fired = []
     >>> _ = sim.at(10, lambda: fired.append(sim.now))
     >>> sim.run()
+    1
     >>> fired
     [10]
     """
@@ -92,8 +93,8 @@ class Simulator:
             return True
         return False
 
-    def run(self, until: int | None = None, max_events: int | None = None) -> None:
-        """Run events in order.
+    def run(self, until: int | None = None, max_events: int | None = None) -> int:
+        """Run events in order; returns how many callbacks ran.
 
         ``until`` stops the clock at that absolute time (events scheduled
         later stay pending and ``now`` is advanced to ``until``).
@@ -107,12 +108,13 @@ class Simulator:
                 continue
             if until is not None and time > until:
                 self.now = max(self.now, int(until))
-                return
+                return executed
             heapq.heappop(self._heap)
             self.now = time
             event.callback()
             executed += 1
             if max_events is not None and executed >= max_events:
-                return
+                return executed
         if until is not None:
             self.now = max(self.now, int(until))
+        return executed

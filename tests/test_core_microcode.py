@@ -51,6 +51,16 @@ def test_waitreg_reads_register_at_dispatch():
     assert unit.expand(WaitReg(rs=15)) == [Wait(interval=123)]
 
 
+def test_waitreg_reuses_one_wait_per_value():
+    """Every issue of a QNopReg with the same register value (every round
+    of an averaging loop) shares one immutable Wait."""
+    unit, _, registers = make_unit()
+    registers.write(15, 40000)
+    (first,) = unit.expand(WaitReg(rs=15))
+    (again,) = unit.expand(WaitReg(rs=15))
+    assert again is first
+
+
 def test_waitreg_nonpositive_skipped():
     unit, _, registers = make_unit()
     registers.write(15, 0)

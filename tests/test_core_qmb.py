@@ -90,6 +90,25 @@ def test_unwired_qubit_rejected():
         qmb.accept(Pulse.single((5,), "I"))
 
 
+def test_routes_decoded_once_and_bad_routes_rejected_every_time():
+    """Repeated Pulses reuse one decoded route; a route that fails to
+    decode is never remembered, so it is rejected on every issue."""
+    _, tcu, qmb = make_qmb(qubits=(0, 1), auto_start=False)
+    qmb.accept(Wait(interval=4))
+    for _ in range(2):
+        assert qmb.accept(Pulse.single((0, 1), "X180"))
+    entries = [(e.label, e.uop, e.op_name, e.channel, e.qubits)
+               for e in tcu.event_queues["pulse"].entries]
+    x180 = DEFAULT_OPERATIONS.id_of("X180")
+    assert entries == [(1, x180, "X180", "uop0", (0,)),
+                       (1, x180, "X180", "uop1", (1,))] * 2
+    for _ in range(2):
+        with pytest.raises(ConfigurationError):
+            qmb.accept(Pulse.single((5,), "I"))
+        with pytest.raises(ConfigurationError):
+            qmb.accept(Md(qubits=(5,)))
+
+
 def test_event_before_wait_gets_implicit_time_point():
     _, tcu, qmb = make_qmb(auto_start=False)
     qmb.accept(Pulse.single((2,), "X180"))

@@ -296,3 +296,41 @@ def test_queue_backpressure_does_not_deadlock():
     result = machine.run()
     assert result.completed
     assert len(machine.trace.filter(kind="pulse_start")) == 40
+
+
+def test_predicate_run_stops_at_the_time_bound():
+    """``until_ns`` bounds a predicate run as it bounds a plain run: no
+    event later than it fires, and the clock ends exactly there."""
+    program = """
+        Wait 40000
+        Pulse {q2}, X180
+        halt
+    """
+    bounded = make_machine()
+    bounded.load(program)
+    result = bounded.run(until_ns=1000, until=lambda: False)
+    assert bounded.sim.now == 1000
+    assert bounded.tcu.labels_fired == 0
+    assert not result.completed
+
+    plain = make_machine()
+    plain.load(program)
+    plain.run(until_ns=1000)
+    assert plain.sim.now == bounded.sim.now
+    assert plain.sim.pending() == bounded.sim.pending()
+
+
+def test_orphan_md_integrates_its_own_qubits_noise():
+    """An MD without an MPG integrates the noise of the qubit's own
+    readout chain, not the shared default's."""
+    from repro.readout import ReadoutParams
+
+    machine = make_machine(readouts=(ReadoutParams(noise_std=0.0),))
+    machine.load("""
+        Wait 4
+        MD {q2}, r7
+        halt
+    """)
+    result = machine.run()
+    assert result.orphan_discriminations == 1
+    assert machine.measurement.results[0].statistic == 0.0

@@ -140,10 +140,10 @@ def test_queue_capacity_overflow():
 
 def test_has_space_accounts_all_queues():
     sim, tcu, _ = make_tcu(capacity=2)
-    assert tcu.has_space(2, {"pulse": 2})
+    assert tcu.has_space(2, "pulse", 2)
     tcu.push_event("pulse", pev(1))
-    assert tcu.has_space(1, {"pulse": 1})
-    assert not tcu.has_space(1, {"pulse": 2})
+    assert tcu.has_space(1, "pulse", 1)
+    assert not tcu.has_space(1, "pulse", 2)
 
 
 def test_space_waiters_called_after_fire():
@@ -198,6 +198,6 @@ def test_eventqueue_fire_label_pops_all_matching():
     q.push(pev(1))
     q.push(pev(1))
     q.push(pev(2))
-    out = q.fire_label(1)
-    assert len(out) == 2
+    assert q.fire_label(1) == 2
+    assert len(fired) == 2
     assert len(q) == 1

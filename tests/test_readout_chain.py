@@ -36,6 +36,32 @@ def test_traces_state_dependent():
     assert not np.allclose(t0, t1)
 
 
+def test_signal_is_memoized_read_only_and_unchanged():
+    """One shared, read-only record per content key, equal to the
+    closed-form evaluation; every trace built from it is a fresh array."""
+    from repro.readout.resonator import transmitted_signal
+
+    signal = transmitted_signal(PARAMS, 1, DURATION, 0)
+    assert transmitted_signal(PARAMS, 1, DURATION, 0) is signal
+    assert not signal.flags.writeable
+    t = np.arange(DURATION, dtype=float)
+    envelope = 1.0 - np.exp(-(t + 0.5) / PARAMS.ringup_ns)
+    carrier = np.cos(2.0 * np.pi * PARAMS.f_if_hz * (t + 0.0) * 1e-9
+                     + PARAMS.phase_excited)
+    expected = PARAMS.amp_excited * envelope * carrier
+    assert signal.tobytes() == expected.tobytes()
+    # The noise level does not enter the signal: noisy and quiet chains
+    # share one record.
+    quiet = ReadoutParams(noise_std=0.0)
+    assert transmitted_signal(quiet, 1, DURATION, 0) is signal
+    trace = transmitted_trace(PARAMS, 1, DURATION, 0, derive_rng(3, "ro"))
+    quiet_trace = mean_trace(PARAMS, 1, DURATION, 0)
+    for built in (trace, quiet_trace):
+        assert built.flags.writeable
+        assert not np.shares_memory(built, signal)
+    assert quiet_trace.tobytes() == signal.tobytes()
+
+
 def test_trace_without_pulse_is_noise_only():
     rng = derive_rng(2, "ro")
     t = transmitted_trace(PARAMS, 1, DURATION, 0, rng, pulse_on=False)
