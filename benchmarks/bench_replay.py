@@ -15,9 +15,17 @@ cost is highest; recording amortizes more slowly at reduced N), and
 writes the ``BENCH_replay.json`` trajectory artifact.
 
 Reduced-size by default: ``REPLAY_ROUNDS`` (default 2560) sets the
-largest N.  ``REPLAY_ROUNDS=25600`` reproduces the committed paper-scale
-artifact (takes ~10 minutes; the committed ``BENCH_replay.json`` records
-a 10.3x warm speedup at N = 25600).
+largest N.  The committed paper-scale artifact comes from::
+
+    REPLAY_ROUNDS=25600 PYTHONPATH=src python -m pytest -q -s \
+        benchmarks/bench_replay.py --benchmark-disable \
+        -o faulthandler_timeout=0
+
+(~7-10 minutes in one test, so the override turns off ``pytest.ini``'s
+120 s stack-dump watchdog, which can crash the run mid-dump).  Its
+N = 25600 row records a 6.52x warm speedup: below the 10x floor, so a
+paper-scale run fails that assertion.  The ``paper_scale_reference``
+block keeps an earlier run's 10.3x.
 """
 
 import json

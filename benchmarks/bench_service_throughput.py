@@ -20,7 +20,7 @@ from repro.core import MachineConfig
 from repro.experiments.rabi import rabi_job
 from repro.pulse import PulseCalibration
 from repro.reporting import format_table
-from repro.service import CompileCache, ExperimentService, MachinePool, execute_job
+from repro.service import ExperimentService, Worker
 
 from conftest import emit
 
@@ -39,7 +39,7 @@ def _specs(seed: int = 0):
 
 def _run_cold(specs):
     """The pre-service baseline: fresh machine + fresh compile per point."""
-    return [execute_job(spec, MachinePool(), CompileCache()) for spec in specs]
+    return [Worker().run(spec) for spec in specs]
 
 
 def test_warm_cache_speedup_over_rebuild(benchmark):

@@ -6,7 +6,7 @@ workload shapes.  This module maps an architecture-neutral
 :class:`~repro.baseline.spec.ExperimentSpec` onto the service's
 :class:`~repro.service.job.JobSpec` (``executor="baseline"``) and
 evaluates it.  The service's one engine runs both kinds of job
-(:func:`~repro.service.backends.base.execute_with_retry` picks the job
+(:meth:`~repro.service.backends.base.Worker.run` picks the job
 function), so one batch can interleave QuMA event-kernel sweeps with
 APS2 comparison points.
 
@@ -16,7 +16,6 @@ trivially bit-identical across backends — they carry no RNG streams.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -24,7 +23,6 @@ import numpy as np
 from repro.baseline.comparison import compare_architectures
 from repro.baseline.spec import ExperimentSpec
 from repro.core.quma import RunResult
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import STAGE_EXECUTE, JobTelemetry, Span
 from repro.service.job import JobResult, JobSpec
 
@@ -62,15 +60,12 @@ def baseline_job(spec: ExperimentSpec, *,
     )
 
 
-def execute_baseline_job(spec: JobSpec,
-                         metrics: MetricsRegistry | None = None) -> JobResult:
+def execute_baseline_job(spec: JobSpec) -> JobResult:
     """Evaluate one baseline job; deterministic given the spec.
 
     ``averages`` holds the :data:`BASELINE_METRICS` vector so baseline
     results aggregate through the same :class:`SweepResult` machinery as
     QuMA jobs (``normalized`` is the identity: s_ground=0, s_excited=1).
-    ``metrics`` is the executing context's registry; with
-    ``spec.telemetry`` its snapshot rides home on the result.
     """
     t0 = time.perf_counter()
     comparison = compare_architectures(
@@ -91,10 +86,7 @@ def execute_baseline_job(spec: JobSpec,
     if spec.telemetry:
         telemetry = JobTelemetry(
             spans=(Span(STAGE_EXECUTE, 0.0, execute_s,
-                        meta={"workload": params.get("workload", "")}),),
-            worker=f"pid:{os.getpid()}",
-            metrics=metrics.snapshot() if metrics is not None else {},
-        )
+                        meta={"workload": params.get("workload", "")}),))
     return JobResult(
         averages=averages,
         run=run,

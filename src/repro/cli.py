@@ -249,12 +249,11 @@ def cmd_exp(args: argparse.Namespace) -> int:
         print(f"  fit {estimate.n_results}/{estimate.n_specs}: "
               f"{fitted if fitted else '(unconstrained)'}{note}")
 
-    # Telemetry rides on the requested artifacts: spans + metrics
-    # snapshots whenever either output is wanted, the simulator trace
-    # only when a Chrome trace is (its records are the bulky part).
-    telemetry = bool(args.trace_out or args.metrics_out)
+    # Spans and the simulator trace feed only the Chrome trace; the
+    # metrics artifact reads the service and its live workers.
+    telemetry = bool(args.trace_out)
     with Session(backend=args.backend, workers=args.workers, seed=args.seed,
-                 telemetry=telemetry, sim_trace=bool(args.trace_out),
+                 telemetry=telemetry, sim_trace=telemetry,
                  retry=_retry_policy(args),
                  job_timeout=args.job_timeout,
                  fleet_workers=_parse_fleet_workers(args.fleet_workers)

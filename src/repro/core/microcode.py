@@ -165,30 +165,34 @@ class PhysicalMicrocodeUnit:
         if isinstance(instr, ins.WaitReg):
             value = self.registers.read(instr.rs)
             if value <= 0:
-                self.trace.emit(now_ns, "microcode", "skip_wait",
-                                rs=instr.rs, value=value)
+                if self.trace.enabled:
+                    self.trace.emit(now_ns, "microcode", "skip_wait",
+                                    rs=instr.rs, value=value)
                 return []
             if self.trace.enabled:
                 self.trace.emit(now_ns, "microcode", "expand",
                                 what="QNopReg", interval=value)
             return [_register_wait(value)]
         if isinstance(instr, ins.Apply):
-            self.trace.emit(now_ns, "microcode", "expand", what="Apply",
-                            op=instr.op, qubit=instr.qubit)
+            if self.trace.enabled:
+                self.trace.emit(now_ns, "microcode", "expand", what="Apply",
+                                op=instr.op, qubit=instr.qubit)
             return [
                 ins.Pulse.single((instr.qubit,), instr.op),
                 ins.Wait(interval=self.config.gate_slot_cycles),
             ]
         if isinstance(instr, ins.Measure):
-            self.trace.emit(now_ns, "microcode", "expand", what="Measure",
-                            qubit=instr.qubit)
+            if self.trace.enabled:
+                self.trace.emit(now_ns, "microcode", "expand",
+                                what="Measure", qubit=instr.qubit)
             return [
                 ins.Mpg(qubits=(instr.qubit,), duration=self.config.msmt_cycles),
                 ins.Md(qubits=(instr.qubit,), rd=instr.rd),
             ]
         if isinstance(instr, ins.QCall):
             uprog = self.store.lookup(instr.uprog)
-            self.trace.emit(now_ns, "microcode", "expand", what=instr.uprog,
-                            qubits=instr.qubits)
+            if self.trace.enabled:
+                self.trace.emit(now_ns, "microcode", "expand",
+                                what=instr.uprog, qubits=instr.qubits)
             return uprog.expand(instr.qubits)
         raise MicrocodeError(f"cannot expand {type(instr).__name__}")

@@ -5,8 +5,8 @@ DESIGN.md, "Observability"):
 
 * :mod:`repro.obs.spans` — per-job lifecycle :class:`Span`\\ s with
   cross-process clock rebasing and the :class:`JobTelemetry` payload;
-* :mod:`repro.obs.metrics` — :class:`MetricsRegistry`
-  (counters/gauges/histograms) with per-worker snapshot merging;
+* :mod:`repro.obs.metrics` — :class:`MetricsRegistry` (counters and
+  histograms), one per executing context;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto-viewable)
   unifying service spans and simulator :class:`TraceRecord` streams,
   plus the plain-JSON metrics artifact.
@@ -26,7 +26,6 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     percentile,
@@ -48,7 +47,6 @@ from repro.obs.spans import (
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "JOB_STAGES",
     "JobTelemetry",

@@ -1,13 +1,11 @@
-"""Metrics registry: counters, gauges, and histograms with merge semantics.
+"""Metrics registry: counters and histograms.
 
 One :class:`MetricsRegistry` per executing context — the service process
-owns one, each worker process owns one.  Registries never talk to each
-other directly; a worker's state travels as a plain-dict
-:meth:`~MetricsRegistry.snapshot` piggybacked on telemetry-enabled job
-results, and the service merges the *latest* snapshot per worker
-(cumulative within a worker, summed across workers) at read time.  That
-keeps the hot path free of cross-process coordination: recording a
-metric is a dict lookup plus an increment under one registry lock.
+owns one, each worker owns one.  Registries never talk to each other
+directly; the service reads a worker's registry :meth:`summary` through
+that worker's live stats when asked.  That keeps the hot path free of
+cross-process coordination: recording a metric is a dict lookup plus an
+increment under one registry lock.
 
 Histograms keep exact count/total/min/max plus a bounded sample
 reservoir for percentile estimates — enough for the p50/p95 per-stage
@@ -18,12 +16,8 @@ million-job services.
 from __future__ import annotations
 
 import threading
-from typing import Iterable
 
 import numpy as np
-
-#: Cap on stored histogram samples (exact stats stay exact beyond it).
-DEFAULT_MAX_SAMPLES = 4096
 
 
 def percentile(values, q: float) -> float | None:
@@ -66,31 +60,14 @@ class Counter:
             self.value += n
 
 
-class Gauge:
-    """Last-set value (queue depth, pool occupancy, ...)."""
-
-    def __init__(self, lock: threading.Lock):
-        self._lock = lock
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self.value = float(value)
-
-    def max(self, value: float) -> None:
-        """Set to ``value`` if it exceeds the current value (watermark)."""
-        with self._lock:
-            if value > self.value:
-                self.value = float(value)
-
-
 class Histogram:
     """Latency distribution: exact count/total/min/max + sample reservoir."""
 
-    def __init__(self, lock: threading.Lock,
-                 max_samples: int = DEFAULT_MAX_SAMPLES):
+    #: Cap on stored samples (exact stats stay exact beyond it).
+    MAX_SAMPLES = 4096
+
+    def __init__(self, lock: threading.Lock):
         self._lock = lock
-        self.max_samples = max_samples
         self.count = 0
         self.total = 0.0
         self.min: float | None = None
@@ -106,7 +83,7 @@ class Histogram:
                 self.min = value
             if self.max is None or value > self.max:
                 self.max = value
-            if len(self.samples) < self.max_samples:
+            if len(self.samples) < self.MAX_SAMPLES:
                 self.samples.append(value)
 
     def percentile(self, q: float) -> float | None:
@@ -126,13 +103,11 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Named counters/gauges/histograms for one executing context."""
+    """Named counters and histograms for one executing context."""
 
-    def __init__(self, max_samples: int = DEFAULT_MAX_SAMPLES):
+    def __init__(self):
         self._lock = threading.Lock()
-        self.max_samples = max_samples
         self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
     # -- instruments (get-or-create) ----------------------------------------
@@ -144,90 +119,18 @@ class MetricsRegistry:
                 c = self._counters.setdefault(name, Counter(self._lock))
         return c
 
-    def gauge(self, name: str) -> Gauge:
-        g = self._gauges.get(name)
-        if g is None:
-            with self._lock:
-                g = self._gauges.setdefault(name, Gauge(self._lock))
-        return g
-
     def histogram(self, name: str) -> Histogram:
         h = self._histograms.get(name)
         if h is None:
             with self._lock:
-                h = self._histograms.setdefault(
-                    name, Histogram(self._lock, self.max_samples))
+                h = self._histograms.setdefault(name,
+                                                Histogram(self._lock))
         return h
-
-    # -- snapshots -----------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """Picklable plain-dict state (the cross-process wire format)."""
-        with self._lock:
-            return {
-                "counters": {k: c.value for k, c in self._counters.items()},
-                "gauges": {k: g.value for k, g in self._gauges.items()},
-                "histograms": {k: {
-                    "count": h.count, "total": h.total,
-                    "min": h.min, "max": h.max,
-                    "samples": list(h.samples),
-                } for k, h in self._histograms.items()},
-            }
-
-    @staticmethod
-    def merge(snapshots: Iterable[dict]) -> dict:
-        """Merge sibling snapshots: counters/gauges sum, histograms pool.
-
-        Gauges *sum* because merged snapshots come from distinct workers
-        (pool occupancy across a fleet is the sum of per-worker
-        occupancies); within one worker the latest snapshot supersedes
-        earlier ones before this merge runs.
-        """
-        counters: dict[str, int] = {}
-        gauges: dict[str, float] = {}
-        histograms: dict[str, dict] = {}
-        for snap in snapshots:
-            for k, v in snap.get("counters", {}).items():
-                counters[k] = counters.get(k, 0) + v
-            for k, v in snap.get("gauges", {}).items():
-                gauges[k] = gauges.get(k, 0.0) + v
-            for k, h in snap.get("histograms", {}).items():
-                into = histograms.setdefault(
-                    k, {"count": 0, "total": 0.0, "min": None, "max": None,
-                        "samples": []})
-                into["count"] += h["count"]
-                into["total"] += h["total"]
-                for bound, pick in (("min", min), ("max", max)):
-                    if h[bound] is not None:
-                        into[bound] = (h[bound] if into[bound] is None
-                                       else pick(into[bound], h[bound]))
-                room = DEFAULT_MAX_SAMPLES - len(into["samples"])
-                if room > 0:
-                    into["samples"].extend(h["samples"][:room])
-        return {"counters": counters, "gauges": gauges,
-                "histograms": histograms}
-
-    @staticmethod
-    def summarize_snapshot(snapshot: dict) -> dict:
-        """A snapshot with histogram reservoirs reduced to rollups."""
-        out = {"counters": dict(snapshot.get("counters", {})),
-               "gauges": dict(snapshot.get("gauges", {})),
-               "histograms": {}}
-        for name, h in snapshot.get("histograms", {}).items():
-            summary = summarize_values(h.get("samples", []))
-            summary["count"] = h.get("count", summary["count"])
-            summary["total"] = h.get("total", summary["total"])
-            summary["mean"] = (summary["total"] / summary["count"]
-                               if summary["count"] else None)
-            summary["max"] = h.get("max", summary["max"])
-            out["histograms"][name] = summary
-        return out
 
     def summary(self) -> dict:
         """This registry's state with histograms as p50/p95 rollups."""
         with self._lock:
             counters = {k: c.value for k, c in self._counters.items()}
-            gauges = {k: g.value for k, g in self._gauges.items()}
             hists = list(self._histograms.items())
-        return {"counters": counters, "gauges": gauges,
+        return {"counters": counters,
                 "histograms": {k: h.summary() for k, h in hists}}

@@ -2,7 +2,8 @@
 
 A :class:`Span` is one named stage with start/end offsets on a
 monotonic clock.  Worker processes record spans relative to the *job
-epoch* (``t = 0`` at the moment ``execute_job`` starts on the worker),
+epoch* (``t = 0`` at the moment the job's successful attempt starts on
+the worker),
 which is the only clock a worker and its parent share the *durations*
 of: ``time.perf_counter()`` origins differ across processes, so raw
 worker timestamps are meaningless to the submitter.
@@ -73,18 +74,16 @@ class JobTelemetry:
     Everything here is picklable by construction (plain tuples/dicts), so
     the payload crosses the process boundary unchanged.  ``spans`` are
     job-relative until the submitting process rebases them (``rebased``
-    flips exactly once); ``metrics`` is the executing context's
-    :class:`~repro.obs.metrics.MetricsRegistry` snapshot at job end
-    (cumulative for that worker — the service keeps the *latest* snapshot
-    per worker and merges across workers at read time); ``sim_trace``
-    carries the simulator's :class:`~repro.sim.tracing.TraceRecord`
-    stream when the machine ran with tracing enabled.
+    flips exactly once); ``worker`` names the worker that ran the job;
+    ``sim_trace`` carries the simulator's
+    :class:`~repro.sim.tracing.TraceRecord` stream when the machine ran
+    with tracing enabled.  A worker's metrics do not ride here: the
+    service reads them live from the worker's stats.
     """
 
     spans: tuple[Span, ...] = ()
-    worker: str = ""  #: executing context, e.g. "pid:4242"
+    worker: str = ""  #: executing worker, e.g. "pid:4242"
     sim_trace: tuple = ()  #: TraceRecord entries (simulation-time events)
-    metrics: dict = field(default_factory=dict)
     rebased: bool = False
 
 

@@ -29,6 +29,7 @@ class Waveform:
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "_zero", bool(np.all(samples == 0)))
+        object.__setattr__(self, "_hash", hash(samples.tobytes()))
 
     @property
     def duration_ns(self) -> int:
@@ -50,6 +51,12 @@ class Waveform:
         device asks on every pulse it plays.
         """
         return self._zero
+
+    @property
+    def content_hash(self) -> int:
+        """Hash of the sample bytes, taken once at construction (the
+        pulse-unitary cache keys every pulse it serves on it)."""
+        return self._hash
 
     def concatenate(self, other: "Waveform", name: str | None = None) -> "Waveform":
         """Back-to-back concatenation (used by the waveform-method baseline)."""

@@ -89,7 +89,7 @@ class PulseUnitaryCache:
             self.misses += 1
             return integrate_envelope(waveform.samples, self.kappa, phase0,
                                       self.detuning_hz)
-        key = (id(waveform), hash(waveform.samples.tobytes()),
+        key = (id(waveform), waveform.content_hash,
                round(phase0, 12), self.kappa, self.detuning_hz)
         cached = self._cache.get(key)
         if cached is not None:

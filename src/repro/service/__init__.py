@@ -4,11 +4,12 @@ The classical analogue of a lab-control stack driving a real processor:
 jobs (:class:`JobSpec`) describe one compiled-program execution, and an
 :class:`ExperimentService` runs every job on its one executor backend,
 its engine — serial, local worker processes, or remote worker daemons —
-with deterministic per-job seeding.  Wherever jobs run, an in-memory
-compile cache there reuses codegen and assembly across sweep points and
-a machine pool reuses :class:`~repro.core.quma.QuMA` control stacks
-across jobs with compatible configs; the serial engine and each worker
-own one of each.  The same engine runs ``baseline`` specs (APS2
+with deterministic per-job seeding.  Wherever jobs run, a
+:class:`Worker` runs them: its in-memory compile cache reuses codegen
+and assembly across sweep points and its machine pool reuses
+:class:`~repro.core.quma.QuMA` control stacks across jobs with
+compatible configs.  The serial engine holds one worker, and so does
+each worker process.  The same engine runs ``baseline`` specs (APS2
 cost-model jobs) next to QuMA sweeps.
 
 Quick use::
@@ -31,8 +32,7 @@ from repro.service.backends import (
     FleetBackend,
     ProcessBackend,
     SerialBackend,
-    execute_job,
-    execute_with_retry,
+    Worker,
 )
 from repro.service.cache import (
     CompileCache,
@@ -81,9 +81,8 @@ __all__ = [
     "STAGE_FIELDS",
     "SerialBackend",
     "SweepResult",
+    "Worker",
     "derive_job_seed",
-    "execute_job",
-    "execute_with_retry",
     "grid",
     "microprograms_fingerprint",
     "pool_key",

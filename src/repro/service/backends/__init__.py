@@ -2,9 +2,9 @@
 
 Every backend implements the :class:`ExecutorBackend` contract
 (``submit(spec) -> JobFuture``, ``drain()``, ``close()``, ``stats()``)
-and runs each job through :func:`execute_with_retry`, which handles
-both QuMA and baseline specs.  An ``ExperimentService`` owns exactly one
-of them, its engine, picked by ``backend=``:
+and runs each job on a :class:`Worker`, which handles both QuMA and
+baseline specs.  An ``ExperimentService`` owns exactly one of them,
+its engine, picked by ``backend=``:
 
 * :class:`SerialBackend` (``"serial"``) — in-process reference
   implementation;
@@ -20,11 +20,7 @@ job in flight per worker, the rest held client-side) and one
 
 from __future__ import annotations
 
-from repro.service.backends.base import (
-    ExecutorBackend,
-    execute_job,
-    execute_with_retry,
-)
+from repro.service.backends.base import ExecutorBackend, Worker
 from repro.service.backends.serial import SerialBackend
 from repro.service.fleet.backend import FleetBackend
 from repro.service.fleet.local import ProcessBackend, default_workers
@@ -34,7 +30,6 @@ __all__ = [
     "FleetBackend",
     "ProcessBackend",
     "SerialBackend",
+    "Worker",
     "default_workers",
-    "execute_job",
-    "execute_with_retry",
 ]

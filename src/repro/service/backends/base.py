@@ -1,4 +1,4 @@
-"""Executor-backend contract and the shared job-execution function.
+"""Executor-backend contract and the one worker every job runs on.
 
 An :class:`ExecutorBackend` turns :class:`~repro.service.job.JobSpec`\\ s
 into :class:`~repro.service.job.JobResult`\\ s asynchronously: ``submit``
@@ -6,13 +6,14 @@ returns a :class:`~repro.service.job.JobFuture` immediately; ``drain``
 blocks until everything submitted so far has resolved; ``close`` releases
 worker resources; ``stats`` reports backend-side counters.
 
-Every backend runs a job through :func:`execute_with_retry`, which picks
-the job function from ``spec.executor`` (QuMA event-kernel or APS2 cost
-model) and runs it under the spec's retry policy.  Job execution is a
-pure function of the spec (per-job RNG streams are re-derived from the
-spec's run seed), so every backend produces bit-identical results for
-the same specs — the determinism contract the parity tests pin down
-(see DESIGN.md).
+Every backend runs a job on a :class:`Worker`: the serial backend holds
+one in the submitting process, and every fleet worker process holds one
+behind its socket.  :meth:`Worker.run` picks the job function from
+``spec.executor`` (QuMA event-kernel or APS2 cost model) and runs it
+under the spec's retry policy.  Job execution is a pure function of the
+spec (per-job RNG streams are re-derived from the spec's run seed), so
+every backend produces bit-identical results for the same specs — the
+determinism contract the parity tests pin down (see DESIGN.md).
 """
 
 from __future__ import annotations
@@ -66,27 +67,6 @@ def calibration_stats() -> dict:
     return stats
 
 
-def snapshot_worker_state(metrics: MetricsRegistry, pool: MachinePool,
-                          cache: CompileCache,
-                          replay_cache: ReplayCache | None) -> dict:
-    """Mirror pool/cache/memo stats into gauges and snapshot the registry.
-
-    Called at job end on telemetry-enabled jobs, so the snapshot that
-    rides home on the result reflects this worker's *lifetime* state —
-    the per-worker view that was previously unreachable from the parent
-    process.  Gauges hold absolute values (latest-wins within a worker;
-    the service sums them across workers at merge time).
-    """
-    for prefix, stats in (("pool", pool.stats()), ("cache", cache.stats()),
-                          ("replay_cache", replay_cache.stats()
-                           if replay_cache is not None else {}),
-                          ("calibration", calibration_stats())):
-        for key, value in stats.items():
-            if isinstance(value, (int, float)):
-                metrics.gauge(f"{prefix}.{key}").set(value)
-    return metrics.snapshot()
-
-
 def _check_deadline(t0: float, timeout: float | None, stage: str) -> None:
     """Cooperative per-attempt deadline check at a stage boundary.
 
@@ -103,176 +83,6 @@ def _check_deadline(t0: float, timeout: float | None, stage: str) -> None:
         raise JobTimeout(
             f"attempt exceeded its {timeout} s budget after {stage} "
             f"({elapsed:.3f} s elapsed)", stage=stage, elapsed_s=elapsed)
-
-
-def execute_job(spec: JobSpec, pool: MachinePool, cache: CompileCache,
-                replay_cache: ReplayCache | None = None,
-                metrics: MetricsRegistry | None = None,
-                faults: FaultPlan | None = None, attempt: int = 0,
-                allow_crash: bool = False) -> JobResult:
-    """Run one QuMA job against a pool and cache; deterministic given the spec.
-
-    With ``spec.replay`` (the default) eligible programs take the
-    round-replay fast path; a verified plan lands in ``replay_cache`` so
-    subsequent jobs of the same sweep (same config-minus-seed, program,
-    uploads, microprograms) replay every round without touching the event
-    kernel.  Replayed and fully-simulated jobs produce bit-identical
-    averages for the same run seed, so caching never changes results.
-
-    ``metrics`` is the executing context's registry (worker-local on
-    the worker backends); fault injections land there.  Per-job counts
-    are not kept here: the service counts them from the result's flags.
-    With ``spec.telemetry`` the result additionally carries lifecycle
-    spans, the simulator trace (when the machine traces), and a
-    snapshot of the registry with this worker's pool and cache gauges —
-    none of which touches the RNG streams, so telemetry on/off is
-    bit-identical in ``averages``.
-
-    ``faults`` (a :class:`~repro.service.faults.FaultPlan`) injects the
-    attempt's scheduled chaos at each named lifecycle site;
-    ``spec.timeout`` is enforced cooperatively at stage boundaries.
-    Neither touches the RNG streams: a recovered retry re-runs this same
-    pure function with the same spec, so its result is bit-identical.
-    """
-    telemetry_on = spec.telemetry
-    job_seed = spec.run_seed
-    t0 = time.perf_counter()
-    if faults is not None:
-        faults.check("compile", job_seed, attempt, allow_crash=allow_crash,
-                     metrics=metrics, label=spec.label)
-    resolved = cache.resolve(spec)
-    t1 = time.perf_counter()
-    _check_deadline(t0, spec.timeout, STAGE_COMPILE)
-    if faults is not None:
-        faults.check("acquire", job_seed, attempt, allow_crash=allow_crash,
-                     metrics=metrics, label=spec.label)
-    machine, reused = pool.acquire(spec.config)
-    try:
-        machine.reset(seed=spec.run_seed, dcu_points=resolved.k_points)
-        for name, n_params, body_asm in spec.microprograms:
-            machine.define_microprogram(name, n_params, body_asm)
-        for upload in spec.uploads:
-            op_id = machine.op_table.define(upload.op_name)
-            waveform = Waveform(upload.op_name, np.asarray(upload.samples))
-            machine.ctpgs[f"ctpg{upload.qubit}"].lut.upload(op_id, waveform)
-        machine.exec_ctrl.load(resolved.program)
-        t_loaded = time.perf_counter() if telemetry_on else 0.0
-        _check_deadline(t0, spec.timeout, STAGE_ACQUIRE)
-        if faults is not None:
-            faults.check("execute", job_seed, attempt,
-                         allow_crash=allow_crash, metrics=metrics,
-                         label=spec.label)
-        if spec.replay:
-            replay_key = (replay_cache.key_for(spec)
-                          if replay_cache is not None else None)
-            plan = (replay_cache.get(replay_key)
-                    if replay_key is not None else None)
-            result, new_plan, report = run_with_replay(
-                machine, resolved.n_rounds, plan=plan)
-            if (new_plan is not None and not report.plan_hit
-                    and replay_key is not None):
-                replay_cache.put(replay_key, new_plan)
-        else:
-            result = machine.run()
-            report = None
-        t_ran = time.perf_counter() if telemetry_on else 0.0
-        _check_deadline(t0, spec.timeout, STAGE_EXECUTE)
-        if faults is not None:
-            faults.check("collect", job_seed, attempt,
-                         allow_crash=allow_crash, metrics=metrics,
-                         label=spec.label)
-        check_run_result(result)
-        scalar_qubit = spec.cal_qubit
-        if scalar_qubit is None and spec.cal_targets is not None:
-            scalar_qubit = spec.cal_targets[0]
-        cal = (machine.readout_calibrations[scalar_qubit]
-               if scalar_qubit is not None else machine.readout_calibration)
-        cal_targets = s_grounds = s_exciteds = joint_counts = None
-        if spec.cal_targets is not None:
-            cal_targets = spec.cal_targets
-            register = [machine.readout_calibrations[q] for q in cal_targets]
-            m = len(cal_targets)
-            if resolved.k_points != m:
-                raise ConfigurationError(
-                    f"correlated job collects K={resolved.k_points} "
-                    f"statistics per round, but cal_targets names {m} "
-                    f"register qubits")
-            s_grounds = tuple(c.s_ground for c in register)
-            s_exciteds = tuple(c.s_excited for c in register)
-            raw = machine.dcu.raw()
-            if len(raw) % m:
-                # A desynced stream (extra or missing MD against the
-                # declared register) would silently shift statistics to
-                # the wrong qubit columns — fail loudly instead.
-                raise ConfigurationError(
-                    f"correlated job recorded {len(raw)} statistics, not "
-                    f"a whole number of {m}-qubit register rounds")
-            rounds = len(raw) // m
-            joint_counts = joint_outcome_counts(
-                raw.reshape(rounds, m),
-                np.asarray([c.threshold for c in register]))
-        t_end = time.perf_counter()
-        _check_deadline(t0, spec.timeout, STAGE_COLLECT)
-        compile_s = t1 - t0
-        execute_s = t_end - t1
-        replayed_rounds = report.replayed_rounds if report else 0
-        plan_hit = report.plan_hit if report else False
-        fallback_reason = (report.fallback_reason if report
-                           else "replay disabled by spec")
-        telemetry = None
-        if telemetry_on:
-            run_stage = STAGE_REPLAY if replayed_rounds else STAGE_EXECUTE
-            run_meta = {"replayed_rounds": replayed_rounds,
-                        "plan_hit": plan_hit,
-                        "n_rounds": resolved.n_rounds,
-                        "replay_fallback_reason": fallback_reason}
-            # Mitigated sweeps tag their variants so traces show which
-            # spans belong to folded (noise-scaled) executions.
-            if spec.params.get("mitigation"):
-                run_meta["mitigation"] = spec.params["mitigation"]
-            if spec.params.get("zne_scale") is not None:
-                run_meta["zne_scale"] = spec.params["zne_scale"]
-            spans = (
-                Span(STAGE_COMPILE, 0.0, compile_s,
-                     meta={"cache_hit": resolved.cache_hit}),
-                Span(STAGE_ACQUIRE, compile_s, t_loaded - t0,
-                     meta={"machine_reused": reused}),
-                Span(run_stage, t_loaded - t0, t_ran - t0, meta=run_meta),
-                Span(STAGE_COLLECT, t_ran - t0, t_end - t0),
-            )
-            telemetry = JobTelemetry(
-                spans=spans,
-                worker=f"pid:{os.getpid()}",
-                sim_trace=(tuple(machine.trace.records)
-                           if machine.trace.enabled else ()),
-                metrics=(snapshot_worker_state(metrics, pool, cache,
-                                               replay_cache)
-                         if metrics is not None else {}),
-            )
-        return JobResult(
-            averages=result.averages.copy(),
-            run=result,
-            s_ground=cal.s_ground,
-            s_excited=cal.s_excited,
-            seed=spec.run_seed,
-            params=dict(spec.params),
-            label=spec.label,
-            cache_hit=resolved.cache_hit,
-            machine_reused=reused,
-            compile_s=compile_s,
-            execute_s=execute_s,
-            total_s=t_end - t0,
-            telemetry=telemetry,
-            replayed_rounds=replayed_rounds,
-            replay_plan_hit=plan_hit,
-            replay_fallback_reason=fallback_reason,
-            cal_targets=cal_targets,
-            s_grounds=s_grounds,
-            s_exciteds=s_exciteds,
-            joint_counts=joint_counts,
-        )
-    finally:
-        pool.release(machine)
 
 
 def _attempt_failure_spans(failures: list, base_attempt: int) -> tuple:
@@ -299,83 +109,260 @@ def _attempt_failure_spans(failures: list, base_attempt: int) -> tuple:
     return tuple(spans)
 
 
-def execute_with_retry(spec: JobSpec, pool: MachinePool, cache: CompileCache,
-                       replay_cache: ReplayCache | None = None,
-                       metrics: MetricsRegistry | None = None,
-                       faults: FaultPlan | None = None,
-                       base_attempt: int = 0,
-                       allow_crash: bool = False) -> JobResult:
-    """Run one job under the spec's retry policy and fault plan.
+class Worker:
+    """One executing context's warm state and the job path through it.
 
-    ``spec.executor`` picks the job function: QuMA specs run
-    :func:`execute_job` against the pool and caches; baseline specs run
-    the ``execute``-site fault check and then
-    :func:`~repro.baseline.jobs.execute_baseline_job`.  Every backend
-    calls this one function, so both kinds of job share one retry loop
-    on whatever engine the service has.
+    A worker owns a machine pool, a compile cache, a replay cache and a
+    metrics registry, plus the fault plan its jobs run under and the
+    ``name`` its job telemetry carries (``pid:N`` unless named).  The
+    serial backend holds one; so does every fleet worker process.  Its
+    state reaches the service one way: :meth:`stats`, read live.
 
-    Retryable failures back off deterministically and re-run; terminal
-    failures — non-retryable, or attempts exhausted — raise a
-    :class:`~repro.utils.errors.JobError` whose message depends only on
-    the original exception, so every backend surfaces the same error for
-    the same faulty spec.  ``base_attempt`` offsets the attempt numbering
-    when a job is resubmitted after a worker loss, keeping the fault
-    schedule and seeded backoff aligned across workers.
-
-    On success the result's ``attempts`` counts total executions, and
-    with telemetry enabled each recovered failure becomes an
-    ``attempt-failed`` span ahead of the job's epoch.
+    ``allow_crash`` is set only in expendable worker processes;
+    elsewhere injected crash faults degrade to transient exceptions, so
+    chaos never kills the submitting process or a shared daemon.
     """
-    if spec.executor == "baseline":
-        # Imported here: repro.baseline pulls in the full baseline
-        # package, which engines that never see a baseline spec need not
-        # load.
-        from repro.baseline.jobs import execute_baseline_job
 
-        def run(attempt: int) -> JobResult:
-            if faults is not None:
-                faults.check("execute", spec.run_seed, attempt,
-                             allow_crash=allow_crash, metrics=metrics,
-                             label=spec.label)
-            return execute_baseline_job(spec, metrics)
-    else:
-        def run(attempt: int) -> JobResult:
-            return execute_job(spec, pool, cache, replay_cache,
-                               metrics=metrics, faults=faults,
-                               attempt=attempt, allow_crash=allow_crash)
+    def __init__(self, name: str | None = None, *,
+                 faults: FaultPlan | None = None, allow_crash: bool = False):
+        self.name = name if name is not None else f"pid:{os.getpid()}"
+        self.pool = MachinePool()
+        self.cache = CompileCache()
+        self.replay_cache = ReplayCache()
+        self.metrics = MetricsRegistry()
+        self.faults = faults
+        self.allow_crash = allow_crash
 
-    policy = spec.retry if spec.retry is not None else NO_RETRY
-    attempt = base_attempt
-    failures: list = []
-    while True:
+    def run(self, spec: JobSpec, base_attempt: int = 0,
+            faults: FaultPlan | None = None) -> JobResult:
+        """Run one job under the spec's retry policy and a fault plan.
+
+        ``faults`` replaces the worker's own plan for this job (a fleet
+        client ships its plan with every job).  Retryable failures back
+        off deterministically and re-run; terminal failures —
+        non-retryable, or attempts exhausted — raise a
+        :class:`~repro.utils.errors.JobError` whose message depends only
+        on the original exception, so every backend surfaces the same
+        error for the same faulty spec.  ``base_attempt`` offsets the
+        attempt numbering when a job is resubmitted after a worker loss,
+        keeping the fault schedule and seeded backoff aligned across
+        workers.
+
+        On success the result's ``attempts`` counts total executions,
+        and with telemetry enabled the result names this worker and each
+        recovered failure becomes an ``attempt-failed`` span ahead of
+        the job's epoch.
+        """
+        faults = faults if faults is not None else self.faults
+        policy = spec.retry if spec.retry is not None else NO_RETRY
+        attempt = base_attempt
+        failures: list = []
+        while True:
+            t0 = time.perf_counter()
+            try:
+                result = self._attempt(spec, faults, attempt)
+            except Exception as exc:
+                duration = time.perf_counter() - t0
+                if policy.should_retry(exc, attempt):
+                    self.metrics.counter("retries").inc()
+                    backoff = policy.backoff_for(attempt + 1, spec.run_seed)
+                    failures.append((exc, duration, backoff))
+                    if backoff > 0:
+                        time.sleep(backoff)
+                    attempt += 1
+                    continue
+                self.metrics.counter("jobs_failed").inc()
+                raise wrap_job_failure(
+                    exc, attempts=attempt + 1, label=spec.label,
+                    seed=spec.run_seed,
+                    quarantined=(policy.is_retryable(exc)
+                                 and attempt + 1 >= policy.max_attempts
+                                 and policy.max_attempts > 1)) from exc
+            result.attempts = attempt + 1
+            if result.telemetry is not None:
+                result.telemetry.worker = self.name
+                result.telemetry.spans = (
+                    _attempt_failure_spans(failures, base_attempt)
+                    + result.telemetry.spans)
+            return result
+
+    def _check(self, faults: FaultPlan | None, site: str, spec: JobSpec,
+               attempt: int) -> None:
+        """Fire the fault ``faults`` schedules at ``site``, if any."""
+        if faults is not None:
+            faults.check(site, spec.run_seed, attempt,
+                         allow_crash=self.allow_crash, metrics=self.metrics,
+                         label=spec.label)
+
+    def _attempt(self, spec: JobSpec, faults: FaultPlan | None,
+                 attempt: int) -> JobResult:
+        """One execution attempt of the job function ``spec.executor``
+        names."""
+        if spec.executor == "baseline":
+            # Imported here: repro.baseline pulls in the full baseline
+            # package, which workers that never see a baseline spec
+            # need not load.
+            from repro.baseline.jobs import execute_baseline_job
+
+            self._check(faults, "execute", spec, attempt)
+            return execute_baseline_job(spec)
+        return self._execute(spec, faults, attempt)
+
+    def _execute(self, spec: JobSpec, faults: FaultPlan | None,
+                 attempt: int) -> JobResult:
+        """Run one QuMA job on the pool and caches; deterministic given
+        the spec.
+
+        With ``spec.replay`` (the default) eligible programs take the
+        round-replay fast path; a verified plan lands in the replay
+        cache, so subsequent jobs of the same sweep (same
+        config-minus-seed, program, uploads, microprograms) replay every
+        round without touching the event kernel.  Replayed and
+        fully-simulated jobs produce bit-identical averages for the same
+        run seed, so caching never changes results.
+
+        Fault injections land in the worker's registry; per-job counts
+        are not kept here: the service counts them from the result's
+        flags.  With ``spec.telemetry`` the result additionally carries
+        lifecycle spans and the simulator trace (when the machine
+        traces), neither of which touches the RNG streams, so telemetry
+        on/off is bit-identical in ``averages``.  ``spec.timeout`` is
+        enforced cooperatively at stage boundaries; like the fault plan
+        it touches no RNG stream, so a recovered retry re-runs this
+        same pure function with the same spec and is bit-identical.
+        """
+        telemetry_on = spec.telemetry
         t0 = time.perf_counter()
+        self._check(faults, "compile", spec, attempt)
+        resolved = self.cache.resolve(spec)
+        t1 = time.perf_counter()
+        _check_deadline(t0, spec.timeout, STAGE_COMPILE)
+        self._check(faults, "acquire", spec, attempt)
+        machine, reused = self.pool.acquire(spec.config)
         try:
-            result = run(attempt)
-        except Exception as exc:
-            duration = time.perf_counter() - t0
-            if policy.should_retry(exc, attempt):
-                if metrics is not None:
-                    metrics.counter("retries").inc()
-                backoff = policy.backoff_for(attempt + 1, spec.run_seed)
-                failures.append((exc, duration, backoff))
-                if backoff > 0:
-                    time.sleep(backoff)
-                attempt += 1
-                continue
-            if metrics is not None:
-                metrics.counter("jobs_failed").inc()
-            raise wrap_job_failure(
-                exc, attempts=attempt + 1, label=spec.label,
+            machine.reset(seed=spec.run_seed, dcu_points=resolved.k_points)
+            for name, n_params, body_asm in spec.microprograms:
+                machine.define_microprogram(name, n_params, body_asm)
+            for upload in spec.uploads:
+                op_id = machine.op_table.define(upload.op_name)
+                waveform = Waveform(upload.op_name, np.asarray(upload.samples))
+                machine.ctpgs[f"ctpg{upload.qubit}"].lut.upload(op_id,
+                                                                waveform)
+            machine.exec_ctrl.load(resolved.program)
+            t_loaded = time.perf_counter() if telemetry_on else 0.0
+            _check_deadline(t0, spec.timeout, STAGE_ACQUIRE)
+            self._check(faults, "execute", spec, attempt)
+            if spec.replay:
+                replay_key = self.replay_cache.key_for(spec)
+                result, new_plan, report = run_with_replay(
+                    machine, resolved.n_rounds,
+                    plan=self.replay_cache.get(replay_key))
+                if new_plan is not None and not report.plan_hit:
+                    self.replay_cache.put(replay_key, new_plan)
+            else:
+                result = machine.run()
+                report = None
+            t_ran = time.perf_counter() if telemetry_on else 0.0
+            _check_deadline(t0, spec.timeout, STAGE_EXECUTE)
+            self._check(faults, "collect", spec, attempt)
+            check_run_result(result)
+            scalar_qubit = spec.cal_qubit
+            if scalar_qubit is None and spec.cal_targets is not None:
+                scalar_qubit = spec.cal_targets[0]
+            cal = (machine.readout_calibrations[scalar_qubit]
+                   if scalar_qubit is not None
+                   else machine.readout_calibration)
+            cal_targets = s_grounds = s_exciteds = joint_counts = None
+            if spec.cal_targets is not None:
+                cal_targets = spec.cal_targets
+                register = [machine.readout_calibrations[q]
+                            for q in cal_targets]
+                m = len(cal_targets)
+                if resolved.k_points != m:
+                    raise ConfigurationError(
+                        f"correlated job collects K={resolved.k_points} "
+                        f"statistics per round, but cal_targets names {m} "
+                        f"register qubits")
+                s_grounds = tuple(c.s_ground for c in register)
+                s_exciteds = tuple(c.s_excited for c in register)
+                raw = machine.dcu.raw()
+                if len(raw) % m:
+                    # A desynced stream (extra or missing MD against the
+                    # declared register) would silently shift statistics
+                    # to the wrong qubit columns — fail loudly instead.
+                    raise ConfigurationError(
+                        f"correlated job recorded {len(raw)} statistics, not "
+                        f"a whole number of {m}-qubit register rounds")
+                rounds = len(raw) // m
+                joint_counts = joint_outcome_counts(
+                    raw.reshape(rounds, m),
+                    np.asarray([c.threshold for c in register]))
+            t_end = time.perf_counter()
+            _check_deadline(t0, spec.timeout, STAGE_COLLECT)
+            compile_s = t1 - t0
+            execute_s = t_end - t1
+            replayed_rounds = report.replayed_rounds if report else 0
+            plan_hit = report.plan_hit if report else False
+            fallback_reason = (report.fallback_reason if report
+                               else "replay disabled by spec")
+            telemetry = None
+            if telemetry_on:
+                run_stage = STAGE_REPLAY if replayed_rounds else STAGE_EXECUTE
+                run_meta = {"replayed_rounds": replayed_rounds,
+                            "plan_hit": plan_hit,
+                            "n_rounds": resolved.n_rounds,
+                            "replay_fallback_reason": fallback_reason}
+                # Mitigated sweeps tag their variants so traces show
+                # which spans belong to folded (noise-scaled) executions.
+                if spec.params.get("mitigation"):
+                    run_meta["mitigation"] = spec.params["mitigation"]
+                if spec.params.get("zne_scale") is not None:
+                    run_meta["zne_scale"] = spec.params["zne_scale"]
+                spans = (
+                    Span(STAGE_COMPILE, 0.0, compile_s,
+                         meta={"cache_hit": resolved.cache_hit}),
+                    Span(STAGE_ACQUIRE, compile_s, t_loaded - t0,
+                         meta={"machine_reused": reused}),
+                    Span(run_stage, t_loaded - t0, t_ran - t0, meta=run_meta),
+                    Span(STAGE_COLLECT, t_ran - t0, t_end - t0),
+                )
+                telemetry = JobTelemetry(
+                    spans=spans,
+                    sim_trace=(tuple(machine.trace.records)
+                               if machine.trace.enabled else ()))
+            return JobResult(
+                averages=result.averages.copy(),
+                run=result,
+                s_ground=cal.s_ground,
+                s_excited=cal.s_excited,
                 seed=spec.run_seed,
-                quarantined=(policy.is_retryable(exc)
-                             and attempt + 1 >= policy.max_attempts
-                             and policy.max_attempts > 1)) from exc
-        result.attempts = attempt + 1
-        if failures and result.telemetry is not None:
-            result.telemetry.spans = (
-                _attempt_failure_spans(failures, base_attempt)
-                + tuple(result.telemetry.spans))
-        return result
+                params=dict(spec.params),
+                label=spec.label,
+                cache_hit=resolved.cache_hit,
+                machine_reused=reused,
+                compile_s=compile_s,
+                execute_s=execute_s,
+                total_s=t_end - t0,
+                telemetry=telemetry,
+                replayed_rounds=replayed_rounds,
+                replay_plan_hit=plan_hit,
+                replay_fallback_reason=fallback_reason,
+                cal_targets=cal_targets,
+                s_grounds=s_grounds,
+                s_exciteds=s_exciteds,
+                joint_counts=joint_counts,
+            )
+        finally:
+            self.pool.release(machine)
+
+    def stats(self) -> dict:
+        """This worker's live state: its name, pool, caches, the
+        process's calibration memos and its registry's summary."""
+        return {"worker": self.name, "pool": self.pool.stats(),
+                "cache": self.cache.stats(),
+                "replay_cache": self.replay_cache.stats(),
+                "calibration": calibration_stats(),
+                "metrics": self.metrics.summary()}
 
 
 class ExecutorBackend(abc.ABC):

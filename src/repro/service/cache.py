@@ -95,9 +95,12 @@ class CompileCache:
     a scheduler backend executes in its process.
     """
 
-    def __init__(self, max_entries: int = 256):
-        self._codegen = _LRU(max_entries)
-        self._assembly = _LRU(max_entries)
+    #: Entries kept per level; the least recently used go beyond it.
+    MAX_ENTRIES = 256
+
+    def __init__(self):
+        self._codegen = _LRU(self.MAX_ENTRIES)
+        self._assembly = _LRU(self.MAX_ENTRIES)
         # The in-process backends touch a cache from one thread, but a
         # fleet worker with several job lanes shares one instance.
         self._mutex = threading.Lock()
@@ -203,14 +206,16 @@ class ReplayCache:
     """
 
     CONFIG_EXCLUDE = ("dcu_points", "trace_enabled")
+    #: Plans kept; the least recently used go beyond it.
+    MAX_ENTRIES = 64
 
-    def __init__(self, max_entries: int = 64):
-        self._plans = _LRU(max_entries)
+    def __init__(self):
+        self._plans = _LRU(self.MAX_ENTRIES)
         self._mutex = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def key_for(self, spec: JobSpec) -> tuple | None:
+    def key_for(self, spec: JobSpec) -> tuple:
         config_fp = spec.config.fingerprint(exclude=self.CONFIG_EXCLUDE)
         if spec.asm is not None:
             program_key = ("asm", hashlib.sha256(spec.asm.encode()).hexdigest())

@@ -64,9 +64,6 @@ class FleetBackend(ExecutorBackend):
     name = "fleet"
 
     def __init__(self, addresses=None, *, faults: FaultPlan | None = None,
-                 connect_timeout: float = 5.0,
-                 request_timeout: float = 60.0,
-                 heartbeat_s: float = 1.0, heartbeat_misses: int = 5,
                  reconnect_lost: bool = False):
         super().__init__()
         if addresses is None:
@@ -81,10 +78,6 @@ class FleetBackend(ExecutorBackend):
                 f"host:port[,host:port...] after starting daemons with "
                 f"'repro worker --listen host:port'")
         self.faults = faults
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
-        self.heartbeat_s = heartbeat_s
-        self.heartbeat_misses = heartbeat_misses
         self.reconnect_lost = reconnect_lost
         self.worker_losses = 0
         self.resubmissions = 0
@@ -114,14 +107,8 @@ class FleetBackend(ExecutorBackend):
     # -- connections ---------------------------------------------------------
 
     def _client(self, address: str) -> WorkerClient:
-        return WorkerClient(
-            address,
-            connect_timeout=self.connect_timeout,
-            request_timeout=self.request_timeout,
-            heartbeat_s=self.heartbeat_s,
-            heartbeat_misses=self.heartbeat_misses,
-            on_result=self._on_reply, on_error=self._on_reply,
-            on_lost=self._on_lost)
+        return WorkerClient(address, on_reply=self._on_reply,
+                            on_lost=self._on_lost)
 
     def _open_workers(self) -> list[WorkerClient]:
         """Connect one client per worker (called once, under the lock)."""

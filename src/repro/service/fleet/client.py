@@ -6,14 +6,14 @@ other end a local worker process serves:
 
 * **submissions** — ``SUBMIT`` frames keyed by backend-chosen token;
   the matching ``RESULT``/``ERROR`` frames come back whenever the worker
-  finishes and are delivered through the ``on_result``/``on_error``
-  callbacks (on the reader thread);
+  finishes and are delivered through the ``on_reply`` callback (on the
+  reader thread);
 * **requests** — ping/stats/shutdown frames matched by ``rid``;
   :meth:`_request` blocks the calling thread until the reply (or its
   timeout) while jobs keep flowing;
 * **liveness** — a heartbeat thread pings on a period and watches the
   last time *any* frame arrived.  A dead socket (EOF, reset — the
-  SIGKILL case on loopback or a socketpair) or ``heartbeat_misses``
+  SIGKILL case on loopback or a socketpair) or ``HEARTBEAT_MISSES``
   silent periods (the hang/partition case) marks the worker lost
   exactly once: the socket is torn down, every waiting request fails,
   and ``on_lost`` fires so the owning backend can map the loss to
@@ -35,19 +35,26 @@ from repro.utils.errors import ProtocolError, WorkerLost
 
 
 class WorkerClient:
-    """One live connection to one fleet worker."""
+    """One live connection to one fleet worker.
 
-    def __init__(self, address: str, *, connect_timeout: float = 5.0,
-                 request_timeout: float = 30.0, heartbeat_s: float = 1.0,
-                 heartbeat_misses: int = 5, on_result=None, on_error=None,
-                 on_lost=None):
+    ``on_reply(client, token, outcome)`` receives each job's outcome: a
+    :class:`~repro.service.job.JobResult`, or the exception an ``ERROR``
+    frame carried.  ``on_lost(client, reason)`` fires once on a loss.
+    """
+
+    #: Seconds to dial a daemon.
+    CONNECT_TIMEOUT_S = 5.0
+    #: Seconds the handshake, or a request without its own timeout,
+    #: waits for the reply.
+    REQUEST_TIMEOUT_S = 60.0
+    #: Heartbeat period (seconds).
+    HEARTBEAT_S = 1.0
+    #: Silent heartbeat periods after which the worker counts as lost.
+    HEARTBEAT_MISSES = 5
+
+    def __init__(self, address: str, *, on_reply=None, on_lost=None):
         self.address = address
-        self.connect_timeout = connect_timeout
-        self.request_timeout = request_timeout
-        self.heartbeat_s = heartbeat_s
-        self.heartbeat_misses = heartbeat_misses
-        self.on_result = on_result
-        self.on_error = on_error
+        self.on_reply = on_reply
         self.on_lost = on_lost
         self.alive = False
         self.welcome: dict = {}
@@ -73,9 +80,9 @@ class WorkerClient:
         version check, and start the service threads."""
         if sock is None:
             sock = socket.create_connection(parse_address(self.address),
-                                            timeout=self.connect_timeout)
+                                            timeout=self.CONNECT_TIMEOUT_S)
         try:
-            sock.settimeout(self.request_timeout)
+            sock.settimeout(self.REQUEST_TIMEOUT_S)
             send_frame(sock, protocol.HELLO, {
                 "version": protocol.PROTOCOL_VERSION,
                 "client": f"pid:{os.getpid()}"})
@@ -174,12 +181,10 @@ class WorkerClient:
                 kind, body = recv_frame(self._sock)
                 self._last_rx = time.monotonic()
                 body = body or {}
-                if kind == protocol.RESULT:
-                    if self.on_result is not None:
-                        self.on_result(self, body["token"], body["result"])
-                elif kind == protocol.ERROR:
-                    if self.on_error is not None:
-                        self.on_error(self, body["token"], body["error"])
+                if kind in (protocol.RESULT, protocol.ERROR):
+                    if self.on_reply is not None:
+                        self.on_reply(self, body["token"], body[
+                            "result" if kind == protocol.RESULT else "error"])
                 elif kind in protocol.REPLY_KINDS:
                     with self._state_lock:
                         slot = self._replies.pop(body.get("rid"), None)
@@ -193,12 +198,12 @@ class WorkerClient:
                            f"dropped: {type(exc).__name__}: {exc}")
 
     def _heartbeat_loop(self) -> None:
-        while not self._stop.wait(self.heartbeat_s):
+        while not self._stop.wait(self.HEARTBEAT_S):
             silent_s = time.monotonic() - self._last_rx
-            if silent_s > self.heartbeat_s * self.heartbeat_misses:
+            if silent_s > self.HEARTBEAT_S * self.HEARTBEAT_MISSES:
                 self.mark_lost(
                     f"worker {self.address} silent for {silent_s:.1f} s "
-                    f"({self.heartbeat_misses} heartbeats missed)")
+                    f"({self.HEARTBEAT_MISSES} heartbeats missed)")
                 return
             try:
                 # Fire-and-forget: the pong (or any other frame) refreshes
@@ -220,7 +225,7 @@ class WorkerClient:
 
     def submit(self, token: int, spec: JobSpec, base_attempt: int = 0,
                faults=None) -> None:
-        """Ship one job; the result arrives via ``on_result``/``on_error``."""
+        """Ship one job; its outcome arrives via ``on_reply``."""
         body = {"token": token, "spec": spec, "base_attempt": base_attempt}
         if faults is not None:
             body["faults"] = faults
@@ -251,7 +256,7 @@ class WorkerClient:
                 self._replies.pop(rid, None)
             raise
         if not slot["event"].wait(timeout if timeout is not None
-                                  else self.request_timeout):
+                                  else self.REQUEST_TIMEOUT_S):
             with self._state_lock:
                 self._replies.pop(rid, None)
             raise TimeoutError(

@@ -30,7 +30,7 @@ import struct
 from repro.utils.errors import ProtocolError
 
 #: Bump on any incompatible frame change; both ends refuse a mismatch.
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 MAGIC = b"RPFL"
 _HEADER = struct.Struct(">4sI")

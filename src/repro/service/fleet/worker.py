@@ -1,16 +1,17 @@
-"""The ``repro worker`` daemon: warm pool + caches behind a socket.
+"""The ``repro worker`` daemon: a warm worker behind a socket.
 
-A :class:`WorkerServer` owns one machine pool, one in-memory compile
-cache, one replay cache, and one metrics registry — the warm state of a
-worker, served to TCP clients as a daemon or on one socketpair as a
-local worker process of the ``process`` backend
-(:mod:`repro.service.fleet.local`).  Jobs arrive as
+A :class:`WorkerServer` holds one
+:class:`~repro.service.backends.base.Worker` — machine pool, compile
+cache, replay cache and metrics registry — and serves it to TCP clients
+as a daemon or on one socketpair as a local worker process of the
+``process`` backend (:mod:`repro.service.fleet.local`).  Jobs arrive as
 pickled :class:`JobSpec`\\ s on ``SUBMIT`` frames and run through
-:func:`execute_with_retry`, so the worker-side failure semantics
-(per-spec retry policy, fault plan from its own environment, uniform
-``JobError`` wrapping) are exactly those of the serial backend.  Results
-(or the terminal ``JobError``) ship back on the same connection, keyed
-by the client's token.
+:meth:`Worker.run`, so the worker-side failure semantics (per-spec retry
+policy, fault plan from its own environment, uniform ``JobError``
+wrapping) are exactly those of the serial backend.  Results (or the
+terminal ``JobError``) ship back on the same connection, keyed by the
+client's token; the worker's state reaches clients only through
+``STATS`` replies.
 
 Concurrency model: one accept loop (daemons only), one reader thread
 per connection, and one job thread, so a worker runs one job at a time
@@ -34,19 +35,16 @@ import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.obs.metrics import MetricsRegistry
-from repro.service.backends.base import execute_with_retry
-from repro.service.cache import CompileCache, ReplayCache
+from repro.service.backends.base import Worker
 from repro.service.faults import FaultPlan
 from repro.service.fleet import protocol
 from repro.service.fleet.protocol import parse_address, recv_frame, send_frame
-from repro.service.job import JobResult, JobSpec
-from repro.service.pool import MachinePool
+from repro.service.job import JobSpec
 from repro.utils.errors import JobCancelled, ProtocolError
 
 
 class WorkerServer:
-    """One fleet worker: accept loop, one job thread, warm pool + caches.
+    """One fleet worker: accept loop, one job thread, one warm Worker.
 
     ``host=None`` opens no listener: the worker then serves only the
     sockets passed to :meth:`serve`.
@@ -55,12 +53,6 @@ class WorkerServer:
     def __init__(self, host: str | None = "127.0.0.1", port: int = 0, *,
                  faults: FaultPlan | None = None,
                  name: str | None = None, allow_crash: bool = False):
-        self.pool = MachinePool()
-        self.cache = CompileCache()
-        self.replay_cache = ReplayCache()
-        self.metrics = MetricsRegistry()
-        self.faults = faults if faults is not None else FaultPlan.from_env()
-        self.allow_crash = allow_crash
         #: ``(host, port)`` of the listener; None for a worker that only
         #: serves sockets handed to :meth:`serve` (``host=None``).
         self.address: tuple[str, int] | None = None
@@ -70,6 +62,9 @@ class WorkerServer:
             self.address = self._listener.getsockname()[:2]
         self.name = (name if name is not None
                      else "worker:%s:%d" % self.address)
+        self.worker = Worker(
+            self.name, allow_crash=allow_crash,
+            faults=faults if faults is not None else FaultPlan.from_env())
         self._jobs = ThreadPoolExecutor(max_workers=1,
                                         thread_name_prefix="fleet-job")
         self._closed = threading.Event()
@@ -262,24 +257,11 @@ class WorkerServer:
         token = body["token"]
         spec: JobSpec = body["spec"]
         base_attempt = int(body.get("base_attempt", 0))
-        handle = self._jobs.submit(self._execute, spec, base_attempt,
+        handle = self._jobs.submit(self.worker.run, spec, base_attempt,
                                    body.get("faults"))
         pending[token] = handle
         handle.add_done_callback(
             lambda h: self._job_finished(conn, wlock, pending, token, h))
-
-    def _execute(self, spec: JobSpec, base_attempt: int,
-                 faults: FaultPlan | None = None) -> JobResult:
-        result = execute_with_retry(
-            spec, self.pool, self.cache, self.replay_cache,
-            metrics=self.metrics,
-            faults=faults if faults is not None else self.faults,
-            base_attempt=base_attempt, allow_crash=self.allow_crash)
-        if result.telemetry is not None:
-            # Identify this daemon (not just a pid) in the service's
-            # per-worker telemetry rollup.
-            result.telemetry.worker = self.name
-        return result
 
     def _job_finished(self, conn, wlock, pending: dict, token: int,
                       handle) -> None:
@@ -313,7 +295,6 @@ class WorkerServer:
             active = sum(len(p) for p in self._conn_pending)
             connections = len(self._conns)
         return {
-            "worker": self.name,
             "pid": os.getpid(),
             "address": ("%s:%d" % self.address if self.address is not None
                         else None),
@@ -326,10 +307,7 @@ class WorkerServer:
             "results_undelivered": self.results_undelivered,
             "rejects": self.rejects,
             "protocol_errors": self.protocol_errors,
-            "pool": self.pool.stats(),
-            "cache": self.cache.stats(),
-            "replay_cache": self.replay_cache.stats(),
-            "metrics": self.metrics.summary(),
+            **self.worker.stats(),
         }
 
 

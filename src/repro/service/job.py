@@ -11,9 +11,9 @@ Specs also carry their *job kind*: ``executor="quma"`` (the default)
 runs through the full QuMA event-kernel stack, while
 ``executor="baseline"`` evaluates the spec's
 :class:`~repro.baseline.spec.ExperimentSpec` against the APS2 cost model
-(see ``repro.baseline.jobs``).  The job-execution function
-(:func:`~repro.service.backends.base.execute_with_retry`) keys off this
-field, so one batch can interleave both on any backend.
+(see ``repro.baseline.jobs``).  The worker that runs a job
+(:meth:`~repro.service.backends.base.Worker.run`) keys off this field,
+so one batch can interleave both on any backend.
 """
 
 from __future__ import annotations
@@ -371,8 +371,8 @@ class JobResult:
     #: the job's future resolves (~0 for the serial backend; the queue +
     #: dispatch + pickling overhead on the worker backends).
     queue_wait_s: float = 0.0
-    #: Spans / simulator trace / worker metrics snapshot, when the spec
-    #: ran with ``telemetry=True`` (None otherwise — and for artifacts).
+    #: Spans / simulator trace / worker name, when the spec ran with
+    #: ``telemetry=True`` (None otherwise — and for artifacts).
     telemetry: JobTelemetry | None = None
     replayed_rounds: int = 0   #: rounds served by the replay fast path
     replay_plan_hit: bool = False  #: replay plan came from the replay cache

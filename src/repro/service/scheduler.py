@@ -52,6 +52,10 @@ from repro.service.job import (
 from repro.utils.errors import ConfigurationError
 
 
+#: Components of a worker's ``stats()`` reported as ``<name>.*`` gauges.
+WORKER_GAUGES = ("pool", "cache", "replay_cache", "calibration")
+
+
 def grid(**axes: Iterable) -> list[dict]:
     """Cartesian sweep points from named axes, last axis fastest.
 
@@ -109,13 +113,9 @@ class ExperimentService:
         self._submitted = 0
         self._pending: set[JobFuture] = set()
         self._completed: queue.SimpleQueue[JobFuture] = queue.SimpleQueue()
-        # Telemetry: service-side counters/histograms (``service.*`` and
-        # ``stage.*`` names), harvested per resolved future, plus the
-        # latest metrics snapshot each worker shipped home on a
-        # telemetry-enabled job (cumulative, so latest-wins per worker).
+        # Service-side counters/histograms (``service.*`` and ``stage.*``
+        # names), harvested per resolved future; workers keep their own.
         self.metrics = MetricsRegistry()
-        self._metrics_lock = threading.Lock()
-        self._worker_snapshots: dict[str, dict] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -208,11 +208,6 @@ class ExperimentService:
         m.histogram("stage.compile_s").observe(result.compile_s)
         m.histogram("stage.execute_s").observe(result.execute_s)
         m.histogram("stage.total_s").observe(result.total_s)
-        telemetry = result.telemetry
-        if telemetry is not None and telemetry.metrics:
-            with self._metrics_lock:
-                self._worker_snapshots[telemetry.worker or "inline"] = \
-                    telemetry.metrics
 
     def iter_futures(self, futures: Sequence[JobFuture],
                      timeout: float | None = None) -> Iterator[JobFuture]:
@@ -320,48 +315,71 @@ class ExperimentService:
         (specs are built in the parent process; only specs cross to
         workers).  With ``seed_root`` every job gets an independent,
         reproducible run seed derived from (root, index); without it jobs
-        keep the factory's seeds (defaulting to the config seed).
+        keep the factory's seeds (defaulting to the config seed).  Both
+        land on a copy, made only when a field changes, so a factory may
+        return one shared spec for every point.
         """
         specs = []
         for index, params in enumerate(points):
             params = dict(params)
             spec = factory(params)
+            changes = {}
             if not spec.params:
-                spec.params = params
+                changes["params"] = params
             if seed_root is not None:
-                spec.seed = derive_job_seed(seed_root, index)
-            specs.append(spec)
+                changes["seed"] = derive_job_seed(seed_root, index)
+            specs.append(dataclasses.replace(spec, **changes)
+                         if changes else spec)
         return self.run_batch(specs)
 
     # -- inspection ----------------------------------------------------------
 
     def metrics_summary(self) -> dict:
-        """Merged telemetry view: service-side registry + worker snapshots.
+        """Service-side registry plus every live worker's report.
 
         ``service`` holds this process's counters and stage histograms
-        (every resolved future lands there, telemetry on or off);
-        ``workers`` holds the latest per-worker snapshot shipped home on
-        telemetry-enabled jobs; ``workers_merged`` sums/pools those
-        snapshots across workers (see ``MetricsRegistry.merge``).
+        (every resolved future lands there, telemetry on or off).
+        ``workers`` is built now from each live worker's ``stats()``,
+        keyed by the name its job telemetry carries: the counters of its
+        registry, and its pool, cache, replay-cache and calibration-memo
+        stats as ``pool.*``/``cache.*``/``replay_cache.*``/
+        ``calibration.*`` gauges.  ``workers_merged`` sums them across
+        workers.  A lost worker's report leaves with it.
         """
-        with self._metrics_lock:
-            snapshots = dict(self._worker_snapshots)
-        summary = {
-            "service": self.metrics.summary(),
-            "workers": {worker: MetricsRegistry.summarize_snapshot(snap)
-                        for worker, snap in sorted(snapshots.items())},
-        }
-        if snapshots:
-            summary["workers_merged"] = MetricsRegistry.summarize_snapshot(
-                MetricsRegistry.merge(list(snapshots.values())))
+        return self._metrics_summary(self.engine.stats())
+
+    def _metrics_summary(self, engine: dict) -> dict:
+        # The serial engine is its own one worker; worker backends list
+        # each live worker's stats under its entry's ``remote``.
+        live = ([engine] if "workers" not in engine else
+                [entry["remote"] for entry in engine["workers"]
+                 if "remote" in entry])
+        workers = {stats["worker"]: {
+            "counters": stats["metrics"]["counters"],
+            "gauges": {f"{part}.{key}": value for part in WORKER_GAUGES
+                       for key, value in stats[part].items()},
+        } for stats in sorted(live, key=lambda stats: stats["worker"])}
+        summary = {"service": self.metrics.summary(), "workers": workers}
+        if workers:
+            merged = {"counters": {}, "gauges": {}}
+            for report in workers.values():
+                for kind, into in merged.items():
+                    for name, value in report[kind].items():
+                        into[name] = into.get(name, 0) + value
+            summary["workers_merged"] = merged
         return summary
 
     def stats(self) -> dict:
-        """The engine's stats plus this process's memos and metrics."""
+        """The engine's stats plus this process's memos and metrics.
+
+        Reads each live worker's stats once (one ``STATS`` round trip per
+        fleet worker) for both the engine block and the metrics summary.
+        """
+        engine = self.engine.stats()
         return {
             "backend": self.backend,
             "submitted": self._submitted,
-            "engine": self.engine.stats(),
+            "engine": engine,
             "calibration": calibration_stats(),
-            "metrics": self.metrics_summary(),
+            "metrics": self._metrics_summary(engine),
         }

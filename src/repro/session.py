@@ -210,7 +210,7 @@ class Session:
         self.config = config
         self.seed = seed
         # ``telemetry`` marks every submitted spec so results carry
-        # lifecycle spans and metrics snapshots; ``sim_trace``
+        # lifecycle spans and their worker's name; ``sim_trace``
         # additionally enables the machine's TraceRecorder on auto-built
         # configs so exported traces include simulation-time events.
         # Neither touches the RNG streams: averages stay bit-identical.

@@ -5,8 +5,8 @@ The subsystem contracts under test:
 * span recording and the cross-process rebase rule (queue-wait span
   prepended, worker-relative offsets anchored at ``resolved_at -
   total_s``, clamped so the queue never goes negative);
-* metrics registry snapshot/merge semantics (counters and gauges sum
-  across workers, histogram reservoirs pool with exact count/total);
+* metrics registry instruments (get-or-create counters and histograms,
+  a bounded histogram reservoir with exact count/total);
 * Chrome trace-event export (schema validity, both service-span and
   simulator timelines) and the metrics artifact round trip.
 """
@@ -17,6 +17,7 @@ import pytest
 
 from repro.obs import (
     JOB_STAGES,
+    Histogram,
     STAGE_COMPILE,
     STAGE_EXECUTE,
     STAGE_QUEUE_WAIT,
@@ -96,18 +97,16 @@ def test_registry_instruments_are_get_or_create():
     reg = MetricsRegistry()
     reg.counter("jobs").inc()
     reg.counter("jobs").inc(2)
-    reg.gauge("depth").set(3)
-    reg.gauge("depth").max(1)  # watermark: lower value does not win
     reg.histogram("lat").observe(0.5)
-    snap = reg.snapshot()
-    assert snap["counters"]["jobs"] == 3
-    assert snap["gauges"]["depth"] == 3.0
-    assert snap["histograms"]["lat"]["count"] == 1
-    assert snap["histograms"]["lat"]["samples"] == [0.5]
+    assert reg.histogram("lat").samples == [0.5]
+    summary = reg.summary()
+    assert summary["counters"]["jobs"] == 3
+    assert summary["histograms"]["lat"]["count"] == 1
 
 
-def test_histogram_reservoir_is_bounded_but_stats_exact():
-    reg = MetricsRegistry(max_samples=8)
+def test_histogram_reservoir_is_bounded_but_stats_exact(monkeypatch):
+    monkeypatch.setattr(Histogram, "MAX_SAMPLES", 8)
+    reg = MetricsRegistry()
     h = reg.histogram("lat")
     for i in range(100):
         h.observe(float(i))
@@ -117,35 +116,6 @@ def test_histogram_reservoir_is_bounded_but_stats_exact():
     assert len(h.samples) == 8
     summary = h.summary()
     assert summary["count"] == 100 and summary["max"] == 99.0
-
-
-def test_merge_sums_counters_and_gauges_pools_histograms():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("jobs").inc(3)
-    b.counter("jobs").inc(4)
-    b.counter("only_b").inc()
-    a.gauge("pool.idle").set(2)
-    b.gauge("pool.idle").set(1)
-    a.histogram("lat").observe(1.0)
-    b.histogram("lat").observe(3.0)
-    merged = MetricsRegistry.merge([a.snapshot(), b.snapshot()])
-    assert merged["counters"] == {"jobs": 7, "only_b": 1}
-    assert merged["gauges"]["pool.idle"] == 3.0
-    assert merged["histograms"]["lat"]["count"] == 2
-    assert merged["histograms"]["lat"]["total"] == pytest.approx(4.0)
-    assert merged["histograms"]["lat"]["min"] == 1.0
-    assert merged["histograms"]["lat"]["max"] == 3.0
-    assert sorted(merged["histograms"]["lat"]["samples"]) == [1.0, 3.0]
-
-
-def test_summarize_snapshot_reduces_reservoirs():
-    reg = MetricsRegistry()
-    reg.histogram("lat").observe(1.0)
-    reg.histogram("lat").observe(2.0)
-    out = MetricsRegistry.summarize_snapshot(reg.snapshot())
-    assert out["histograms"]["lat"]["count"] == 2
-    assert out["histograms"]["lat"]["p50"] == pytest.approx(1.5)
-    assert "samples" not in out["histograms"]["lat"]
 
 
 # -- chrome trace export -----------------------------------------------------

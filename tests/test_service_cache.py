@@ -94,8 +94,9 @@ class TestCompileCache:
         with pytest.raises(Exception):
             cache.assembled_for(asm)
 
-    def test_eviction_bounds_entries(self):
-        cache = CompileCache(max_entries=2)
+    def test_eviction_bounds_entries(self, monkeypatch):
+        monkeypatch.setattr(CompileCache, "MAX_ENTRIES", 2)
+        cache = CompileCache()
         for i in range(5):
             cache.assembled_for(f"    Wait {i + 1}\n    halt\n")
         assert cache.stats()["entries"] <= 4  # 2 per level

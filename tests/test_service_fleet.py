@@ -134,12 +134,13 @@ class TestAddresses:
         with pytest.raises(ConfigurationError, match="worker"):
             FleetBackend().submit(flip_spec(seed=1))
 
-    def test_unreachable_worker_is_a_configuration_error(self):
+    def test_unreachable_worker_is_a_configuration_error(self, monkeypatch):
         # A port nothing listens on: bind-then-close guarantees it's free.
         probe = socket.create_server(("127.0.0.1", 0))
         dead = "%s:%d" % probe.getsockname()[:2]
         probe.close()
-        backend = FleetBackend([dead], connect_timeout=2.0)
+        monkeypatch.setattr(WorkerClient, "CONNECT_TIMEOUT_S", 2.0)
+        backend = FleetBackend([dead])
         with pytest.raises(ConfigurationError, match="connect"):
             backend.submit(flip_spec(seed=1))
 
@@ -268,8 +269,7 @@ class TestProtocol:
             replies.append((token, type(outcome).__name__))
 
         worker = WorkerServer().start()
-        client = WorkerClient(addr_of(worker), on_result=record,
-                              on_error=record).connect()
+        client = WorkerClient(addr_of(worker), on_reply=record).connect()
         hang = FaultPlan(seed=0, rate=1.0, kinds=("hang",), hang_s=2.0,
                          sites=("execute",))
         try:
@@ -518,13 +518,14 @@ class TestWorkerLoss:
         # they land in the quarantine report un-exhausted.
         assert all(not entry["exhausted"] for entry in stats["quarantine"])
 
-    def test_heartbeat_detects_silent_worker(self):
+    def test_heartbeat_detects_silent_worker(self, monkeypatch):
         from repro.service import FaultPlan
 
+        monkeypatch.setattr(WorkerClient, "HEARTBEAT_S", 0.1)
+        monkeypatch.setattr(WorkerClient, "HEARTBEAT_MISSES", 3)
         proc, addr = launch_worker()
         try:
-            backend = FleetBackend([addr], heartbeat_s=0.1,
-                                   heartbeat_misses=3,
+            backend = FleetBackend([addr],
                                    faults=FaultPlan(seed=0, rate=0.0))
             future = backend.submit(slow_spec(1, n_rounds=3000))
             time.sleep(0.3)
@@ -585,10 +586,10 @@ class TestRecordedFailures:
         finally:
             worker.stop()
 
-    def test_failed_reconnect_is_counted(self):
+    def test_failed_reconnect_is_counted(self, monkeypatch):
+        monkeypatch.setattr(WorkerClient, "CONNECT_TIMEOUT_S", 2.0)
         worker = WorkerServer().start()
-        backend = FleetBackend([addr_of(worker)], connect_timeout=2.0,
-                               reconnect_lost=True)
+        backend = FleetBackend([addr_of(worker)], reconnect_lost=True)
         try:
             backend.submit(flip_spec(seed=1)).result(timeout=60.0)
             worker.stop()  # the re-dial after the loss finds no listener
@@ -686,3 +687,22 @@ class TestDaemon:
             remote = entry["remote"]
             assert remote["worker"].startswith("worker:")
             assert "pool" in remote and "cache" in remote
+
+    def test_service_stats_asks_each_worker_once(self, fleet_addrs,
+                                                 monkeypatch):
+        """The engine block and the metrics summary share one STATS
+        round trip per live worker."""
+        asked = []
+        stats = WorkerClient.stats
+
+        def counted(client, timeout=None):
+            asked.append(client.address)
+            return stats(client, timeout)
+
+        monkeypatch.setattr(WorkerClient, "stats", counted)
+        with ExperimentService(backend="fleet",
+                               fleet_workers=fleet_addrs) as svc:
+            svc.run_batch([flip_spec(seed=i + 1) for i in range(2)])
+            workers = svc.stats()["metrics"]["workers"]
+        assert sorted(asked) == sorted(fleet_addrs)
+        assert sorted(workers) == sorted(f"worker:{a}" for a in fleet_addrs)

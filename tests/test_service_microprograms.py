@@ -70,14 +70,14 @@ class TestExecution:
         # resolve in the next job's programs on a reused machine.
         service = ExperimentService()
         service.run_job(uprog_spec(X_BODY))
-        machine, reused = service.engine.pool.acquire(uprog_spec(X_BODY).config)
+        machine, reused = service.engine.worker.pool.acquire(uprog_spec(X_BODY).config)
         try:
             assert reused
             assert "FLIP" in machine.store  # left over from the last job
             machine.reset()
             assert "FLIP" not in machine.store
         finally:
-            service.engine.pool.release(machine)
+            service.engine.worker.pool.release(machine)
 
 
 class TestCacheKeys:

@@ -125,6 +125,17 @@ class TestSweep:
         assert [j.seed for j in sweep] == [derive_job_seed(5, 0),
                                            derive_job_seed(5, 1)]
 
+    def test_shared_factory_spec_gets_one_seed_per_job(self):
+        shared = flip_spec(seed=9)
+        sweep = ExperimentService().run_sweep(
+            lambda params: shared, grid(repeat=range(3)), seed_root=7)
+        assert [j.seed for j in sweep] == [derive_job_seed(7, i)
+                                           for i in range(3)]
+        assert [j.params for j in sweep] == [{"repeat": i}
+                                             for i in range(3)]
+        # The caller's spec is left as it was built.
+        assert shared.seed == 9 and shared.params == {}
+
     def test_seed_root_reproducible_and_independent(self):
         s1 = ExperimentService().run_sweep(
             make_rabi, grid(amplitude=(0.3, 0.3)), seed_root=5)

@@ -115,13 +115,68 @@ def test_spans_rebase_across_process_boundary():
         jobs = [f.result() for f in future.futures]
         service_stats = session.stats()
     _assert_coherent_spans(jobs)
-    # Worker metrics snapshots came home and merged.
+    # The worker report is read from the live workers' stats.
     metrics = service_stats["metrics"]
     assert metrics["service"]["counters"]["service.jobs"] == 3
     # One machine acquire per job, counted only by the workers' pools.
     gauges = metrics["workers_merged"]["gauges"]
     assert gauges["pool.builds"] + gauges["pool.reuses"] == 3
     assert all(w.startswith("pid:") for w in metrics["workers"])
+
+
+@pytest.mark.parametrize("backend", ["serial", "process", "fleet"])
+def test_metrics_summary_reads_live_workers_with_telemetry_off(backend):
+    """Every live worker reports under its telemetry name, no telemetry
+    needed: its registry's counters and its component gauges, summed
+    across workers in ``workers_merged``."""
+    import os
+
+    from repro.core import MachineConfig
+    from repro.experiments.rabi import rabi_job
+    from repro.service import ExperimentService, FaultPlan, RetryPolicy
+    from repro.service.fleet import WorkerServer
+
+    servers = ([WorkerServer().start(), WorkerServer().start()]
+               if backend == "fleet" else [])
+    addresses = ["%s:%d" % server.address for server in servers]
+    config = MachineConfig(qubits=(0,), trace_enabled=False, seed=3)
+    specs = [rabi_job(config, 0, amp, 2) for amp in (0.1, 0.3, 0.5, 0.7)]
+    # Each job's first attempt faults at compile, so every worker's
+    # registry counts one fault and one retry per job it ran.
+    faults = FaultPlan(seed=0, rate=1.0, sites=("compile",))
+    try:
+        with ExperimentService(backend=backend, workers=2, faults=faults,
+                               retry=RetryPolicy(max_attempts=2),
+                               fleet_workers=addresses or None) as svc:
+            svc.run_batch(specs)
+            engine = svc.stats()["engine"]
+            summary = svc.metrics_summary()
+    finally:
+        for server in servers:
+            server.stop()
+    if backend == "serial":
+        names = [f"pid:{os.getpid()}"]
+    elif backend == "process":
+        names = [f"pid:{entry['pid']}" for entry in engine["workers"]]
+    else:
+        names = [f"worker:{address}" for address in addresses]
+    workers = summary["workers"]
+    assert sorted(workers) == sorted(names) and len(names) == (
+        1 if backend == "serial" else 2)
+    for report in workers.values():
+        for part in ("pool", "cache", "replay_cache", "calibration"):
+            assert any(name.startswith(f"{part}.")
+                       for name in report["gauges"])
+    merged = summary["workers_merged"]
+    for kind in ("counters", "gauges"):
+        names = set().union(*(report[kind] for report in workers.values()))
+        assert merged[kind] == {
+            name: sum(report[kind].get(name, 0)
+                      for report in workers.values()) for name in names}
+    assert merged["counters"]["faults.compile.transient"] == len(specs)
+    assert merged["counters"]["retries"] == len(specs)
+    gauges = merged["gauges"]
+    assert gauges["pool.builds"] + gauges["pool.reuses"] == len(specs)
 
 
 # -- queue-wait + stage rollups ----------------------------------------------
