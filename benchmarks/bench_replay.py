@@ -23,9 +23,10 @@ largest N.  The committed paper-scale artifact comes from::
 
 (~7-10 minutes in one test, so the override turns off ``pytest.ini``'s
 120 s stack-dump watchdog, which can crash the run mid-dump).  Its
-N = 25600 row records a 6.52x warm speedup: below the 10x floor, so a
-paper-scale run fails that assertion.  The ``paper_scale_reference``
-block keeps an earlier run's 10.3x.
+N = 25600 row records a 6.74x warm speedup (286.9 s full simulation,
+42.6 s warm replay): below the 10x floor, so a paper-scale run fails
+that assertion.  The ``paper_scale_reference`` block keeps an earlier
+run's 10.3x.
 """
 
 import json

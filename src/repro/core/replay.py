@@ -38,8 +38,11 @@ The engine exploits this:
 
    Outcomes are drawn from the machine's device RNG as one batch, and
    the readout chain (summed quiet records plus shared-line noise, ADC,
-   weighted integration) runs as vectorized ``(n_readouts, n_samples)``
-   blocks through the same numpy kernels.
+   weighted integration) runs through the readout block pipeline
+   (:func:`repro.readout.pipeline.readout_statistics`): the same numpy
+   kernels over one small ``(rows, n_samples)`` block, refilled in
+   place, so a run's trace memory is one block however many rounds it
+   replays.
 
 Because numpy Generators fill arrays in stream order and every replayed
 operation reuses the recorded objects and scalar-identical kernels, the
@@ -66,6 +69,7 @@ from repro.isa import instructions as ins
 from repro.qubit.state import DensityMatrix
 from repro.readout.adc import adc_quantize
 from repro.readout.multiplex import multiplexed_signal_table
+from repro.readout.pipeline import readout_statistics
 # transmitted_trace_batch: unused, but perfbench patches it on this module.
 from repro.readout.resonator import (synthesize_trace_batch,  # noqa: F401
                                      transmitted_trace_batch)
@@ -76,9 +80,6 @@ from repro.utils.errors import ReproError
 #: Probability below which a projection would raise in full simulation
 #: (mirrors ``DensityMatrix.project``).
 _PROJECT_EPS = 1e-12
-
-#: Target floats per replay chunk (bounds peak memory of the trace block).
-_CHUNK_FLOATS = 4_000_000
 
 
 @dataclass
@@ -552,22 +553,12 @@ def _replay_rounds(machine: QuMA, plan: ReplayPlan, n_rep: int,
                 "replay drew a ~zero-probability measurement outcome; "
                 "rerun with replay disabled")
 
-    rng = machine.measurement._rng
-    rows = max(1, _CHUNK_FLOATS // max(plan.duration_ns, 1))
-    depths = list(dict.fromkeys(plan.adc_bits))
-    stats = np.empty((n, w))
-    for start in range(0, n, rows):
-        chunk = words[start:start + rows]
-        traces = synthesize_trace_batch(plan.signal_table, chunk,
-                                        plan.noise_std, rng)
-        # One quantization pass per distinct bit depth serves the whole
-        # register (the last reuses the fresh trace buffer in place).
-        digitized = {bits: adc_quantize(traces, bits,
-                                        overwrite=(d == len(depths) - 1))
-                     for d, bits in enumerate(depths)}
-        for j, bits in enumerate(plan.adc_bits):
-            stats[start:start + len(chunk), j] = \
-                integrate_batch(digitized[bits], plan.weights[j])
+    # The kernels go in under this module's names: perfbench's traced
+    # mode swaps them here for timed wrappers.
+    stats = readout_statistics(
+        plan.signal_table, words, plan.noise_std, machine.measurement._rng,
+        plan.weights, plan.adc_bits, synthesize=synthesize_trace_batch,
+        quantize=adc_quantize, integrate=integrate_batch)
     # Readout-major, register-order interleave — the order the event
     # kernel's FIFO write-backs reach the DCU.
     machine.dcu.record_batch(stats.reshape(-1))

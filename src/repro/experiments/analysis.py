@@ -1,11 +1,14 @@
-"""Curve fitting for the coherence and benchmarking experiments."""
+"""Curve fitting for the coherence and benchmarking experiments.
+
+Each fit imports ``scipy.optimize`` when it runs: the import costs about
+half a second, and most sessions (AllXY, mitigated Bell) never fit.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from repro.utils.errors import CalibrationError
 
@@ -48,6 +51,8 @@ def fit_exponential_decay(x: np.ndarray, y: np.ndarray) -> ExponentialFit:
     y = np.asarray(y, dtype=float)
     if len(x) < 3:
         raise CalibrationError("need at least 3 points for an exponential fit")
+    from scipy.optimize import curve_fit
+
     a0 = y[0] - y[-1]
     b0 = y[-1]
     tau0 = max(x[-1] / 2.0, x[1] - x[0] if len(x) > 1 else 1.0)
@@ -77,6 +82,8 @@ def fit_damped_cosine(x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if len(x) < 6:
         raise CalibrationError("need at least 6 points for a damped cosine fit")
+    from scipy.optimize import curve_fit
+
     b0 = float(np.mean(y))
     a0 = float((np.max(y) - np.min(y)) / 2.0) or 0.5
     if freq_guess is None:
@@ -111,6 +118,7 @@ def fit_rb_decay(m: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if len(m) < 3:
         raise CalibrationError("need at least 3 sequence lengths")
+    from scipy.optimize import curve_fit
 
     try:
         if fixed_offset is None:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from repro.core.config import MachineConfig
 from repro.experiments.base import Experiment, Target, register_experiment
@@ -82,6 +81,8 @@ def rabi_job(config: MachineConfig, qubit: int, amplitude: float,
 def _fit_oscillation(amplitudes: np.ndarray, populations: np.ndarray,
                      expected_pi: float) -> dict:
     """Fit P(|1>) = offset + visibility * (1 - cos(pi a / a_pi)) / 2."""
+    # scipy.optimize loads only when a fit runs (see experiments.analysis).
+    from scipy.optimize import curve_fit
 
     def model(a, a_pi, visibility, offset):
         return offset + visibility * (1 - np.cos(np.pi * a / a_pi)) / 2.0

@@ -26,10 +26,10 @@ import numpy as np
 
 from repro.core.config import MachineConfig
 from repro.core.quma import readout_calibrations
-from repro.readout.adc import adc_quantize
 # calibrate_readout: unused, but perfbench patches it on this module.
 from repro.readout.calibration import calibrate_readout  # noqa: F401
 from repro.readout.multiplex import multiplexed_signal_table
+from repro.readout.pipeline import readout_statistics
 from repro.readout.weights import prepare_weights
 from repro.utils.errors import CalibrationError
 from repro.utils.rng import derive_rng
@@ -57,10 +57,12 @@ def confusion_matrix(config: MachineConfig, targets: tuple[int, ...],
     through the exact discrimination chain the measurement path runs —
     the deterministic multiplexed signal row for that word, one shared
     output-line noise realization per shot, 8-bit ADC quantization, each
-    qubit's matched filter, each qubit's calibrated threshold.  Columns
-    sum to 1.  ``cal_shots`` defaults to ``config.calibration_shots``;
-    ``seed`` namespaces the calibration noise stream and defaults to the
-    config seed (deterministic, and independent of every run stream).
+    qubit's matched filter, each qubit's calibrated threshold — in the
+    readout block pipeline, whose per-record integration is the MDU's
+    bit-for-bit.  Columns sum to 1.  ``cal_shots`` defaults to
+    ``config.calibration_shots``; ``seed`` namespaces the calibration
+    noise stream and defaults to the config seed (deterministic, and
+    independent of every run stream).
     """
     targets = tuple(int(q) for q in targets)
     width = len(targets)
@@ -78,23 +80,21 @@ def confusion_matrix(config: MachineConfig, targets: tuple[int, ...],
     cals = readout_calibrations(config, targets)
     table, noise_std = multiplexed_signal_table(
         {q: config.readout_for(q) for q in targets}, msmt_ns)
-    weights = np.stack([prepare_weights(cals[q].weights, msmt_ns)
-                        for q in targets], axis=1)
+    weights = tuple(prepare_weights(cals[q].weights, msmt_ns)
+                    for q in targets)
     thresholds = np.asarray([cals[q].threshold for q in targets])
     rng = derive_rng(seed if seed is not None else config.seed,
                      "mitigation", "confusion")
     n_words = 1 << width
+    # Word 0's shots, then word 1's, ... in one noise stream.
+    statistics = readout_statistics(
+        table, np.repeat(np.arange(n_words), shots), noise_std, rng,
+        weights, (8,) * width)
+    bits = (statistics > thresholds).astype(np.int64)
+    outcomes = (bits << np.arange(width, dtype=np.int64)).sum(axis=1)
     response = np.zeros((n_words, n_words))
-    bit_values = np.arange(width, dtype=np.int64)
-    for word in range(n_words):
-        traces = np.tile(table[word], (shots, 1))
-        if noise_std:
-            traces += rng.normal(0.0, noise_std, traces.shape)
-        adc_quantize(traces, overwrite=True)
-        statistics = traces @ weights
-        bits = (statistics > thresholds).astype(np.int64)
-        outcomes = (bits << bit_values).sum(axis=1)
-        column = np.bincount(outcomes, minlength=n_words).astype(float)
+    for word, prepared in enumerate(outcomes.reshape(n_words, shots)):
+        column = np.bincount(prepared, minlength=n_words).astype(float)
         total = column.sum()
         if total == 0:
             raise CalibrationError(

@@ -12,13 +12,12 @@ def adc_quantize(samples: np.ndarray, bits: int = 8,
 
     Returns float values on the quantized grid (so downstream math stays
     in natural units while resolution and clipping are faithful).  With
-    ``overwrite`` a float64 input buffer is reused in place — the replay
-    fast path quantizes million-row trace blocks, where the extra
-    allocations dominate.  ``out`` supplies an explicit same-shape
-    scratch buffer instead, for callers that quantize one trace block at
-    several bit depths and must keep the input intact.  All paths
-    produce bit-identical values (``np.rint`` and ``np.round`` share the
-    round-half-even rule).
+    ``overwrite`` a float64 input buffer is reused in place, as the
+    readout block pipeline does with each trace block.  ``out`` supplies
+    an explicit same-shape scratch buffer instead, for a register whose
+    qubits quantize one block at several bit depths and must keep the
+    input intact.  All paths produce bit-identical values (``np.rint``
+    and ``np.round`` share the round-half-even rule).
     """
     if bits < 1:
         raise ValueError("need at least 1 bit")

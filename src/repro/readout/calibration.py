@@ -12,16 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.readout.adc import adc_quantize
+from repro.readout.pipeline import readout_statistics
 from repro.readout.resonator import (ReadoutParams, mean_trace,
-                                     transmitted_trace_batch)
-from repro.readout.weights import (integrate_batch, matched_filter_weights,
-                                   prepare_weights)
+                                     transmitted_signal)
+from repro.readout.weights import matched_filter_weights, prepare_weights
 from repro.utils.errors import CalibrationError
 from repro.utils.rng import derive_rng
-
-#: Shots per synthesized trace block: small blocks keep peak memory level.
-SHOT_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -64,17 +60,13 @@ def calibrate_readout(params: ReadoutParams, duration_ns: int,
         mean_trace(params, 0, duration_ns, t0_ns=0),
         mean_trace(params, 1, duration_ns, t0_ns=0),
     )
-    w_run = prepare_weights(w, duration_ns)
-    # Blocks fill in stream order and integrate_batch keeps the per-row
-    # dot: statistics are bit-identical to a one-trace-per-shot loop's.
-    stats = np.empty((2, n_shots))
-    for outcome in (0, 1):
-        for start in range(0, n_shots, SHOT_BLOCK):
-            stop = min(start + SHOT_BLOCK, n_shots)
-            traces = transmitted_trace_batch(
-                params, np.full(stop - start, outcome), duration_ns, 0, rng)
-            stats[outcome, start:stop] = integrate_batch(
-                adc_quantize(traces, adc_bits, overwrite=True), w_run)
+    # All |0> shots, then all |1> shots, in one stream: the statistics are
+    # bit-identical to a one-trace-per-shot loop's.
+    table = np.stack([transmitted_signal(params, outcome, duration_ns, 0)
+                      for outcome in (0, 1)])
+    stats = readout_statistics(
+        table, np.repeat(np.arange(2), n_shots), params.noise_std, rng,
+        (prepare_weights(w, duration_ns),), (adc_bits,)).reshape(2, n_shots)
     s0 = float(np.mean(stats[0]))
     s1 = float(np.mean(stats[1]))
     if not s1 > s0:

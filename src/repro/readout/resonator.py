@@ -93,8 +93,8 @@ def transmitted_trace(params: ReadoutParams, outcome: int, duration_ns: int,
 
 
 def synthesize_trace_batch(signal_table: np.ndarray, indices: np.ndarray,
-                           noise_std: float,
-                           rng: np.random.Generator) -> np.ndarray:
+                           noise_std: float, rng: np.random.Generator,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Noisy feedline records from a precomputed signal table.
 
     ``signal_table`` holds one deterministic record per possible signal
@@ -107,18 +107,24 @@ def synthesize_trace_batch(signal_table: np.ndarray, indices: np.ndarray,
     on the same generator — the property the round-replay engine's
     exact-parity guarantee rests on (IEEE addition is commutative, so
     ``noise + signal`` equals the event kernel's ``signal + noise``
-    bit-for-bit).
+    bit-for-bit).  ``out`` is a C-contiguous float64 ``(n_shots,
+    duration_ns)`` buffer to fill and return instead of a new array; its
+    rows are bit-identical to the allocating call's.
     """
     signal_table = np.asarray(signal_table, dtype=float)
     indices = np.asarray(indices, dtype=np.intp)
     if not noise_std:
-        return signal_table[indices]
+        if out is None:
+            return signal_table[indices]
+        return np.take(signal_table, indices, axis=0, out=out)
+    if out is None:
+        out = np.empty((len(indices), signal_table.shape[1]))
     # standard_normal + in-place scale draws the identical value stream as
     # rng.normal(0, std, ...) (loc=0 fast path) with one fewer pass.
-    traces = rng.standard_normal((len(indices), signal_table.shape[1]))
-    traces *= noise_std
-    traces += signal_table[indices]
-    return traces
+    rng.standard_normal(out=out)
+    out *= noise_std
+    out += signal_table[indices]
+    return out
 
 
 def transmitted_trace_batch(params: ReadoutParams, outcomes: np.ndarray,

@@ -30,6 +30,7 @@ import itertools
 import queue
 import threading
 import time
+from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.obs.metrics import MetricsRegistry
@@ -340,7 +341,8 @@ class ExperimentService:
         ``service`` holds this process's counters and stage histograms
         (every resolved future lands there, telemetry on or off).
         ``workers`` is built now from each live worker's ``stats()``,
-        keyed by the name its job telemetry carries: the counters of its
+        keyed by the name its job telemetry carries (``name@address``
+        when several live workers share a name): the counters of its
         registry, and its pool, cache, replay-cache and calibration-memo
         stats as ``pool.*``/``cache.*``/``replay_cache.*``/
         ``calibration.*`` gauges.  ``workers_merged`` sums them across
@@ -351,14 +353,23 @@ class ExperimentService:
     def _metrics_summary(self, engine: dict) -> dict:
         # The serial engine is its own one worker; worker backends list
         # each live worker's stats under its entry's ``remote``.
-        live = ([engine] if "workers" not in engine else
-                [entry["remote"] for entry in engine["workers"]
-                 if "remote" in entry])
-        workers = {stats["worker"]: {
-            "counters": stats["metrics"]["counters"],
-            "gauges": {f"{part}.{key}": value for part in WORKER_GAUGES
-                       for key, value in stats[part].items()},
-        } for stats in sorted(live, key=lambda stats: stats["worker"])}
+        live = ([(None, engine)] if "workers" not in engine else
+                [(entry["address"], entry["remote"])
+                 for entry in engine["workers"] if "remote" in entry])
+        # Daemons may share a ``--name``: a repeated name gets its
+        # worker's address appended, so every live worker keeps an entry.
+        repeats = Counter(stats["worker"] for _, stats in live)
+        reports = {}
+        for address, stats in live:
+            name = stats["worker"]
+            if repeats[name] > 1:
+                name = f"{name}@{address}"
+            reports[name] = {
+                "counters": stats["metrics"]["counters"],
+                "gauges": {f"{part}.{key}": value for part in WORKER_GAUGES
+                           for key, value in stats[part].items()},
+            }
+        workers = dict(sorted(reports.items()))
         summary = {"service": self.metrics.summary(), "workers": workers}
         if workers:
             merged = {"counters": {}, "gauges": {}}

@@ -313,6 +313,33 @@ class TestJointReplay:
         assert plan.p1_tree.shape[0] == 1
         assert m_off.dcu.raw().tolist() == m_on.dcu.raw().tolist()
 
+    @pytest.mark.parametrize("n_rounds", [12, 23])
+    def test_mixed_adc_depths_bitwise_identical(self, n_rounds):
+        """q2 digitizes at 6 bits, q1 at 8: the readout block pipeline
+        quantizes each record at both depths, and the warm run's record
+        count leaves a partial last block."""
+        from repro.readout.pipeline import BLOCK_FLOATS
+
+        def machine():
+            m = QuMA(register_config())
+            m.mdus[2].adc_bits = 6
+            m.load(register_asm(n_rounds))
+            return m
+
+        m_off = machine()
+        m_off.run()
+        m_cold = machine()
+        _, plan, report = run_with_replay(m_cold, n_rounds)
+        assert report.fallback_reason is None
+        assert plan.adc_bits == (8, 6)
+        m_warm = machine()
+        _, _, report = run_with_replay(m_warm, n_rounds, plan=plan)
+        assert report.plan_hit
+        assert n_rounds % (BLOCK_FLOATS // plan.duration_ns)
+        raw = m_off.dcu.raw().tolist()
+        assert m_cold.dcu.raw().tolist() == raw
+        assert m_warm.dcu.raw().tolist() == raw
+
 
 def double_read_asm(n_rounds, first="q1, q2"):
     """``first`` then the register ``{q1, q2}``, each through one record."""

@@ -79,3 +79,32 @@ def test_rb_fit_with_noise():
 def test_rb_fit_needs_points():
     with pytest.raises(CalibrationError):
         fit_rb_decay(np.array([1, 2]), np.array([1.0, 0.9]))
+
+
+def test_allxy_session_leaves_scipy_optimize_unloaded():
+    """``import repro`` and an AllXY run never import scipy.optimize; the
+    first fit does."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    code = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.session import Session\n"
+        "with Session(seed=1) as session:\n"
+        "    session.run('allxy', qubits=(0,), n_rounds=4)\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "from repro.experiments import fit_exponential_decay\n"
+        "fit_exponential_decay([0.0, 1.0, 2.0, 3.0], [1.0, 0.6, 0.4, 0.3])\n"
+        "print('scipy.optimize' in sys.modules)\n")
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False", "True"]

@@ -211,6 +211,40 @@ def test_confusion_matrix_is_a_deterministic_stochastic_matrix():
     assert np.all(np.diag(a) > 0.5)
 
 
+@pytest.mark.parametrize("if_step_hz", [12e6, 0.5e6])
+def test_confusion_matrix_matches_per_shot_discrimination(if_step_hz):
+    """The reference loop: one multiplexed record per shot, discriminated
+    qubit by qubit as the MDU does (``np.dot`` per record, not a BLAS
+    matrix product)."""
+    from repro.core.quma import readout_calibrations
+    from repro.readout import adc_quantize
+    from repro.readout.multiplex import multiplexed_trace
+    from repro.readout.weights import integrate, prepare_weights
+    from repro.utils.rng import derive_rng
+    from repro.utils.units import cycles_to_ns
+
+    targets = (0, 1)
+    config = pair_config(seed=4, readouts=staggered_readouts(2, if_step_hz))
+    msmt_ns = cycles_to_ns(config.msmt_cycles)
+    cals = readout_calibrations(config, targets)
+    params = {q: config.readout_for(q) for q in targets}
+    weights = [prepare_weights(cals[q].weights, msmt_ns) for q in targets]
+    rng = derive_rng(config.seed, "mitigation", "confusion")
+    shots = config.calibration_shots
+    reference = np.zeros((4, 4))
+    for word in range(4):
+        for _ in range(shots):
+            trace = adc_quantize(multiplexed_trace(
+                params, {q: (word >> j) & 1 for j, q in enumerate(targets)},
+                msmt_ns, rng))
+            read = sum(int(integrate(trace, weights[j])
+                           > cals[q].threshold) << j
+                       for j, q in enumerate(targets))
+            reference[read, word] += 1
+    assert np.array_equal(confusion_matrix(config, targets),
+                          reference / shots)
+
+
 def test_confusion_matrix_degenerate_ifs_still_invertible():
     # Identical IFs: matched filters fully overlap, the response is as
     # ill-conditioned as the simulator can make it — the ridge inversion

@@ -82,20 +82,35 @@ class TestBatchedReadoutKernels:
     """The replay fast path's batched kernels must be bit-identical to the
     scalar per-shot chain (serial/process backends mix the two)."""
 
-    def test_trace_batch_matches_sequential_draws(self):
+    @pytest.mark.parametrize("noise_std", [0.06, 0.0],
+                             ids=["noisy", "quiet"])
+    @pytest.mark.parametrize("into_buffer", [False, True],
+                             ids=["allocate", "buffer"])
+    def test_trace_batch_matches_sequential_draws(self, into_buffer,
+                                                  noise_std):
         from repro.readout.resonator import (
             ReadoutParams,
+            synthesize_trace_batch,
+            transmitted_signal,
             transmitted_trace,
             transmitted_trace_batch,
         )
 
-        params = ReadoutParams()
+        params = ReadoutParams(noise_std=noise_std)
         outcomes = np.array([0, 1, 1, 0, 1, 0, 0, 1])
         rng_seq = np.random.default_rng(42)
         rng_bat = np.random.default_rng(42)
         seq = np.stack([transmitted_trace(params, int(o), 300, 0, rng_seq)
                         for o in outcomes])
-        bat = transmitted_trace_batch(params, outcomes, 300, 0, rng_bat)
+        if into_buffer:
+            table = np.stack([transmitted_signal(params, o, 300, 0)
+                              for o in (0, 1)])
+            out = np.full((len(outcomes), 300), np.nan)
+            bat = synthesize_trace_batch(table, outcomes, noise_std,
+                                         rng_bat, out=out)
+            assert bat is out
+        else:
+            bat = transmitted_trace_batch(params, outcomes, 300, 0, rng_bat)
         assert np.array_equal(seq, bat)
         # and the generators end in the same stream position
         assert rng_seq.random() == rng_bat.random()

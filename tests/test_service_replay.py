@@ -53,6 +53,27 @@ class TestServiceReplay:
         assert cold.run.duration_ns == warm.run.duration_ns
         assert cold.run.instructions_executed == warm.run.instructions_executed
 
+    def test_warm_allxy_sweep_holds_one_trace_block(self):
+        """A warm N=128 AllXY sweep replays 5376 readout records of 1500
+        samples (64 MB of traces) through reused blocks, so its traced
+        allocation peak stays at a few blocks."""
+        import tracemalloc
+
+        from repro.session import Session
+
+        jobs = []
+        with Session(seed=3) as session:
+            session.run("allxy", qubits=(0,), n_rounds=128)  # builds the plan
+            tracemalloc.start()
+            try:
+                session.run("allxy", qubits=(0,), n_rounds=128,
+                            on_result=jobs.append)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert jobs and all(job.replay_plan_hit for job in jobs)
+        assert peak <= 4 * 2 ** 20
+
     def test_ineligible_spec_reports_zero_replayed(self):
         job = ExperimentService().run_job(allxy_spec(2))
         assert job.replayed_rounds == 0 and not job.replay_plan_hit

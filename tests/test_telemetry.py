@@ -179,6 +179,37 @@ def test_metrics_summary_reads_live_workers_with_telemetry_off(backend):
     assert gauges["pool.builds"] + gauges["pool.reuses"] == len(specs)
 
 
+def test_metrics_summary_keeps_workers_that_share_a_name():
+    """Two daemons started with one ``--name`` keep an entry each, told
+    apart by address, and ``workers_merged`` counts every job."""
+    from repro.core import MachineConfig
+    from repro.experiments.rabi import rabi_job
+    from repro.service import ExperimentService
+    from repro.service.fleet import WorkerServer
+
+    servers = [WorkerServer(name="lab").start(),
+               WorkerServer(name="lab").start()]
+    addresses = ["%s:%d" % server.address for server in servers]
+    config = MachineConfig(qubits=(0,), trace_enabled=False, seed=3)
+    specs = [rabi_job(config, 0, amp, 2) for amp in (0.1, 0.3, 0.5, 0.7)]
+    try:
+        with ExperimentService(backend="fleet",
+                               fleet_workers=addresses) as svc:
+            svc.run_batch(specs)
+            summary = svc.metrics_summary()
+    finally:
+        for server in servers:
+            server.stop()
+    workers = summary["workers"]
+    assert sorted(workers) == sorted(f"lab@{address}"
+                                     for address in addresses)
+    gauges = summary["workers_merged"]["gauges"]
+    assert gauges["pool.builds"] + gauges["pool.reuses"] == len(specs)
+    assert gauges["pool.builds"] + gauges["pool.reuses"] == sum(
+        report["gauges"]["pool.builds"] + report["gauges"]["pool.reuses"]
+        for report in workers.values())
+
+
 # -- queue-wait + stage rollups ----------------------------------------------
 
 
