@@ -198,17 +198,11 @@ class ExecutionController:
 
     @staticmethod
     def _source_registers(instr: ins.Instruction) -> tuple[int, ...]:
-        if isinstance(instr, (ins.Add, ins.Sub, ins.And, ins.Or, ins.Xor)):
-            return (instr.rs, instr.rt)
-        if isinstance(instr, (ins.Addi, ins.Load)):
-            return (instr.rs,)
-        if isinstance(instr, ins.Store):
-            return (instr.rt, instr.rs)
-        if isinstance(instr, (ins.Beq, ins.Bne, ins.Blt)):
-            return (instr.rs, instr.rt)
-        if isinstance(instr, ins.WaitReg):
-            return (instr.rs,)
-        return ()
+        """The registers ``instr`` reads: its register operands other
+        than ``rd``, in instruction-table order."""
+        return tuple(getattr(instr, f.name)
+                     for f in ins.SPECS[type(instr)].fields
+                     if f.kind in (ins.REG, ins.MEM) and f.name != "rd")
 
     def _execute_classical(self, instr: ins.Instruction) -> None:
         regs = self.registers

@@ -423,7 +423,7 @@ def _find_single_backward_branch(program) -> tuple[int, int] | None:
     None for any other control-flow shape."""
     loop = None
     for i, instr in enumerate(program.instructions):
-        if isinstance(instr, (ins.Beq, ins.Bne, ins.Blt, ins.Jmp)):
+        if instr.is_branch:
             if loop is not None:
                 return None
             try:

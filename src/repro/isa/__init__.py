@@ -11,7 +11,8 @@ The paper defines two instruction layers (Section 5.3):
 This subpackage models both layers as one assembly language (the
 implemented prototype of Section 7.2 loads exactly this combination into
 the quantum instruction cache), defines a 32-bit binary encoding, and
-provides a two-pass assembler and a disassembler.
+provides a two-pass assembler and a disassembler.  All of them read one
+instruction table, :data:`repro.isa.instructions.TABLE`.
 """
 
 from repro.isa.operations import OperationTable, DEFAULT_OPERATIONS

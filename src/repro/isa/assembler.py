@@ -16,12 +16,14 @@ Accepts the syntax used in the paper's listings (Algorithm 3, Table 5)::
 plus the general horizontal form ``Pulse (q0, X180), (q1, Y90)``, QIS-level
 ``Apply X180, q0`` / ``Measure q0, r7``, and calls to registered
 microprograms (``CNOT q0, q1``).  Mnemonics and label references are
-case-insensitive; labels are stored case-preserving.
+case-insensitive.  Each mnemonic's operands are read from its row of the
+instruction table (:data:`repro.isa.instructions.TABLE`).
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import replace
 
 from repro.isa import instructions as ins
 from repro.isa.operations import OperationTable, DEFAULT_OPERATIONS
@@ -58,10 +60,7 @@ def _parse_reg(tok: str, line: int) -> int:
     m = _REG_RE.match(tok)
     if not m:
         raise AssemblyError(f"expected register, got {tok!r}", line)
-    reg = int(m.group(1))
-    if reg >= 32:
-        raise AssemblyError(f"register r{reg} out of range r0..r31", line)
-    return reg
+    return int(m.group(1))
 
 
 def _parse_qubit(tok: str, line: int) -> int:
@@ -79,130 +78,88 @@ def _parse_int(tok: str, line: int) -> int:
 
 def _parse_qubit_set(tok: str, line: int) -> tuple[int, ...]:
     """Parse ``{q0, q1}`` (or a bare ``q0``) into a qubit tuple."""
-    tok = tok.strip()
     if tok.startswith("{") and tok.endswith("}"):
         inner = tok[1:-1].replace(",", " ")
-        qubits = tuple(_parse_qubit(t, line) for t in inner.split())
-        if not qubits:
-            raise AssemblyError("empty qubit set", line)
-        return qubits
+        return tuple(_parse_qubit(t, line) for t in inner.split())
     return (_parse_qubit(tok, line),)
 
 
+def _parse_opt_reg(tok: str, line: int) -> int:
+    """The optional ``rd`` of MD/Measure, which may be written ``$rd``."""
+    return _parse_reg(tok.lstrip("$"), line)
+
+
+#: Operand parsers by kind; ``MEM`` operands (``rs[offset]``) are parsed
+#: in place, and ``OP`` names against the assembler's operation table.
+#: Register and qubit ranges are the instruction's own checks.
+_PARSERS = {
+    ins.REG: _parse_reg,
+    ins.OPT_REG: _parse_opt_reg,
+    ins.IMM: _parse_int,
+    ins.LABEL: lambda tok, line: tok,
+    ins.QUBIT: _parse_qubit,
+    ins.QUBITS: _parse_qubit_set,
+}
+
+
 class _Assembler:
-    def __init__(self, op_table: OperationTable, uprogs: set[str]):
+    def __init__(self, op_table: OperationTable, uprogs: list[str]):
         self.op_table = op_table
-        self.uprogs = uprogs  # lowercase microprogram names
-        self.uprog_canonical: dict[str, str] = {}
+        #: lowercase microprogram name -> its spelling, callable as mnemonics
+        self.uprogs = {u.lower(): u for u in uprogs}
+        self.parsers = {**_PARSERS, ins.OP: self._op_name}
 
     def parse_line(self, mnemonic: str, operand_text: str, line: int) -> ins.Instruction:
         m = mnemonic.lower()
         ops = _split_operands(operand_text) if operand_text else []
-
-        def expect(n: int):
-            if len(ops) != n:
-                raise AssemblyError(
-                    f"{mnemonic} expects {n} operand(s), got {len(ops)}", line)
-
-        if m == "nop":
-            expect(0)
-            return ins.Nop()
-        if m == "halt":
-            expect(0)
-            return ins.Halt()
-        if m in ("mov", "movi"):
-            expect(2)
-            return ins.Movi(rd=_parse_reg(ops[0], line), imm=_parse_int(ops[1], line))
-        if m in ("add", "sub", "and", "or", "xor"):
-            expect(3)
-            cls = {"add": ins.Add, "sub": ins.Sub, "and": ins.And,
-                   "or": ins.Or, "xor": ins.Xor}[m]
-            return cls(rd=_parse_reg(ops[0], line), rs=_parse_reg(ops[1], line),
-                       rt=_parse_reg(ops[2], line))
-        if m == "addi":
-            expect(3)
-            return ins.Addi(rd=_parse_reg(ops[0], line), rs=_parse_reg(ops[1], line),
-                            imm=_parse_int(ops[2], line))
-        if m == "load":
-            expect(2)
-            mem = _MEM_RE.match(ops[1])
-            if not mem:
-                raise AssemblyError(f"expected rS[offset], got {ops[1]!r}", line)
-            return ins.Load(rd=_parse_reg(ops[0], line), rs=int(mem.group(1)),
-                            offset=int(mem.group(2)))
-        if m == "store":
-            expect(2)
-            mem = _MEM_RE.match(ops[1])
-            if not mem:
-                raise AssemblyError(f"expected rS[offset], got {ops[1]!r}", line)
-            return ins.Store(rt=_parse_reg(ops[0], line), rs=int(mem.group(1)),
-                             offset=int(mem.group(2)))
-        if m in ("beq", "bne", "blt"):
-            expect(3)
-            cls = {"beq": ins.Beq, "bne": ins.Bne, "blt": ins.Blt}[m]
-            return cls(rs=_parse_reg(ops[0], line), rt=_parse_reg(ops[1], line),
-                       target=ops[2])
-        if m == "jmp":
-            expect(1)
-            return ins.Jmp(target=ops[0])
-        if m == "wait":
-            expect(1)
-            return ins.Wait(interval=_parse_int(ops[0], line))
-        if m in ("qnopreg", "waitreg"):
-            expect(1)
-            return ins.WaitReg(rs=_parse_reg(ops[0], line))
-        if m == "pulse":
+        spec = ins.BY_MNEMONIC.get(m)
+        if spec is None:
+            if m in self.uprogs:
+                qubits = tuple(_parse_qubit(t, line) for t in ops)
+                return ins.QCall(uprog=self.uprogs[m], qubits=qubits)
+            raise AssemblyError(f"unknown mnemonic {mnemonic!r}", line)
+        if spec.cls is ins.Pulse:
             return self._parse_pulse(ops, line)
-        if m == "mpg":
-            expect(2)
-            return ins.Mpg(qubits=_parse_qubit_set(ops[0], line),
-                           duration=_parse_int(ops[1], line))
-        if m == "md":
-            if len(ops) == 1:
-                return ins.Md(qubits=_parse_qubit_set(ops[0], line))
-            expect(2)
-            return ins.Md(qubits=_parse_qubit_set(ops[0], line),
-                          rd=_parse_reg(ops[1].lstrip("$"), line))
-        if m == "apply":
-            expect(2)
-            if ops[0] not in self.op_table:
-                raise AssemblyError(f"unknown operation {ops[0]!r}", line)
-            canonical = self.op_table.name_of(self.op_table.id_of(ops[0]))
-            return ins.Apply(op=canonical, qubit=_parse_qubit(ops[1], line))
-        if m == "measure":
-            if len(ops) == 1:
-                return ins.Measure(qubit=_parse_qubit(ops[0], line))
-            expect(2)
-            return ins.Measure(qubit=_parse_qubit(ops[0], line),
-                               rd=_parse_reg(ops[1].lstrip("$"), line))
-        if m in self.uprogs:
-            qubits = tuple(_parse_qubit(t, line) for t in ops)
-            return ins.QCall(uprog=self.uprog_canonical[m], qubits=qubits)
-        raise AssemblyError(f"unknown mnemonic {mnemonic!r}", line)
+        operands = spec.operands
+        optional = bool(operands) and operands[-1].kind == ins.OPT_REG
+        if not len(operands) - optional <= len(ops) <= len(operands):
+            raise AssemblyError(
+                f"{mnemonic} expects {len(operands)} operand(s), got {len(ops)}",
+                line)
+        values: list = []
+        for f, tok in zip(operands, ops):
+            if f.kind == ins.MEM:
+                mem = _MEM_RE.match(tok)
+                if not mem:
+                    raise AssemblyError(f"expected rS[offset], got {tok!r}", line)
+                values += [int(mem.group(1)), int(mem.group(2))]
+            else:
+                values.append(self.parsers[f.kind](tok, line))
+        return spec.cls(*values)
+
+    def _op_name(self, tok: str, line: int) -> str:
+        """Canonical spelling of an operation name."""
+        if tok not in self.op_table:
+            raise AssemblyError(f"unknown operation {tok!r}", line)
+        return self.op_table.name_of(self.op_table.id_of(tok))
 
     def _parse_pulse(self, ops: list[str], line: int) -> ins.Pulse:
         if not ops:
             raise AssemblyError("Pulse requires operands", line)
         # Sugar form: "Pulse {q2}, I" — qubit set + one op name.
         if len(ops) == 2 and not ops[0].startswith("("):
-            op_name = ops[1]
-            if op_name not in self.op_table:
-                raise AssemblyError(f"unknown operation {op_name!r}", line)
-            canonical = self.op_table.name_of(self.op_table.id_of(op_name))
-            return ins.Pulse.single(_parse_qubit_set(ops[0], line), canonical)
+            op = self._op_name(ops[1], line)
+            return ins.Pulse.single(_parse_qubit_set(ops[0], line), op)
         # General form: "(qset, op), (qset, op), ..."
         pairs = []
         for tok in ops:
-            tok = tok.strip()
             if not (tok.startswith("(") and tok.endswith(")")):
                 raise AssemblyError(f"expected (qubits, op) pair, got {tok!r}", line)
             inner = _split_operands(tok[1:-1])
             if len(inner) != 2:
                 raise AssemblyError(f"malformed pair {tok!r}", line)
-            if inner[1] not in self.op_table:
-                raise AssemblyError(f"unknown operation {inner[1]!r}", line)
-            canonical = self.op_table.name_of(self.op_table.id_of(inner[1]))
-            pairs.append((_parse_qubit_set(inner[0], line), canonical))
+            op = self._op_name(inner[1], line)
+            pairs.append((_parse_qubit_set(inner[0], line), op))
         return ins.Pulse(pairs=tuple(pairs))
 
 
@@ -212,16 +169,14 @@ def assemble(source: str, op_table: OperationTable | None = None,
 
     ``uprogs`` lists microprogram names callable as mnemonics (e.g.
     ``["CNOT"]`` makes ``CNOT q0, q1`` assemble to a
-    :class:`~repro.isa.instructions.QCall`).
+    :class:`~repro.isa.instructions.QCall`); a built-in mnemonic wins
+    over a microprogram of the same name.
     """
     table = op_table.copy() if op_table is not None else DEFAULT_OPERATIONS.copy()
-    uprog_list = list(uprogs or [])
-    asm = _Assembler(table, {u.lower() for u in uprog_list})
-    asm.uprog_canonical = {u.lower(): u for u in uprog_list}
+    asm = _Assembler(table, list(uprogs or []))
 
     instructions: list[ins.Instruction] = []
     labels: dict[str, int] = {}
-    label_lines: dict[str, int] = {}
     references: list[tuple[str, int]] = []
 
     for lineno, raw in enumerate(source.splitlines(), start=1):
@@ -232,10 +187,9 @@ def assemble(source: str, op_table: OperationTable | None = None,
                 break
             name = m.group(1)
             key = name.lower()
-            if key in labels or key in label_lines:
+            if key in labels:
                 raise AssemblyError(f"duplicate label {name!r}", lineno)
             labels[key] = len(instructions)
-            label_lines[key] = lineno
             text = text[m.end():].strip()
         if not text:
             continue
@@ -246,9 +200,9 @@ def assemble(source: str, op_table: OperationTable | None = None,
             instr = asm.parse_line(mnemonic, operand_text, lineno)
         except ValueError as exc:  # operand range errors from dataclasses
             raise AssemblyError(str(exc), lineno) from None
-        if isinstance(instr, (ins.Beq, ins.Bne, ins.Blt, ins.Jmp)):
+        if instr.is_branch:
             references.append((instr.target, lineno))
-            instr = _retarget(instr, instr.target.lower())
+            instr = replace(instr, target=instr.target.lower())
         instructions.append(instr)
 
     for target, lineno in references:
@@ -258,12 +212,6 @@ def assemble(source: str, op_table: OperationTable | None = None,
     used_uprogs = sorted({i.uprog for i in instructions if isinstance(i, ins.QCall)})
     return Program(instructions=instructions, labels=labels, op_table=table,
                    uprog_names=used_uprogs, source=source)
-
-
-def _retarget(instr: ins.Instruction, target: str) -> ins.Instruction:
-    if isinstance(instr, ins.Jmp):
-        return ins.Jmp(target=target)
-    return type(instr)(rs=instr.rs, rt=instr.rt, target=target)  # type: ignore[call-arg]
 
 
 def assemble_file(path: str, op_table: OperationTable | None = None,

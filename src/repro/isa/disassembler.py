@@ -10,52 +10,42 @@ def _qubit_set(qubits: tuple[int, ...]) -> str:
     return "{" + ", ".join(f"q{q}" for q in qubits) + "}"
 
 
+#: Operand renderers by kind; an ``INDEX`` joins its base register's
+#: token as ``rs[offset]``.
+_RENDER = {
+    ins.REG: "r{}".format,
+    ins.MEM: "r{}".format,
+    ins.OPT_REG: "r{}".format,
+    ins.IMM: str,
+    ins.LABEL: str,
+    ins.OP: str,
+    ins.QUBIT: "q{}".format,
+    ins.QUBITS: _qubit_set,
+}
+
+
 def disassemble(instr: ins.Instruction) -> str:
     """Render one instruction in canonical assembly syntax."""
-    if isinstance(instr, ins.Nop):
-        return "nop"
-    if isinstance(instr, ins.Halt):
-        return "halt"
-    if isinstance(instr, ins.Movi):
-        return f"mov r{instr.rd}, {instr.imm}"
-    if isinstance(instr, (ins.Add, ins.Sub, ins.And, ins.Or, ins.Xor)):
-        return f"{instr.mnemonic} r{instr.rd}, r{instr.rs}, r{instr.rt}"
-    if isinstance(instr, ins.Addi):
-        return f"addi r{instr.rd}, r{instr.rs}, {instr.imm}"
-    if isinstance(instr, ins.Load):
-        return f"load r{instr.rd}, r{instr.rs}[{instr.offset}]"
-    if isinstance(instr, ins.Store):
-        return f"store r{instr.rt}, r{instr.rs}[{instr.offset}]"
-    if isinstance(instr, (ins.Beq, ins.Bne, ins.Blt)):
-        return f"{instr.mnemonic} r{instr.rs}, r{instr.rt}, {instr.target}"
-    if isinstance(instr, ins.Jmp):
-        return f"jmp {instr.target}"
-    if isinstance(instr, ins.Wait):
-        return f"Wait {instr.interval}"
-    if isinstance(instr, ins.WaitReg):
-        return f"QNopReg r{instr.rs}"
-    if isinstance(instr, ins.Pulse):
+    spec = ins.SPECS.get(type(instr))
+    if spec is None:
+        raise TypeError(f"cannot disassemble {type(instr).__name__}")
+    if spec.cls is ins.Pulse:
         if len(instr.pairs) == 1:
             qubits, op = instr.pairs[0]
             return f"Pulse {_qubit_set(qubits)}, {op}"
         pairs = ", ".join(f"({_qubit_set(qs)}, {op})" for qs, op in instr.pairs)
         return f"Pulse {pairs}"
-    if isinstance(instr, ins.Mpg):
-        return f"MPG {_qubit_set(instr.qubits)}, {instr.duration}"
-    if isinstance(instr, ins.Md):
-        if instr.rd is None:
-            return f"MD {_qubit_set(instr.qubits)}"
-        return f"MD {_qubit_set(instr.qubits)}, r{instr.rd}"
-    if isinstance(instr, ins.Apply):
-        return f"Apply {instr.op}, q{instr.qubit}"
-    if isinstance(instr, ins.Measure):
-        if instr.rd is None:
-            return f"Measure q{instr.qubit}"
-        return f"Measure q{instr.qubit}, r{instr.rd}"
-    if isinstance(instr, ins.QCall):
+    if spec.cls is ins.QCall:
         args = ", ".join(f"q{q}" for q in instr.qubits)
         return f"{instr.uprog} {args}"
-    raise TypeError(f"cannot disassemble {type(instr).__name__}")
+    tokens: list[str] = []
+    for f in spec.fields:
+        value = getattr(instr, f.name)
+        if f.kind == ins.INDEX:
+            tokens[-1] += f"[{value}]"
+        elif value is not None:  # an absent optional rd
+            tokens.append(_RENDER[f.kind](value))
+    return " ".join([spec.spelling, ", ".join(tokens)]) if tokens else spec.spelling
 
 
 def disassemble_program(program: Program) -> str:

@@ -2,106 +2,30 @@
 
 The paper does not publish an instruction encoding; we define a compact
 32-bit one so the assembler emits real binaries for the quantum
-instruction cache and round-trip properties can be tested.
-
-Word layout (opcode always in bits [31:26]):
-
-===========  ====  =====================================================
-instruction  op    fields (bit ranges, little-endian bit numbering)
-===========  ====  =====================================================
-nop          0x00  —
-halt         0x01  —
-mov          0x02  rd[25:21]  imm[20:0]   (signed 21-bit)
-add          0x03  rd[25:21]  rs[20:16]  rt[15:11]
-sub          0x04  idem
-and          0x05  idem
-or           0x06  idem
-xor          0x07  idem
-addi         0x08  rd[25:21]  rs[20:16]  imm[15:0]  (signed)
-load         0x09  rd[25:21]  rs[20:16]  off[15:0]  (signed)
-store        0x0A  rt[25:21]  rs[20:16]  off[15:0]  (signed)
-beq          0x0B  rs[25:21]  rt[20:16]  off[15:0]  (signed, words, pc+1-relative)
-bne          0x0C  idem
-blt          0x0D  idem
-jmp          0x0E  off[25:0]  (signed, words, pc+1-relative)
-Wait         0x20  interval[19:0]  (cycles)
-QNopReg      0x21  rs[25:21]
-Pulse        0x22  qmask[25:16]  uop[15:8]  more[0]  (one word per pair)
-MPG          0x23  qmask[25:16]  duration[15:0]
-MD           0x24  qmask[25:16]  rd[15:11]  has_rd[0]
-Apply        0x25  opid[25:18]  q[17:14]
-Measure      0x26  q[25:22]  rd[21:17]  has_rd[0]
-qcall        0x27  uprog[25:18]  q0[17:14]  q1[13:10]  nq[1:0]
-===========  ====  =====================================================
+instruction cache and round-trip properties can be tested.  The opcode
+and operand bit fields of every instruction are its row in
+:data:`repro.isa.instructions.TABLE`; the encoder and decoder here read
+that table, with their own code only for the multi-word ``Pulse`` and
+``QCall``'s microprogram id and qubit packing.
 
 A multi-pair ``Pulse`` occupies one word per pair with the ``more`` bit
 set on every word but the last; program-counter arithmetic (branch
-offsets) is in *word* space.
+offsets) is in *word* space.  Every malformed word — an unknown opcode,
+operation or microprogram id, or an operand its instruction's checks
+reject — raises :class:`~repro.utils.errors.EncodingError`.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import accumulate
+
 from repro.isa import instructions as ins
 from repro.isa.operations import OperationTable
+from repro.isa.program import Program
 from repro.utils.errors import EncodingError
 
-OP_NOP = 0x00
-OP_HALT = 0x01
-OP_MOVI = 0x02
-OP_ADD = 0x03
-OP_SUB = 0x04
-OP_AND = 0x05
-OP_OR = 0x06
-OP_XOR = 0x07
-OP_ADDI = 0x08
-OP_LOAD = 0x09
-OP_STORE = 0x0A
-OP_BEQ = 0x0B
-OP_BNE = 0x0C
-OP_BLT = 0x0D
-OP_JMP = 0x0E
-OP_WAIT = 0x20
-OP_WAITREG = 0x21
-OP_PULSE = 0x22
-OP_MPG = 0x23
-OP_MD = 0x24
-OP_APPLY = 0x25
-OP_MEASURE = 0x26
-OP_QCALL = 0x27
-
-_RTYPE_OPCODES = {
-    ins.Add: OP_ADD,
-    ins.Sub: OP_SUB,
-    ins.And: OP_AND,
-    ins.Or: OP_OR,
-    ins.Xor: OP_XOR,
-}
-_RTYPE_CLASSES = {v: k for k, v in _RTYPE_OPCODES.items()}
-_BRANCH_OPCODES = {ins.Beq: OP_BEQ, ins.Bne: OP_BNE, ins.Blt: OP_BLT}
-_BRANCH_CLASSES = {v: k for k, v in _BRANCH_OPCODES.items()}
-
 _WORD_MASK = 0xFFFFFFFF
-
-
-def _signed_field(value: int, bits: int, what: str) -> int:
-    lo, hi = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
-    if not lo <= value <= hi:
-        raise EncodingError(f"{what} {value} out of signed {bits}-bit range")
-    return value & ((1 << bits) - 1)
-
-
-def _unsigned_field(value: int, bits: int, what: str) -> int:
-    if not 0 <= value < (1 << bits):
-        raise EncodingError(f"{what} {value} out of unsigned {bits}-bit range")
-    return value
-
-
-def _sign_extend(value: int, bits: int) -> int:
-    mask = (1 << bits) - 1
-    value &= mask
-    if value & (1 << (bits - 1)):
-        value -= 1 << bits
-    return value
 
 
 def word_count(instr: ins.Instruction) -> int:
@@ -109,6 +33,21 @@ def word_count(instr: ins.Instruction) -> int:
     if isinstance(instr, ins.Pulse):
         return len(instr.pairs)
     return 1
+
+
+def _op_id(op_table: OperationTable, name: str, spec: ins.Spec) -> int:
+    try:
+        return op_table.id_of(name)
+    except KeyError:
+        raise EncodingError(
+            f"unknown operation {name!r} in {spec.spelling}") from None
+
+
+def _op_name(op_table: OperationTable, op_id: int) -> str:
+    try:
+        return op_table.name_of(op_id)
+    except KeyError:
+        raise EncodingError(f"unknown operation id {op_id}") from None
 
 
 def encode_instruction(
@@ -122,86 +61,45 @@ def encode_instruction(
     ``branch_offset`` must be supplied (in words, relative to the word
     after the branch) for branch/jump instructions.
     """
-    uprog_ids = uprog_ids or {}
-    if isinstance(instr, ins.Nop):
-        return [OP_NOP << 26]
-    if isinstance(instr, ins.Halt):
-        return [OP_HALT << 26]
-    if isinstance(instr, ins.Movi):
-        return [(OP_MOVI << 26) | (instr.rd << 21) | _signed_field(instr.imm, 21, "mov imm")]
-    if type(instr) in _RTYPE_OPCODES:
-        opc = _RTYPE_OPCODES[type(instr)]
-        return [(opc << 26) | (instr.rd << 21) | (instr.rs << 16) | (instr.rt << 11)]
-    if isinstance(instr, ins.Addi):
-        return [
-            (OP_ADDI << 26) | (instr.rd << 21) | (instr.rs << 16)
-            | _signed_field(instr.imm, 16, "addi imm")
-        ]
-    if isinstance(instr, ins.Load):
-        return [
-            (OP_LOAD << 26) | (instr.rd << 21) | (instr.rs << 16)
-            | _signed_field(instr.offset, 16, "load offset")
-        ]
-    if isinstance(instr, ins.Store):
-        return [
-            (OP_STORE << 26) | (instr.rt << 21) | (instr.rs << 16)
-            | _signed_field(instr.offset, 16, "store offset")
-        ]
-    if type(instr) in _BRANCH_OPCODES:
-        if branch_offset is None:
-            raise EncodingError(f"branch {instr.mnemonic} needs a resolved offset")
-        opc = _BRANCH_OPCODES[type(instr)]
-        return [
-            (opc << 26) | (instr.rs << 21) | (instr.rt << 16)
-            | _signed_field(branch_offset, 16, "branch offset")
-        ]
-    if isinstance(instr, ins.Jmp):
-        if branch_offset is None:
-            raise EncodingError("jmp needs a resolved offset")
-        return [(OP_JMP << 26) | _signed_field(branch_offset, 26, "jmp offset")]
-    if isinstance(instr, ins.Wait):
-        return [(OP_WAIT << 26) | _unsigned_field(instr.interval, 20, "Wait interval")]
-    if isinstance(instr, ins.WaitReg):
-        return [(OP_WAITREG << 26) | (instr.rs << 21)]
-    if isinstance(instr, ins.Pulse):
-        words = []
-        for i, (qubits, op) in enumerate(instr.pairs):
-            try:
-                uop = op_table.id_of(op)
-            except KeyError:
-                raise EncodingError(f"unknown operation {op!r} in Pulse") from None
-            more = 1 if i < len(instr.pairs) - 1 else 0
-            mask = _unsigned_field(ins.qubit_mask(qubits), 10, "qubit mask")
-            words.append((OP_PULSE << 26) | (mask << 16) | (uop << 8) | more)
-        return words
-    if isinstance(instr, ins.Mpg):
-        mask = _unsigned_field(ins.qubit_mask(instr.qubits), 10, "qubit mask")
-        return [(OP_MPG << 26) | (mask << 16) | _unsigned_field(instr.duration, 16, "duration")]
-    if isinstance(instr, ins.Md):
-        mask = _unsigned_field(ins.qubit_mask(instr.qubits), 10, "qubit mask")
-        rd = instr.rd if instr.rd is not None else 0
-        has_rd = 1 if instr.rd is not None else 0
-        return [(OP_MD << 26) | (mask << 16) | (rd << 11) | has_rd]
-    if isinstance(instr, ins.Apply):
-        try:
-            opid = op_table.id_of(instr.op)
-        except KeyError:
-            raise EncodingError(f"unknown operation {instr.op!r} in Apply") from None
-        return [(OP_APPLY << 26) | (opid << 18) | (instr.qubit << 14)]
-    if isinstance(instr, ins.Measure):
-        rd = instr.rd if instr.rd is not None else 0
-        has_rd = 1 if instr.rd is not None else 0
-        return [(OP_MEASURE << 26) | (instr.qubit << 22) | (rd << 17) | has_rd]
-    if isinstance(instr, ins.QCall):
-        if instr.uprog not in uprog_ids:
+    spec = ins.SPECS.get(type(instr))
+    if spec is None:
+        raise EncodingError(f"cannot encode {type(instr).__name__}")
+    word = spec.opcode << 26
+    if spec.cls is ins.Pulse:
+        last = len(instr.pairs) - 1
+        return [word | (ins.qubit_mask(qubits) << 16)
+                | (_op_id(op_table, op, spec) << 8) | (i < last)
+                for i, (qubits, op) in enumerate(instr.pairs)]
+    if spec.cls is ins.QCall:
+        upid = (uprog_ids or {}).get(instr.uprog)
+        if upid is None:
             raise EncodingError(f"unknown microprogram {instr.uprog!r}")
-        upid = _unsigned_field(uprog_ids[instr.uprog], 8, "uprog id")
-        q0 = instr.qubits[0]
-        q1 = instr.qubits[1] if len(instr.qubits) > 1 else 0
-        return [
-            (OP_QCALL << 26) | (upid << 18) | (q0 << 14) | (q1 << 10) | len(instr.qubits)
-        ]
-    raise EncodingError(f"cannot encode {type(instr).__name__}")
+        if not 0 <= upid < 256:
+            raise EncodingError(f"uprog id {upid} out of unsigned 8-bit range")
+        q0, q1 = (*instr.qubits, 0)[:2]
+        return [word | (upid << 18) | (q0 << 14) | (q1 << 10)
+                | len(instr.qubits)]
+    for f in spec.fields:
+        value = getattr(instr, f.name)
+        if f.kind == ins.LABEL:
+            if branch_offset is None:
+                raise EncodingError(
+                    f"branch {spec.spelling} needs a resolved offset")
+            low, high = f.bounds
+            if not low <= branch_offset <= high:
+                raise EncodingError(f"{spec.spelling} offset {branch_offset} "
+                                    f"out of range {low}..{high}")
+            value = branch_offset
+        elif f.kind == ins.OP:
+            value = _op_id(op_table, value, spec)
+        elif f.kind == ins.QUBITS:
+            value = ins.qubit_mask(value)
+        elif f.kind == ins.OPT_REG:
+            if value is None:
+                continue
+            word |= 1
+        word |= (value & ((1 << f.width) - 1)) << f.offset
+    return [word]
 
 
 def decode_word(
@@ -216,95 +114,66 @@ def decode_word(
     offset.  For Pulse words, ``extras["more"]`` flags a continuation and
     the instruction is a single-pair Pulse to be merged by the caller.
     """
-    uprog_names = uprog_names or {}
     word &= _WORD_MASK
-    opcode = word >> 26
-    if opcode == OP_NOP:
-        return ins.Nop(), {}
-    if opcode == OP_HALT:
-        return ins.Halt(), {}
-    if opcode == OP_MOVI:
-        return ins.Movi(rd=(word >> 21) & 0x1F, imm=_sign_extend(word, 21)), {}
-    if opcode in _RTYPE_CLASSES:
-        cls = _RTYPE_CLASSES[opcode]
-        return cls(rd=(word >> 21) & 0x1F, rs=(word >> 16) & 0x1F, rt=(word >> 11) & 0x1F), {}
-    if opcode == OP_ADDI:
-        return ins.Addi(rd=(word >> 21) & 0x1F, rs=(word >> 16) & 0x1F,
-                        imm=_sign_extend(word, 16)), {}
-    if opcode == OP_LOAD:
-        return ins.Load(rd=(word >> 21) & 0x1F, rs=(word >> 16) & 0x1F,
-                        offset=_sign_extend(word, 16)), {}
-    if opcode == OP_STORE:
-        return ins.Store(rt=(word >> 21) & 0x1F, rs=(word >> 16) & 0x1F,
-                         offset=_sign_extend(word, 16)), {}
-    if opcode in _BRANCH_CLASSES:
-        cls = _BRANCH_CLASSES[opcode]
-        instr = cls(rs=(word >> 21) & 0x1F, rt=(word >> 16) & 0x1F, target="?")
-        return instr, {"offset": _sign_extend(word, 16)}
-    if opcode == OP_JMP:
-        return ins.Jmp(target="?"), {"offset": _sign_extend(word, 26)}
-    if opcode == OP_WAIT:
-        return ins.Wait(interval=word & 0xFFFFF), {}
-    if opcode == OP_WAITREG:
-        return ins.WaitReg(rs=(word >> 21) & 0x1F), {}
-    if opcode == OP_PULSE:
-        mask = (word >> 16) & 0x3FF
-        uop = (word >> 8) & 0xFF
-        try:
-            name = op_table.name_of(uop)
-        except KeyError:
-            raise EncodingError(f"unknown micro-operation id {uop}") from None
-        return ins.Pulse.single(ins.mask_qubits(mask), name), {"more": bool(word & 1)}
-    if opcode == OP_MPG:
-        return ins.Mpg(qubits=ins.mask_qubits((word >> 16) & 0x3FF),
-                       duration=word & 0xFFFF), {}
-    if opcode == OP_MD:
-        rd = (word >> 11) & 0x1F if word & 1 else None
-        return ins.Md(qubits=ins.mask_qubits((word >> 16) & 0x3FF), rd=rd), {}
-    if opcode == OP_APPLY:
-        opid = (word >> 18) & 0xFF
-        try:
-            name = op_table.name_of(opid)
-        except KeyError:
-            raise EncodingError(f"unknown operation id {opid}") from None
-        return ins.Apply(op=name, qubit=(word >> 14) & 0xF), {}
-    if opcode == OP_MEASURE:
-        rd = (word >> 17) & 0x1F if word & 1 else None
-        return ins.Measure(qubit=(word >> 22) & 0xF, rd=rd), {}
-    if opcode == OP_QCALL:
+    spec = ins.BY_OPCODE.get(word >> 26)
+    if spec is None:
+        raise EncodingError(f"unknown opcode 0x{word >> 26:02X}")
+    try:
+        return _decode(spec, word, op_table, uprog_names or {})
+    except ValueError as exc:  # an operand the instruction's checks reject
+        raise EncodingError(f"word 0x{word:08X}: {exc}") from None
+
+
+def _decode(spec: ins.Spec, word: int, op_table: OperationTable,
+            uprog_names: dict[int, str]) -> tuple[ins.Instruction, dict]:
+    if spec.cls is ins.Pulse:
+        name = _op_name(op_table, (word >> 8) & 0xFF)
+        return (ins.Pulse.single(ins.mask_qubits((word >> 16) & 0x3FF), name),
+                {"more": bool(word & 1)})
+    if spec.cls is ins.QCall:
         upid = (word >> 18) & 0xFF
         if upid not in uprog_names:
             raise EncodingError(f"unknown microprogram id {upid}")
         nq = word & 0x3
-        q0 = (word >> 14) & 0xF
-        q1 = (word >> 10) & 0xF
-        qubits = (q0,) if nq == 1 else (q0, q1)
+        if nq not in (1, 2):
+            raise ValueError(f"qcall qubit count {nq} out of range 1..2")
+        qubits = ((word >> 14) & 0xF, (word >> 10) & 0xF)[:nq]
         return ins.QCall(uprog=uprog_names[upid], qubits=qubits), {}
-    raise EncodingError(f"unknown opcode 0x{opcode:02X}")
+    values, extras = [], {}
+    for f in spec.fields:
+        value = (word >> f.offset) & ((1 << f.width) - 1)
+        if f.signed:
+            value -= (value >> (f.width - 1)) << f.width
+        if f.kind == ins.LABEL:
+            extras["offset"], value = value, "?"
+        elif f.kind == ins.OP:
+            value = _op_name(op_table, value)
+        elif f.kind == ins.QUBITS:
+            value = ins.mask_qubits(value)
+        elif f.kind == ins.OPT_REG and not word & 1:
+            value = None
+        values.append(value)
+    return spec.cls(*values), extras
 
 
-def encode_program(program) -> list[int]:
-    """Encode a :class:`repro.isa.program.Program` to a list of words.
+def encode_program(program: Program) -> list[int]:
+    """Encode a :class:`~repro.isa.program.Program` to a list of words.
 
     Resolves label targets to word-relative offsets.
     """
-    # First pass: word address of every instruction.
-    addrs: list[int] = []
-    addr = 0
-    for instr in program.instructions:
-        addrs.append(addr)
-        addr += word_count(instr)
+    # First pass: word address of every instruction, and of the end.
+    addrs = list(accumulate(map(word_count, program.instructions), initial=0))
     label_addr = {}
     for name, index in program.labels.items():
         if index > len(program.instructions):
             raise EncodingError(f"label {name!r} beyond program end")
-        label_addr[name] = addrs[index] if index < len(addrs) else addr
+        label_addr[name] = addrs[index]
 
     uprog_ids = {name: i for i, name in enumerate(program.uprog_names)}
     words: list[int] = []
     for instr, waddr in zip(program.instructions, addrs):
         offset = None
-        if isinstance(instr, (ins.Beq, ins.Bne, ins.Blt, ins.Jmp)):
+        if instr.is_branch:
             if instr.target not in label_addr:
                 raise EncodingError(f"undefined label {instr.target!r}")
             offset = label_addr[instr.target] - (waddr + 1)
@@ -313,12 +182,9 @@ def encode_program(program) -> list[int]:
 
 
 def decode_program(words: list[int], op_table: OperationTable,
-                   uprog_names_list: list[str] | None = None):
+                   uprog_names_list: list[str] | None = None) -> Program:
     """Decode words back into a Program (labels synthesized as ``L<addr>``)."""
-    from repro.isa.program import Program
-
-    uprog_names_list = uprog_names_list or []
-    uprog_names = dict(enumerate(uprog_names_list))
+    uprog_names = dict(enumerate(uprog_names_list or []))
 
     instructions: list[ins.Instruction] = []
     index_of_word: dict[int, int] = {}
@@ -328,39 +194,27 @@ def decode_program(words: list[int], op_table: OperationTable,
         index_of_word[waddr] = len(instructions)
         instr, extras = decode_word(words[waddr], op_table, uprog_names)
         consumed = 1
-        if isinstance(instr, ins.Pulse):
-            pairs = list(instr.pairs)
-            more = extras.get("more", False)
-            while more:
-                if waddr + consumed >= len(words):
-                    raise EncodingError("truncated multi-pair Pulse")
-                nxt, nxt_extras = decode_word(words[waddr + consumed], op_table, uprog_names)
-                if not isinstance(nxt, ins.Pulse):
-                    raise EncodingError("non-Pulse continuation word")
-                pairs.extend(nxt.pairs)
-                more = nxt_extras.get("more", False)
-                consumed += 1
-            instr = ins.Pulse(pairs=tuple(pairs))
-        elif "offset" in extras:
+        while extras.get("more"):  # a multi-pair Pulse continues
+            if waddr + consumed >= len(words):
+                raise EncodingError("truncated multi-pair Pulse")
+            nxt, extras = decode_word(words[waddr + consumed], op_table, uprog_names)
+            if not isinstance(nxt, ins.Pulse):
+                raise EncodingError("non-Pulse continuation word")
+            instr = ins.Pulse(pairs=instr.pairs + nxt.pairs)
+            consumed += 1
+        if "offset" in extras:
             branch_fixups.append((len(instructions), waddr + 1 + extras["offset"]))
         instructions.append(instr)
         waddr += consumed
 
+    index_of_word[waddr] = len(instructions)  # the address just past the end
     labels: dict[str, int] = {}
     for index, target_waddr in branch_fixups:
-        if target_waddr == len(words):
-            target_index = len(instructions)
-        elif target_waddr in index_of_word:
-            target_index = index_of_word[target_waddr]
-        else:
+        if target_waddr not in index_of_word:
             raise EncodingError(f"branch target word {target_waddr} is mid-instruction")
         name = f"L{target_waddr}"
-        labels[name] = target_index
-        old = instructions[index]
-        if isinstance(old, ins.Jmp):
-            instructions[index] = ins.Jmp(target=name)
-        else:
-            instructions[index] = type(old)(rs=old.rs, rt=old.rt, target=name)
+        labels[name] = index_of_word[target_waddr]
+        instructions[index] = replace(instructions[index], target=name)
 
     return Program(instructions=instructions, labels=labels,
-                   op_table=op_table, uprog_names=list(uprog_names_list))
+                   op_table=op_table, uprog_names=list(uprog_names.values()))

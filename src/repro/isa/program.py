@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 from repro.isa.instructions import Instruction
 from repro.isa.operations import OperationTable, DEFAULT_OPERATIONS
+from repro.utils.errors import EncodingError
 
 
 @dataclass
@@ -48,7 +49,7 @@ class Program:
         from repro.isa.encoding import decode_program
 
         if len(blob) % 4:
-            raise ValueError("binary length is not a multiple of 4 bytes")
+            raise EncodingError("binary length is not a multiple of 4 bytes")
         words = [int.from_bytes(blob[i:i + 4], "little") for i in range(0, len(blob), 4)]
         table = op_table if op_table is not None else DEFAULT_OPERATIONS.copy()
         return decode_program(words, table, uprog_names or [])

@@ -141,6 +141,16 @@ class FleetBackend(ExecutorBackend):
         return [i for i, c in enumerate(self._clients)
                 if c is not None and c.alive]
 
+    def _worker_name(self, index: int) -> str:
+        """Worker ``index``'s name in job telemetry and the worker report
+        (lock held): its own, or ``name@address`` when daemons of this
+        fleet share a ``--name``, so each keeps an entry its jobs name."""
+        client = self._clients[index]
+        name = client.welcome.get("worker", "")
+        shared = sum(1 for other in self._clients if other is not None
+                     and other.welcome.get("worker") == name)
+        return f"{name}@{client.address}" if shared > 1 else name
+
     # -- submission and dispatch ---------------------------------------------
 
     def _submit(self, spec: JobSpec) -> JobFuture:
@@ -238,11 +248,14 @@ class FleetBackend(ExecutorBackend):
             if entry is None:
                 return  # recovered after a loss before this arrived
             self._loads[entry["worker"]] -= 1
+            worker = self._worker_name(entry["worker"])
             self._dispatch()
         try:
             if isinstance(outcome, BaseException):
                 entry["future"].set_exception(outcome)
             else:
+                if outcome.telemetry is not None:
+                    outcome.telemetry.worker = worker
                 entry["future"].set_result(outcome)
         except RuntimeError:
             pass  # a close-time resolution won the race
@@ -354,6 +367,8 @@ class FleetBackend(ExecutorBackend):
                     "index": index,
                     "address": (client.address if client is not None
                                 else address),
+                    "name": (self._worker_name(index)
+                             if client is not None else None),
                     "pid": (client.welcome.get("pid")
                             if client is not None else None),
                     "client": client,

@@ -30,7 +30,6 @@ import itertools
 import queue
 import threading
 import time
-from collections import Counter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.obs.metrics import MetricsRegistry
@@ -342,34 +341,25 @@ class ExperimentService:
         (every resolved future lands there, telemetry on or off).
         ``workers`` is built now from each live worker's ``stats()``,
         keyed by the name its job telemetry carries (``name@address``
-        when several live workers share a name): the counters of its
-        registry, and its pool, cache, replay-cache and calibration-memo
-        stats as ``pool.*``/``cache.*``/``replay_cache.*``/
-        ``calibration.*`` gauges.  ``workers_merged`` sums them across
-        workers.  A lost worker's report leaves with it.
+        when several of a fleet's workers share a name): the counters
+        of its registry, and its pool, cache, replay-cache and
+        calibration-memo stats as ``pool.*``/``cache.*``/
+        ``replay_cache.*``/``calibration.*`` gauges.  ``workers_merged``
+        sums them across workers.  A lost worker's report leaves with it.
         """
         return self._metrics_summary(self.engine.stats())
 
     def _metrics_summary(self, engine: dict) -> dict:
         # The serial engine is its own one worker; worker backends list
-        # each live worker's stats under its entry's ``remote``.
-        live = ([(None, engine)] if "workers" not in engine else
-                [(entry["address"], entry["remote"])
+        # each live worker's stats and name under ``remote`` and ``name``.
+        live = ([(engine["worker"], engine)] if "workers" not in engine else
+                [(entry["name"], entry["remote"])
                  for entry in engine["workers"] if "remote" in entry])
-        # Daemons may share a ``--name``: a repeated name gets its
-        # worker's address appended, so every live worker keeps an entry.
-        repeats = Counter(stats["worker"] for _, stats in live)
-        reports = {}
-        for address, stats in live:
-            name = stats["worker"]
-            if repeats[name] > 1:
-                name = f"{name}@{address}"
-            reports[name] = {
-                "counters": stats["metrics"]["counters"],
-                "gauges": {f"{part}.{key}": value for part in WORKER_GAUGES
-                           for key, value in stats[part].items()},
-            }
-        workers = dict(sorted(reports.items()))
+        workers = {name: {
+            "counters": stats["metrics"]["counters"],
+            "gauges": {f"{part}.{key}": value for part in WORKER_GAUGES
+                       for key, value in stats[part].items()},
+        } for name, stats in sorted(live, key=lambda item: item[0])}
         summary = {"service": self.metrics.summary(), "workers": workers}
         if workers:
             merged = {"counters": {}, "gauges": {}}

@@ -9,7 +9,7 @@ from repro.isa.operations import OperationTable
 from repro.pulse import PulseCalibration, Waveform, build_single_qubit_lut, square
 from repro.qubit import QuantumDevice, TransmonParams
 from repro.readout import DataCollectionUnit, ReadoutParams, calibrate_readout
-from repro.utils.errors import CalibrationError, ConfigurationError
+from repro.utils.errors import CalibrationError, ConfigurationError, EncodingError
 
 LUT = build_single_qubit_lut()
 
@@ -91,7 +91,7 @@ def test_operation_table_names_in_id_order():
 
 def test_machine_rejects_bad_binary_length():
     machine = QuMA(MachineConfig(qubits=(2,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(EncodingError):
         machine.load(b"\x01\x02\x03")  # not a multiple of 4
 
 

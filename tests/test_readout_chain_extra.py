@@ -142,10 +142,15 @@ class TestBatchedReadoutKernels:
         from repro.readout.adc import adc_quantize
 
         x = np.random.default_rng(9).normal(0, 0.5, (40, 100))
+        before = x.copy()
         plain = adc_quantize(x)
+        assert np.array_equal(x, before)  # the allocating path left x alone
+        scratch = np.empty_like(x)
+        into = adc_quantize(x, out=scratch)
+        assert into is scratch and np.array_equal(into, plain)
+        assert np.array_equal(x, before)  # so did the out= path
         inplace = adc_quantize(x.copy(), overwrite=True)
         assert np.array_equal(plain, inplace)
-        assert np.array_equal(x, np.asarray(x))  # plain path left input alone
 
     def test_dcu_record_batch_matches_record(self):
         from repro.readout.data_collection import DataCollectionUnit

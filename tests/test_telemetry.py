@@ -210,6 +210,40 @@ def test_metrics_summary_keeps_workers_that_share_a_name():
         for report in workers.values())
 
 
+def test_job_telemetry_names_the_report_key_of_its_daemon():
+    """Jobs from two daemons that share a ``--name`` carry the report key
+    of the daemon that ran them, so a trace tells the daemons apart."""
+    import dataclasses
+
+    from repro.core import MachineConfig
+    from repro.experiments.rabi import rabi_job
+    from repro.service import ExperimentService
+    from repro.service.fleet import WorkerServer
+
+    servers = [WorkerServer(name="lab").start(),
+               WorkerServer(name="lab").start()]
+    addresses = ["%s:%d" % server.address for server in servers]
+    config = MachineConfig(qubits=(0,), trace_enabled=False, seed=3)
+    specs = [dataclasses.replace(rabi_job(config, 0, amp, 2), telemetry=True)
+             for amp in (0.1, 0.3, 0.5, 0.7)]
+    try:
+        with ExperimentService(backend="fleet",
+                               fleet_workers=addresses) as svc:
+            sweep = svc.run_batch(specs)
+            engine = svc.stats()["engine"]
+            summary = svc.metrics_summary()
+    finally:
+        for server in servers:
+            server.stop()
+    keys = {f"lab@{address}" for address in addresses}
+    assert set(summary["workers"]) == keys
+    names = [job.telemetry.worker for job in sweep.jobs]
+    assert set(names) <= keys
+    # Each daemon's jobs carry its own key.
+    for entry in engine["workers"]:
+        assert names.count(entry["name"]) == entry["shipped"]
+
+
 # -- queue-wait + stage rollups ----------------------------------------------
 
 
