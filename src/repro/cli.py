@@ -5,15 +5,15 @@ Usage::
     python -m repro assemble prog.qasm -o prog.bin
     python -m repro disassemble prog.bin
     python -m repro run prog.qasm --qubits 2 --trace
-    python -m repro allxy --rounds 256
     python -m repro exp --list
+    python -m repro exp allxy --param n_rounds=256
     python -m repro exp rabi --qubits 2 --param n_rounds=16 --stream
     python -m repro exp bell --qubits 0-1 --param n_rounds=64
     python -m repro exp bell --qubits 0-1 --mitigation zne,readout
     python -m repro exp bell --qubits 0-1 --trace-out trace.json
-    python -m repro batch --experiment rabi --points 8 --backend process
     python -m repro exp rabi --retries 3 --job-timeout 30
     REPRO_FAULT_SEED=7 python -m repro exp rabi --retries 3 --backend process
+    python -m repro batch --program prog.qasm --repeat 8 --backend process
     python -m repro stats metrics.json
 """
 
@@ -119,20 +119,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0 if result.completed else 1
 
 
-def cmd_allxy(args: argparse.Namespace) -> int:
-    from repro.reporting.tables import sparkline
-    from repro.session import Session
-
-    with Session(MachineConfig(qubits=(2,), trace_enabled=False,
-                               seed=args.seed)) as session:
-        result = session.run("allxy", n_rounds=args.rounds)
-    print("ideal   :", sparkline(result.ideal, 0, 1))
-    print("measured:", sparkline(result.fidelity, 0, 1))
-    print(f"deviation: {result.deviation:.4f} "
-          f"(paper: 0.012 at N = 25600; this run N = {args.rounds})")
-    return 0
-
-
 def _parse_params(pairs: list[str]) -> dict:
     """Parse repeated ``--param key=value`` into experiment parameters.
 
@@ -174,17 +160,23 @@ def _print_experiment_list() -> None:
         print(f"{pad}params: {defaults}")
 
 
-def _retry_policy(args):
-    """The :class:`RetryPolicy` a ``--retries N`` flag asks for (or None).
+def _service(args: argparse.Namespace):
+    """The :class:`ExperimentService` the shared service flags ask for.
 
-    ``N`` counts *retries* beyond the first attempt, so ``--retries 3``
-    allows four executions total.
+    ``--retries N`` counts *retries* beyond the first attempt, so
+    ``--retries 3`` allows four executions total.
     """
-    if not getattr(args, "retries", 0):
-        return None
-    from repro.service import RetryPolicy
+    from repro.service import ExperimentService, RetryPolicy
 
-    return RetryPolicy(max_attempts=args.retries + 1)
+    retry = (RetryPolicy(max_attempts=args.retries + 1) if args.retries
+             else None)
+    fleet = None
+    if args.fleet_workers:  # host:port,host:port
+        fleet = tuple(part.strip() for part in args.fleet_workers.split(",")
+                      if part.strip())
+    return ExperimentService(backend=args.backend, workers=args.workers,
+                             retry=retry, job_timeout=args.job_timeout,
+                             fleet_workers=fleet)
 
 
 def _print_job_failure(exc: JobError, stats) -> None:
@@ -200,25 +192,66 @@ def _print_job_failure(exc: JobError, stats) -> None:
               file=sys.stderr)
 
 
-def _parse_fleet_workers(value) -> tuple[str, ...] | None:
-    """``--fleet-workers host:port,host:port`` -> address tuple (or None)."""
-    if not value:
-        return None
-    return tuple(part.strip() for part in value.split(",") if part.strip())
+def _announce(job) -> None:
+    """The ``--stream`` line of one finished job."""
+    note = ""
+    if job.replay_fallback_reason is not None:
+        note = f"  [no replay: {job.replay_fallback_reason}]"
+    print(f"  done [{job.executor}] {job.label or job.seed}"
+          f"  ({job.execute_s:.3f} s){note}")
 
 
-def cmd_worker(args: argparse.Namespace) -> int:
-    """Host a fleet worker daemon until interrupted."""
-    from repro.service.fleet.worker import run_worker
+def _fmt_seconds(value) -> str:
+    return "-" if value is None else f"{value * 1e3:8.2f} ms"
 
-    return run_worker(args.listen, name=args.name)
+
+def _print_stage_stats(stage_stats: dict) -> None:
+    for field in ("queue_wait_s", "compile_s", "execute_s", "total_s"):
+        stats = stage_stats.get(field)
+        if not stats or not stats.get("count"):
+            continue
+        print(f"  {field:<13} p50={_fmt_seconds(stats['p50'])}  "
+              f"p95={_fmt_seconds(stats['p95'])}  "
+              f"max={_fmt_seconds(stats['max'])}")
+
+
+def _report(sweep, service, args: argparse.Namespace, context: dict) -> None:
+    """Print a finished sweep's stats and write the artifacts its flags ask
+    for; ``context`` names the command in the metrics artifact."""
+    print(f"{len(sweep)} jobs | backend={sweep.backend} | "
+          f"{sweep.elapsed_s:.2f} s | {sweep.jobs_per_second:.1f} jobs/s")
+    print(f"compile cache hit rate:  {sweep.cache_hit_rate:.0%}")
+    print(f"machine reuse rate:      {sweep.machine_reuse_rate:.0%}")
+    if sweep.total_retries:
+        print(f"retries recovered:       {sweep.total_retries}")
+    if sweep.stage_stats:
+        print("per-stage latency:")
+        _print_stage_stats(sweep.stage_stats)
+    if args.save:
+        sweep.save(args.save)
+        print(f"sweep artifact -> {args.save}")
+    trace_out = getattr(args, "trace_out", None)  # `exp` only
+    if trace_out:
+        from repro.obs import write_chrome_trace
+
+        n = write_chrome_trace(trace_out, sweep.jobs)
+        print(f"chrome trace ({n} events) -> {trace_out}  "
+              f"(open at https://ui.perfetto.dev)")
+    if args.metrics_out:
+        from repro.obs import write_metrics_artifact
+
+        write_metrics_artifact(
+            args.metrics_out, service.metrics_summary(),
+            stage_stats=sweep.stage_stats,
+            context={**context, "backend": service.backend,
+                     "jobs": len(sweep)})
+        print(f"metrics artifact -> {args.metrics_out}")
 
 
 def cmd_exp(args: argparse.Namespace) -> int:
     """Run any registered experiment through the Session facade."""
-    from repro.session import Session
-
     from repro.experiments.base import target_label
+    from repro.session import Session
 
     if args.list or args.name is None:
         _print_experiment_list()
@@ -233,13 +266,6 @@ def cmd_exp(args: argparse.Namespace) -> int:
         params = {"experiment": name, "mitigation": args.mitigation, **params}
         name = "mitigated"
 
-    def announce(job):
-        note = ""
-        if job.replay_fallback_reason is not None:
-            note = f"  [no replay: {job.replay_fallback_reason}]"
-        print(f"  done [{job.executor}] {job.label or job.seed}"
-              f"  ({job.execute_s:.3f} s){note}")
-
     def announce_estimate(estimate):
         fitted = {target_label(t): v for t, v in estimate.per_target.items()
                   if v is not None}
@@ -252,176 +278,52 @@ def cmd_exp(args: argparse.Namespace) -> int:
     # Spans and the simulator trace feed only the Chrome trace; the
     # metrics artifact reads the service and its live workers.
     telemetry = bool(args.trace_out)
-    with Session(backend=args.backend, workers=args.workers, seed=args.seed,
-                 telemetry=telemetry, sim_trace=telemetry,
-                 retry=_retry_policy(args),
-                 job_timeout=args.job_timeout,
-                 fleet_workers=_parse_fleet_workers(args.fleet_workers)
-                 ) as session:
+    with _service(args) as service, \
+            Session(service=service, seed=args.seed, telemetry=telemetry,
+                    sim_trace=telemetry) as session:
         future = session.submit_experiment(name, targets=targets, **params)
         try:
             result = future.result(
-                on_result=announce if args.stream else None,
+                on_result=_announce if args.stream else None,
                 on_estimate=announce_estimate if args.stream else None)
         except JobError as exc:
-            _print_job_failure(exc, session.stats())
+            _print_job_failure(exc, service.stats())
             return 1
         print(future.experiment.summary(result))
-        _print_sweep_stats(future.sweep)
-        if args.save:
-            future.sweep.save(args.save)
-            print(f"sweep artifact -> {args.save}")
-        if args.trace_out:
-            from repro.obs import write_chrome_trace
-
-            n = write_chrome_trace(args.trace_out, future.sweep.jobs)
-            print(f"chrome trace ({n} events) -> {args.trace_out}  "
-                  f"(open at https://ui.perfetto.dev)")
-        if args.metrics_out:
-            from repro.obs import write_metrics_artifact
-
-            write_metrics_artifact(
-                args.metrics_out, session.service.metrics_summary(),
-                stage_stats=future.sweep.stage_stats,
-                context={"command": "exp", "experiment": name,
-                         "backend": session.backend,
-                         "jobs": len(future.sweep)})
-            print(f"metrics artifact -> {args.metrics_out}")
+        _report(future.sweep, service, args,
+                {"command": "exp", "experiment": name})
     return 0
 
 
-def _fmt_seconds(value) -> str:
-    return "-" if value is None else f"{value * 1e3:8.2f} ms"
-
-
-def _print_stage_stats(stage_stats: dict, indent: str = "  ") -> None:
-    for field in ("queue_wait_s", "compile_s", "execute_s", "total_s"):
-        stats = stage_stats.get(field)
-        if not stats or not stats.get("count"):
-            continue
-        print(f"{indent}{field:<13} p50={_fmt_seconds(stats['p50'])}  "
-              f"p95={_fmt_seconds(stats['p95'])}  "
-              f"max={_fmt_seconds(stats['max'])}")
-
-
-def _print_sweep_stats(sweep) -> None:
-    print(f"{len(sweep)} jobs | backend={sweep.backend} | "
-          f"{sweep.elapsed_s:.2f} s | {sweep.jobs_per_second:.1f} jobs/s")
-    print(f"compile cache hit rate:  {sweep.cache_hit_rate:.0%}")
-    print(f"machine reuse rate:      {sweep.machine_reuse_rate:.0%}")
-    retries = getattr(sweep, "total_retries", 0)
-    if retries:
-        print(f"retries recovered:       {retries}")
-    stage_stats = getattr(sweep, "stage_stats", None)
-    if stage_stats:
-        print("per-stage latency:")
-        _print_stage_stats(stage_stats)
-
-
-def _run_specs(svc, specs, stream: bool):
-    """Execute a batch; with ``stream``, print results as they finish.
-
-    The returned sweep lists jobs in submission order either way.
-    """
-    from repro.service import SweepResult
-
-    if not stream:
-        return svc.run_batch(specs)
-    t0 = time.perf_counter()
-    futures = [svc.submit(spec, stream=False) for spec in specs]
-    for future in svc.iter_futures(futures):
-        job = future.result()
-        note = ""
-        if job.replay_fallback_reason is not None:
-            note = f"  [no replay: {job.replay_fallback_reason}]"
-        print(f"  done [{job.executor}] {job.label or job.seed}"
-              f"  ({job.execute_s:.3f} s){note}")
-    return SweepResult.from_jobs([future.result() for future in futures],
-                                 time.perf_counter() - t0, svc.backend)
-
-
 def cmd_batch(args: argparse.Namespace) -> int:
-    """Batched execution through the orchestration service."""
-    import numpy as np
+    """Run a raw program ``--repeat`` times on derived per-job seeds."""
+    from repro.service import JobSpec, SweepResult, derive_job_seed
 
-    from repro.service import ExperimentService, JobSpec, derive_job_seed
-
+    with open(args.program) as f:
+        asm = f.read()
     config = MachineConfig(qubits=_parse_qubits(args.qubits), seed=args.seed,
                            trace_enabled=False)
-    with ExperimentService(backend=args.backend, workers=args.workers,
-                           retry=_retry_policy(args),
-                           job_timeout=args.job_timeout,
-                           fleet_workers=_parse_fleet_workers(
-                               args.fleet_workers)) as svc:
+    specs = [JobSpec(config=config, asm=asm, k_points=args.k_points,
+                     seed=derive_job_seed(args.seed, i),
+                     params={"job": i}, label=f"job{i}")
+             for i in range(args.repeat)]
+    with _service(args) as service:
+        t0 = time.perf_counter()
+        futures = [service.submit(spec, stream=False) for spec in specs]
         try:
-            if args.program:
-                with open(args.program) as f:
-                    asm = f.read()
-                specs = [JobSpec(config=config, asm=asm,
-                                 k_points=args.k_points,
-                                 seed=derive_job_seed(args.seed, i),
-                                 params={"job": i}, label=f"job{i}",
-                                 replay=args.replay)
-                         for i in range(args.repeat)]
-                sweep = _run_specs(svc, specs, args.stream)
-                for job in sweep:
-                    values = " ".join(f"{v:8.3f}" for v in job.averages)
-                    print(f"{job.label:>8}  seed={job.seed:<12} S = {values}")
-            elif args.experiment == "rabi":
-                from repro.experiments.rabi import rabi_job
-
-                expected_pi = config.calibration.amplitude_for(np.pi)
-                amplitudes = np.linspace(0.0, min(2.2 * expected_pi, 0.999),
-                                         args.points)
-                qubit = config.qubits[0]
-                sweep = _run_specs(
-                    svc,
-                    [rabi_job(config, qubit, amp, args.rounds,
-                              replay=args.replay)
-                     for amp in amplitudes],
-                    args.stream)
-                print("amplitude   P(|1>)")
-                for job in sweep:
-                    print(f"{job.params['amplitude']:9.4f}   "
-                          f"{float(job.normalized[0]):.3f}")
-            else:  # allxy repeats with derived per-job seeds
-                from repro.experiments.allxy import (
-                    allxy_job,
-                    rescale_with_calibration_points,
-                )
-
-                specs = []
-                for i in range(args.repeat):
-                    spec = allxy_job(config, config.qubits[0], args.rounds,
-                                     replay=args.replay)
-                    spec.seed = derive_job_seed(args.seed, i)
-                    spec.label = f"allxy#{i}"
-                    specs.append(spec)
-                sweep = _run_specs(svc, specs, args.stream)
-                from repro.experiments.allxy import allxy_ideal_staircase
-
-                ideal = allxy_ideal_staircase()
-                for job in sweep:
-                    fidelity = rescale_with_calibration_points(job.averages)
-                    deviation = float(np.mean(np.abs(fidelity - ideal)))
-                    print(f"{job.label:>10}  seed={job.seed:<12} "
-                          f"deviation={deviation:.4f}")
+            for future in service.iter_futures(futures):
+                if args.stream:
+                    _announce(future.result())
+            sweep = SweepResult.from_jobs(
+                [future.result() for future in futures],
+                time.perf_counter() - t0, service.backend)
         except JobError as exc:
-            _print_job_failure(exc, svc.stats())
+            _print_job_failure(exc, service.stats())
             return 1
-        _print_sweep_stats(sweep)
-        if args.save:
-            sweep.save(args.save)
-            print(f"sweep artifact -> {args.save}")
-        if args.metrics_out:
-            from repro.obs import write_metrics_artifact
-
-            write_metrics_artifact(
-                args.metrics_out, svc.metrics_summary(),
-                stage_stats=sweep.stage_stats,
-                context={"command": "batch", "backend": args.backend,
-                         "jobs": len(sweep)})
-            print(f"metrics artifact -> {args.metrics_out}")
+        for job in sweep:
+            values = " ".join(f"{v:8.3f}" for v in job.averages)
+            print(f"{job.label:>8}  seed={job.seed:<12} S = {values}")
+        _report(sweep, service, args, {"command": "batch"})
     return 0
 
 
@@ -461,6 +363,44 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def cmd_worker(args: argparse.Namespace) -> int:
+    """Host a fleet worker daemon until interrupted."""
+    from repro.service.fleet.worker import run_worker
+
+    return run_worker(args.listen, name=args.name)
+
+
+def _add_service_flags(p: argparse.ArgumentParser) -> None:
+    """The flags ``exp`` and ``batch`` share: where the jobs run, how
+    failures retry, and what the sweep report writes."""
+    p.add_argument("--backend",
+                   choices=("serial", "process", "fleet"),
+                   default="serial")
+    p.add_argument("--workers", type=int, default=None,
+                   help="worker processes for the process backend")
+    p.add_argument("--fleet-workers", default=None, dest="fleet_workers",
+                   metavar="HOST:PORT,...",
+                   help="worker daemon addresses for --backend fleet "
+                        "(default: $REPRO_FLEET_WORKERS)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--stream", action="store_true",
+                   help="print each job as it finishes (exp also prints the "
+                        "refined incremental fit)")
+    p.add_argument("--save", default=None,
+                   help="write the sweep as a JSON artifact to this path")
+    p.add_argument("--metrics-out", default=None, dest="metrics_out",
+                   help="write the merged metrics registry + per-stage "
+                        "rollups as JSON (render with 'repro stats')")
+    p.add_argument("--retries", type=int, default=0,
+                   help="retry transiently failed jobs up to N times "
+                        "(deterministic: a recovered retry's result is "
+                        "bit-identical to a clean run)")
+    p.add_argument("--job-timeout", type=float, default=None,
+                   dest="job_timeout", metavar="SECONDS",
+                   help="per-attempt wall-clock budget per job; overstaying "
+                        "attempts fail (and retry, with --retries)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -485,11 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON machine configuration (see docs)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("allxy", help="run the Figure 9 AllXY experiment")
-    p.add_argument("--rounds", type=int, default=128)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_allxy)
-
     p = sub.add_parser(
         "exp",
         help="run a registered experiment through the Session facade")
@@ -512,83 +447,23 @@ def build_parser() -> argparse.ArgumentParser:
                         "result per qubit ('0,1'); '-'-joined registers "
                         "address entangling experiments ('0-1,1-2' sweeps "
                         "two pairs, '0-1-2' one GHZ chain)")
-    p.add_argument("--backend",
-                   choices=("serial", "process", "fleet"),
-                   default="serial")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the process backend")
-    p.add_argument("--fleet-workers", default=None, dest="fleet_workers",
-                   metavar="HOST:PORT,...",
-                   help="worker daemon addresses for --backend fleet "
-                        "(default: $REPRO_FLEET_WORKERS)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--stream", action="store_true",
-                   help="print each job and the refined incremental fit "
-                        "as results stream in completion order")
-    p.add_argument("--save", default=None,
-                   help="write the sweep as a JSON artifact to this path")
+    _add_service_flags(p)
     p.add_argument("--trace-out", default=None, dest="trace_out",
                    help="write a Chrome trace-event JSON of the sweep "
                         "(service spans + simulator trace; open at "
                         "https://ui.perfetto.dev)")
-    p.add_argument("--metrics-out", default=None, dest="metrics_out",
-                   help="write the merged metrics registry + per-stage "
-                        "rollups as JSON (render with 'repro stats')")
-    p.add_argument("--retries", type=int, default=0,
-                   help="retry transiently failed jobs up to N times "
-                        "(deterministic: a recovered retry's result is "
-                        "bit-identical to a clean run)")
-    p.add_argument("--job-timeout", type=float, default=None,
-                   dest="job_timeout", metavar="SECONDS",
-                   help="per-attempt wall-clock budget per job; overstaying "
-                        "attempts fail (and retry, with --retries)")
     p.set_defaults(func=cmd_exp)
 
     p = sub.add_parser(
         "batch",
-        help="batched execution through the orchestration service")
-    p.add_argument("--experiment", choices=("rabi", "allxy"), default="rabi",
-                   help="built-in experiment to batch (ignored with --program)")
-    p.add_argument("--program", default=None,
-                   help="raw .qasm to run --repeat times with derived seeds")
-    p.add_argument("--repeat", type=int, default=4,
-                   help="jobs for --program / allxy repeats")
-    p.add_argument("--points", type=int, default=8,
-                   help="sweep points for the rabi experiment")
-    p.add_argument("--rounds", type=int, default=16,
-                   help="averaging rounds per job")
+        help="run a raw program as a batch of jobs on derived seeds")
+    p.add_argument("--program", required=True,
+                   help="raw .qasm to run --repeat times")
+    p.add_argument("--repeat", type=int, default=4, help="number of jobs")
     p.add_argument("--k-points", type=int, default=1, dest="k_points",
-                   help="measurements per round for --program jobs")
-    p.add_argument("--no-replay", dest="replay", action="store_false",
-                   help="disable the round-replay fast path "
-                        "(full event-driven simulation of every round)")
-    p.add_argument("--backend",
-                   choices=("serial", "process", "fleet"),
-                   default="serial")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the process backend")
-    p.add_argument("--fleet-workers", default=None, dest="fleet_workers",
-                   metavar="HOST:PORT,...",
-                   help="worker daemon addresses for --backend fleet "
-                        "(default: $REPRO_FLEET_WORKERS)")
-    p.add_argument("--stream", action="store_true",
-                   help="print jobs as they complete (futures API) instead "
-                        "of waiting for the whole batch")
-    p.add_argument("--save", default=None,
-                   help="write the sweep as a JSON artifact to this path")
-    p.add_argument("--metrics-out", default=None, dest="metrics_out",
-                   help="write the merged metrics registry + per-stage "
-                        "rollups as JSON (render with 'repro stats')")
-    p.add_argument("--retries", type=int, default=0,
-                   help="retry transiently failed jobs up to N times "
-                        "(deterministic: a recovered retry's result is "
-                        "bit-identical to a clean run)")
-    p.add_argument("--job-timeout", type=float, default=None,
-                   dest="job_timeout", metavar="SECONDS",
-                   help="per-attempt wall-clock budget per job; overstaying "
-                        "attempts fail (and retry, with --retries)")
-    p.add_argument("--qubits", default="2")
-    p.add_argument("--seed", type=int, default=0)
+                   help="measurements per round")
+    p.add_argument("--qubits", default="2", help="comma-separated chip labels")
+    _add_service_flags(p)
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser(

@@ -280,23 +280,6 @@ class QuMA:
                     break
         return self._result()
 
-    def run_replayed(self, n_rounds: int | None, plan=None) -> RunResult:
-        """Run the loaded program with the round-replay fast path.
-
-        For replay-eligible programs (no register-file feedback — see
-        ``repro.core.replay``) rounds 1-2 execute through the full event
-        kernel while their quantum schedule is recorded and verified;
-        the remaining ``n_rounds - 2`` rounds are drawn as vectorized
-        numpy batches with bit-identical RNG streams.  Ineligible runs
-        fall back to plain :meth:`run` transparently.  ``plan`` is a
-        previously verified :class:`~repro.core.replay.ReplayPlan` for
-        this config+program, letting the run skip even the recording.
-        """
-        from repro.core.replay import run_with_replay
-
-        result, _, _ = run_with_replay(self, n_rounds, plan=plan)
-        return result
-
     def _result(self) -> RunResult:
         averages = None
         if self.dcu.rounds_completed > 0:

@@ -159,7 +159,9 @@ def replay_ineligibility(machine: QuMA, n_rounds: int | None) -> str | None:
     need not repeat) and microprogram-calling programs take the full
     event-driven path.
     """
-    if n_rounds is None or n_rounds < 3:
+    if n_rounds is None:
+        return "n_rounds not declared"
+    if n_rounds < 3:
         return "fewer than three rounds"
     if machine.trace.enabled:
         return "architectural tracing enabled"

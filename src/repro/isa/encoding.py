@@ -11,8 +11,10 @@ that table, with their own code only for the multi-word ``Pulse`` and
 A multi-pair ``Pulse`` occupies one word per pair with the ``more`` bit
 set on every word but the last; program-counter arithmetic (branch
 offsets) is in *word* space.  Every malformed word — an unknown opcode,
-operation or microprogram id, or an operand its instruction's checks
-reject — raises :class:`~repro.utils.errors.EncodingError`.
+operation or microprogram id, an operand its instruction's checks
+reject, or a set bit that no field of its instruction covers — raises
+:class:`~repro.utils.errors.EncodingError`, so a word that decodes
+re-encodes to itself (a ``Pulse`` word's ``more`` bit aside).
 """
 
 from __future__ import annotations
@@ -119,9 +121,33 @@ def decode_word(
     if spec is None:
         raise EncodingError(f"unknown opcode 0x{word >> 26:02X}")
     try:
-        return _decode(spec, word, op_table, uprog_names or {})
+        instr, extras = _decode(spec, word, op_table, uprog_names or {})
     except ValueError as exc:  # an operand the instruction's checks reject
         raise EncodingError(f"word 0x{word:08X}: {exc}") from None
+    stray = word & ~_used_bits(spec, word)
+    if stray:
+        raise EncodingError(f"word 0x{word:08X}: bits 0x{stray:08X} lie "
+                            f"outside the fields of {spec.spelling}")
+    return instr, extras
+
+
+def _used_bits(spec: ins.Spec, word: int) -> int:
+    """The bits of ``word`` its instruction reads: the opcode and every
+    operand field, but an optional ``rd`` only when its flag bit is set
+    and a ``qcall``'s second qubit only in a two-qubit call."""
+    used = 0x3F << 26
+    if spec.cls is ins.Pulse:
+        return used | 0x3FF << 16 | 0xFF << 8 | 1
+    if spec.cls is ins.QCall:
+        q1 = 0xF << 10 if word & 3 == 2 else 0
+        return used | 0xFF << 18 | 0xF << 14 | q1 | 3
+    for f in spec.fields:
+        if f.kind == ins.OPT_REG:
+            used |= 1
+            if not word & 1:
+                continue
+        used |= ((1 << f.width) - 1) << f.offset
+    return used
 
 
 def _decode(spec: ins.Spec, word: int, op_table: OperationTable,

@@ -26,17 +26,6 @@ class TraceRecord:
         parts = ", ".join(f"{k}={v}" for k, v in self.detail.items())
         return f"[{self.time:>9} ns] {self.unit:<14} {self.kind:<16} {parts}"
 
-    def as_dict(self) -> dict[str, Any]:
-        """JSON-safe plain-dict form (non-scalar details stringified)."""
-        return {
-            "time": self.time,
-            "unit": self.unit,
-            "kind": self.kind,
-            "detail": {k: (v if isinstance(v, (int, float, str, bool,
-                                               type(None))) else str(v))
-                       for k, v in self.detail.items()},
-        }
-
 
 class ScheduleRecorder:
     """Records the time-ordered quantum-operation schedule of a run.

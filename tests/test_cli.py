@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 PROGRAM = """
     mov r1, 42
@@ -89,10 +91,11 @@ def test_bad_assembly_error(tmp_path, capsys):
 
 
 def test_allxy_command(capsys):
-    rc = main(["allxy", "--rounds", "8"])
+    rc = main(["exp", "allxy", "--param", "n_rounds=8"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "deviation:" in out
+    # Figure 9 on q2 at N = 8, seed 0, tracing off.
+    assert "deviation 0.0724" in out
 
 
 def test_exp_list(capsys):
@@ -214,42 +217,43 @@ def test_exp_save_artifact(tmp_path, capsys):
     assert "sweep artifact" in capsys.readouterr().out
 
 
-def test_batch_rabi_sweep(capsys):
-    rc = main(["batch", "--experiment", "rabi", "--points", "3",
-               "--rounds", "4"])
+def test_batch_rabi_sweep(tmp_path, capsys):
+    """A three-point Rabi sweep on q2 at seed 0: its per-job averages and
+    calibration points are pinned."""
+    out_path = tmp_path / "sweep.json"
+    rc = main(["exp", "rabi", "--param", "n_rounds=4",
+               "--param", "amplitudes=[0.0, 0.4995, 0.999]",
+               "--save", str(out_path)])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "amplitude   P(|1>)" in out
+    assert "pi amplitude" in out
     assert "3 jobs | backend=serial" in out
     assert "compile cache hit rate:" in out
     assert "machine reuse rate:" in out
+    jobs = json.loads(out_path.read_text())["jobs"]
+    assert [job["averages"] for job in jobs] == [
+        [-77.73275535247772], [95.01539013494711], [152.5658886254508]]
+    assert {(job["s_ground"], job["s_excited"]) for job in jobs} == {
+        (-77.92850621597353, 152.1827167490983)}
 
 
-def test_batch_allxy_repeats(capsys):
-    rc = main(["batch", "--experiment", "allxy", "--repeat", "2",
-               "--rounds", "4"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "allxy#0" in out and "allxy#1" in out
-    assert "deviation=" in out
-
-
-def test_batch_stream_prints_each_job_and_the_same_results(capsys):
-    args = ["batch", "--experiment", "allxy", "--repeat", "2",
-            "--rounds", "4"]
+def test_batch_stream_prints_each_job_and_the_same_results(source_file,
+                                                           capsys):
+    args = ["batch", "--program", str(source_file), "--repeat", "2"]
     assert main(args) == 0
     plain = capsys.readouterr().out
     assert main(args + ["--stream"]) == 0
     streamed = capsys.readouterr().out
 
-    def deviations(out):
-        return [line for line in out.splitlines() if "deviation=" in line]
+    def results(out):
+        return [line for line in out.splitlines() if " S = " in line]
 
     done = [line for line in streamed.splitlines()
             if line.strip().startswith("done [quma]")]
     assert len(done) == 2
-    assert len(deviations(plain)) == 2
-    assert deviations(streamed) == deviations(plain)
+    assert all("[no replay: n_rounds not declared]" in line for line in done)
+    assert len(results(plain)) == 2
+    assert results(streamed) == results(plain)
 
 
 def test_batch_raw_program(source_file, capsys):
@@ -258,3 +262,43 @@ def test_batch_raw_program(source_file, capsys):
     out = capsys.readouterr().out
     assert "job0" in out and "job1" in out
     assert "2 jobs | backend=serial" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["allxy"],
+    ["allxy", "--rounds", "8"],
+    ["batch", "--experiment", "rabi"],
+    ["batch", "--program", "p.qasm", "--experiment", "rabi"],
+    ["batch", "--program", "p.qasm", "--points", "3"],
+    ["batch", "--program", "p.qasm", "--rounds", "4"],
+    ["batch", "--program", "p.qasm", "--no-replay"],
+], ids=" ".join)
+def test_removed_commands_and_flags_fail_argument_parsing(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+SHARED_FLAGS = ("backend", "workers", "fleet_workers", "seed", "stream",
+                "save", "metrics_out", "retries", "job_timeout")
+
+
+def test_exp_and_batch_parse_the_shared_flags_alike():
+    parser = build_parser()
+
+    def shared(argv):
+        args = vars(parser.parse_args(argv))
+        return {name: args[name] for name in SHARED_FLAGS}
+
+    defaults = {"backend": "serial", "workers": None, "fleet_workers": None,
+                "seed": 0, "stream": False, "save": None,
+                "metrics_out": None, "retries": 0, "job_timeout": None}
+    assert shared(["exp", "rabi"]) == defaults
+    assert shared(["batch", "--program", "p.qasm"]) == defaults
+    flags = ["--backend", "process", "--workers", "2",
+             "--fleet-workers", "127.0.0.1:7301", "--seed", "7", "--stream",
+             "--save", "s.json", "--metrics-out", "m.json",
+             "--retries", "3", "--job-timeout", "1.5"]
+    assert shared(["exp", "rabi", *flags]) == \
+        shared(["batch", "--program", "p.qasm", *flags])

@@ -470,7 +470,7 @@ class TestRunReplayed:
         config = fast_config(dcu_points=1)
         machine = QuMA(config)
         machine.load(loop_asm(20))
-        result = machine.run_replayed(20)
+        result, _, _ = run_with_replay(machine, 20)
         assert result.completed
         assert result.replayed_rounds == 18
 

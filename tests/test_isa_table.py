@@ -556,13 +556,39 @@ UPROG_NAMES = {i: f"u{i}" for i in range(256)}
 UPROG_IDS = {name: i for i, name in UPROG_NAMES.items()}
 
 
-def _redecode(word: int):
-    """Decode ``word``; re-encode the instruction and decode that."""
+#: Opcodes the table defines.
+OPCODES = [*range(0x0F), *range(0x20, 0x28)]
+
+
+def _field_bits(opcode: int) -> int:
+    """Every bit below the opcode that a field of its row may set: the
+    ``Pulse`` and ``qcall`` layouts of the table's comment, and each other
+    row's operand fields (an optional ``rd`` with its flag bit 0)."""
+    from repro.isa.instructions import BY_OPCODE, OPT_REG
+
+    spec = BY_OPCODE[opcode]
+    if spec.cls is Pulse:
+        return 0x3FF << 16 | 0xFF << 8 | 1
+    if spec.cls is QCall:
+        return 0xFF << 18 | 0xF << 14 | 0xF << 10 | 3
+    bits = 0
+    for f in spec.fields:
+        bits |= ((1 << f.width) - 1) << f.offset
+        if f.kind == OPT_REG:
+            bits |= 1  # the optional rd's flag
+    return bits
+
+
+def _assert_round_trip(word: int) -> None:
+    """Decode ``word`` and assert the instruction encodes back to it.
+
+    A decoded ``Pulse`` word is a one-pair Pulse, which encodes without
+    the ``more`` continuation bit.
+    """
     instr, extras = decode_word(word, OPS, UPROG_NAMES)
     again = encode_instruction(instr, OPS, UPROG_IDS,
                                branch_offset=extras.get("offset"))
-    assert len(again) == 1
-    return instr, decode_word(again[0], OPS, UPROG_NAMES)[0]
+    assert again == [word & ~1 if isinstance(instr, Pulse) else word]
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)
@@ -571,27 +597,42 @@ def _redecode(word: int):
 @example(word=0x9C004800)
 def test_every_word_decodes_or_raises_encoding_error(word):
     try:
-        instr, back = _redecode(word)
+        _assert_round_trip(word)
     except EncodingError:
         return
-    assert back == instr
 
 
 def test_random_words_decode_or_raise_encoding_error():
     """The same property over a seeded sweep of words whose opcode is one
-    the table defines, so most reach the operand checks."""
+    the table defines and whose operand bits lie inside its row's fields,
+    so most reach the operand checks."""
     rng = random.Random(2017)
-    opcodes = [*range(0x0F), *range(0x20, 0x28)]
     decoded = 0
     for _ in range(20000):
-        word = (rng.choice(opcodes) << 26) | rng.getrandbits(26)
+        opcode = rng.choice(OPCODES)
+        word = (opcode << 26) | (rng.getrandbits(26) & _field_bits(opcode))
         try:
-            instr, back = _redecode(word)
+            _assert_round_trip(word)
         except EncodingError:
             continue
-        assert back == instr
         decoded += 1
     assert decoded > 10000
+
+
+def test_words_with_stray_bits_raise_encoding_error():
+    """A seeded sweep of words with at least one bit set outside their
+    row's fields: none decodes."""
+    rng = random.Random(2018)
+    spare = {op: ~_field_bits(op) & ((1 << 26) - 1) for op in OPCODES}
+    opcodes = [op for op in OPCODES if spare[op]]
+    for _ in range(20000):
+        opcode = rng.choice(opcodes)
+        stray = (rng.getrandbits(26) & spare[opcode]
+                 or spare[opcode] & -spare[opcode])  # else the lowest one
+        word = ((opcode << 26) | stray
+                | (rng.getrandbits(26) & _field_bits(opcode)))
+        with pytest.raises(EncodingError):
+            decode_word(word, OPS, UPROG_NAMES)
 
 
 @pytest.mark.parametrize("word", [
@@ -604,6 +645,11 @@ def test_random_words_decode_or_raise_encoding_error():
     (0x27 << 26) | (1 << 14) | 0,    # qcall with nq = 0
     (0x27 << 26) | (1 << 14) | 3,    # qcall with nq = 3
     (0x27 << 26) | (12 << 14) | 1,   # qcall on q12
+    0x1246DD61,                      # sub r18, r6, r27 with stray bits
+    (0x22 << 26) | (1 << 16) | 2,    # Pulse with bit 1 set
+    (0x24 << 26) | (1 << 16) | (5 << 11),  # MD rd bits, flag clear
+    (0x26 << 26) | (1 << 22) | (3 << 17),  # Measure rd bits, flag clear
+    (0x27 << 26) | (1 << 14) | (2 << 10) | 1,  # one-qubit qcall, 2nd qubit
 ], ids=lambda word: f"0x{word:08X}")
 def test_malformed_word_raises_encoding_error_naming_it(word):
     with pytest.raises(EncodingError, match=f"0x{word:08X}"):

@@ -100,6 +100,15 @@ class TestServiceReplay:
         assert declared.replayed_rounds == 4
         assert np.array_equal(silent.averages, declared.averages)
 
+    def test_asm_spec_without_rounds_names_that_reason(self):
+        asm = "Wait 4\nPulse {q2}, X180\nWait 4\nMPG {q2}, 300\nMD {q2}\nhalt"
+        service = ExperimentService()
+        config = small_config(dcu_points=1)
+        silent = service.run_job(JobSpec(config=config, asm=asm))
+        short = service.run_job(JobSpec(config=config, asm=asm, n_rounds=2))
+        assert silent.replay_fallback_reason == "n_rounds not declared"
+        assert short.replay_fallback_reason == "fewer than three rounds"
+
     def test_replay_cache_key_separates_uploads(self):
         from repro.service import LUTUpload
 
