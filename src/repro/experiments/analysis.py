@@ -6,6 +6,7 @@ half a second, and most sessions (AllXY, mitigated Bell) never fit.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +46,28 @@ class RBFit:
         return 1.0 - self.error_per_clifford
 
 
+def fit_parameters(model, x, y, **kwargs) -> np.ndarray:
+    """``scipy.optimize.curve_fit``'s best-fit parameters, without its
+    covariance warning.
+
+    The fits here discard the covariance, so scipy's warning that it
+    could not be estimated (as many points as free parameters) says
+    nothing about their result; every other warning passes through.
+    """
+    from scipy.optimize import OptimizeWarning, curve_fit
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, _ = curve_fit(model, x, y, **kwargs)
+    return popt
+
+
 def fit_exponential_decay(x: np.ndarray, y: np.ndarray) -> ExponentialFit:
     """Fit y = A * exp(-x / tau) + B (the T1 / echo model)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(x) < 3:
         raise CalibrationError("need at least 3 points for an exponential fit")
-    from scipy.optimize import curve_fit
-
     a0 = y[0] - y[-1]
     b0 = y[-1]
     tau0 = max(x[-1] / 2.0, x[1] - x[0] if len(x) > 1 else 1.0)
@@ -65,10 +80,9 @@ def fit_exponential_decay(x: np.ndarray, y: np.ndarray) -> ExponentialFit:
     tau_hi = 5.0 * float(np.max(x)) if np.max(x) > 0 else 1.0
     tau_lo = max(float(np.min(np.diff(np.sort(x)))) / 10.0, 1e-9)
     try:
-        popt, _ = curve_fit(model, x, y,
-                            p0=[a0 if a0 else 0.5, min(tau0, tau_hi / 2), b0],
-                            bounds=([-2.0, tau_lo, -1.0], [2.0, tau_hi, 2.0]),
-                            maxfev=10000)
+        popt = fit_parameters(
+            model, x, y, p0=[a0 if a0 else 0.5, min(tau0, tau_hi / 2), b0],
+            bounds=([-2.0, tau_lo, -1.0], [2.0, tau_hi, 2.0]), maxfev=10000)
     except RuntimeError as exc:
         raise CalibrationError(f"exponential fit failed: {exc}") from None
     return ExponentialFit(amplitude=float(popt[0]), tau=float(abs(popt[1])),
@@ -118,22 +132,21 @@ def fit_rb_decay(m: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if len(m) < 3:
         raise CalibrationError("need at least 3 sequence lengths")
-    from scipy.optimize import curve_fit
-
     try:
         if fixed_offset is None:
             def model(mm, a, p, b):
                 return a * np.power(p, mm) + b
 
-            popt, _ = curve_fit(model, m, y, p0=[0.5, 0.99, 0.5], maxfev=20000,
-                                bounds=([-1.5, 0.0, -0.5], [1.5, 1.0, 1.5]))
+            popt = fit_parameters(model, m, y, p0=[0.5, 0.99, 0.5],
+                                  maxfev=20000,
+                                  bounds=([-1.5, 0.0, -0.5], [1.5, 1.0, 1.5]))
             a, p, b = popt
         else:
             def model(mm, a, p):
                 return a * np.power(p, mm) + fixed_offset
 
-            popt, _ = curve_fit(model, m, y, p0=[0.5, 0.99], maxfev=20000,
-                                bounds=([-1.5, 0.0], [1.5, 1.0]))
+            popt = fit_parameters(model, m, y, p0=[0.5, 0.99], maxfev=20000,
+                                  bounds=([-1.5, 0.0], [1.5, 1.0]))
             a, p = popt
             b = fixed_offset
     except RuntimeError as exc:

@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.core.config import MachineConfig
+from repro.experiments.analysis import fit_parameters
 from repro.experiments.base import Experiment, Target, register_experiment
 from repro.pulse.envelopes import gaussian
 from repro.service import JobSpec, LUTUpload
@@ -81,14 +82,11 @@ def rabi_job(config: MachineConfig, qubit: int, amplitude: float,
 def _fit_oscillation(amplitudes: np.ndarray, populations: np.ndarray,
                      expected_pi: float) -> dict:
     """Fit P(|1>) = offset + visibility * (1 - cos(pi a / a_pi)) / 2."""
-    # scipy.optimize loads only when a fit runs (see experiments.analysis).
-    from scipy.optimize import curve_fit
-
     def model(a, a_pi, visibility, offset):
         return offset + visibility * (1 - np.cos(np.pi * a / a_pi)) / 2.0
 
-    popt, _ = curve_fit(model, amplitudes, populations,
-                        p0=[expected_pi, 1.0, 0.0], maxfev=20000)
+    popt = fit_parameters(model, amplitudes, populations,
+                          p0=[expected_pi, 1.0, 0.0], maxfev=20000)
     return {"pi_amplitude": float(abs(popt[0])),
             "visibility": float(popt[1]),
             "offset": float(popt[2]),

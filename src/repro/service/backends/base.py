@@ -44,7 +44,7 @@ from repro.service.cache import CompileCache, ReplayCache
 from repro.service.faults import FaultPlan
 from repro.service.job import JobFuture, JobResult, JobSpec
 from repro.service.policy import NO_RETRY, wrap_job_failure
-from repro.service.pool import MachinePool
+from repro.service.pool import MachinePool, pool_key
 from repro.utils.errors import (
     ConfigurationError,
     JobCancelled,
@@ -215,9 +215,9 @@ class Worker:
 
         With ``spec.replay`` (the default) eligible programs take the
         round-replay fast path; a verified plan lands in the replay
-        cache, so subsequent jobs of the same sweep (same
-        config-minus-seed, program, uploads, microprograms) replay every
-        round without touching the event kernel.  Replayed and
+        cache, so subsequent jobs of the same sweep (same config key,
+        program, uploads, microprograms) replay every round without
+        touching the event kernel.  Replayed and
         fully-simulated jobs produce bit-identical averages for the same
         run seed, so caching never changes results.
 
@@ -238,7 +238,8 @@ class Worker:
         t1 = time.perf_counter()
         _check_deadline(t0, spec.timeout, STAGE_COMPILE)
         self._check(faults, "acquire", spec, attempt)
-        machine, reused = self.pool.acquire(spec.config)
+        config_key = pool_key(spec.config)
+        machine, reused = self.pool.acquire(spec.config, config_key)
         try:
             machine.reset(seed=spec.run_seed, dcu_points=resolved.k_points)
             for name, n_params, body_asm in spec.microprograms:
@@ -253,7 +254,7 @@ class Worker:
             _check_deadline(t0, spec.timeout, STAGE_ACQUIRE)
             self._check(faults, "execute", spec, attempt)
             if spec.replay:
-                replay_key = self.replay_cache.key_for(spec)
+                replay_key = self.replay_cache.key_for(spec, config_key)
                 result, new_plan, report = run_with_replay(
                     machine, resolved.n_rounds,
                     plan=self.replay_cache.get(replay_key))
@@ -353,7 +354,7 @@ class Worker:
                 joint_counts=joint_counts,
             )
         finally:
-            self.pool.release(machine)
+            self.pool.release(machine, config_key)
 
     def stats(self) -> dict:
         """This worker's live state: its name, pool, caches, the

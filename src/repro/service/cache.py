@@ -193,19 +193,19 @@ class ReplayCache:
     the event kernel, which is what makes warm service throughput scale
     with numpy bandwidth instead of per-event Python cost.
 
-    Keys build on the existing content fingerprints:
-    ``MachineConfig.fingerprint()`` (excluding the fields machine reset
-    handles per job; ``config.seed`` stays *in* the key — it seeds the
-    readout calibration, so differently-seeded configs are physically
-    different instruments.  The per-job *run* seed lives on the spec, not
-    the config, so a sweep over run seeds shares one plan), the
-    program/options or raw-asm digest (with ``n_rounds`` normalized out
-    for compiled programs: the steady-state channel does not depend on
-    how often it is repeated), and the upload *samples* (they change the
-    recorded unitaries, not just operation names).
+    Keys build on the job's one config key, ``pool_key(config)``: the
+    config fingerprint minus ``dcu_points``, hashed once per attempt by
+    the worker.  ``config.seed`` stays *in* it — it seeds the readout
+    calibration, so differently-seeded configs are different
+    instruments; the per-job *run* seed lives on the spec, so a sweep
+    over run seeds shares one plan.  ``trace_enabled`` is in it but
+    changes no plan, since a tracing machine never replays.  The plan
+    key adds the program/options or raw-asm digest (with ``n_rounds``
+    normalized out for compiled programs: the steady-state channel does
+    not depend on how often it is repeated), and the upload *samples*
+    (they change the recorded unitaries, not just operation names).
     """
 
-    CONFIG_EXCLUDE = ("dcu_points", "trace_enabled")
     #: Plans kept; the least recently used go beyond it.
     MAX_ENTRIES = 64
 
@@ -215,8 +215,7 @@ class ReplayCache:
         self.hits = 0
         self.misses = 0
 
-    def key_for(self, spec: JobSpec) -> tuple:
-        config_fp = spec.config.fingerprint(exclude=self.CONFIG_EXCLUDE)
+    def key_for(self, spec: JobSpec, config_key: str) -> tuple:
         if spec.asm is not None:
             program_key = ("asm", hashlib.sha256(spec.asm.encode()).hexdigest())
         else:
@@ -226,7 +225,7 @@ class ReplayCache:
         uploads_key = hashlib.sha256(repr(
             [(up.qubit, up.op_name, up.samples) for up in spec.uploads]
         ).encode()).hexdigest()
-        return (config_fp, program_key, uploads_key,
+        return (config_key, program_key, uploads_key,
                 microprograms_fingerprint(spec.microprograms))
 
     def get(self, key: tuple):

@@ -11,13 +11,14 @@ Compatibility is keyed on :meth:`MachineConfig.fingerprint` excluding
 ``dcu_points`` (the data collection unit is resized per job by the
 reset).  ``config.seed`` stays *in* the key: it seeds the readout
 calibration, so machines built from different base seeds are physically
-different instruments.
+different instruments.  The worker hashes it once per job and passes it
+to acquire, release and the replay cache; the pool never hashes a config.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import deque
+from collections import OrderedDict
 from dataclasses import replace
 
 from repro.core.config import MachineConfig
@@ -50,49 +51,47 @@ class MachinePool:
         # purely local), only the idle bookkeeping is guarded.
         self._mutex = threading.Lock()
         self._idle: dict[str, list[QuMA]] = {}
-        #: release order for cross-key eviction; may hold stale entries
-        #: for machines that have since been re-acquired.
-        self._released: deque[tuple[str, QuMA]] = deque()
+        #: Every idle machine and its key in release order, for cross-key
+        #: eviction; acquiring a machine removes its entry.
+        self._released: OrderedDict[QuMA, str] = OrderedDict()
         self.builds = 0
         self.reuses = 0
 
-    def acquire(self, config: MachineConfig) -> tuple[QuMA, bool]:
-        """A machine compatible with ``config``, built or reused.
+    def acquire(self, config: MachineConfig, key: str) -> tuple[QuMA, bool]:
+        """A machine for ``key`` (``pool_key(config)``), built or reused.
 
         Returns ``(machine, reused)``.  The machine's config is a private
         copy — job-side mutation (``dcu_points``) never leaks back into
-        the caller's spec.  The caller must :meth:`release` the machine.
+        the caller's spec.  The caller must :meth:`release` it under
+        ``key``.
         """
-        key = pool_key(config)
         with self._mutex:
             idle = self._idle.get(key)
             if idle:
+                machine = idle.pop()
+                del self._released[machine]
                 self.reuses += 1
-                return idle.pop(), True
+                return machine, True
             self.builds += 1
         return QuMA(replace(config)), False
 
-    def release(self, machine: QuMA) -> None:
-        """Return a machine to the idle pool (dropped when the key is full)."""
-        key = pool_key(machine.config)
+    def release(self, machine: QuMA, key: str) -> None:
+        """Return a machine to the idle pool under its acquire ``key``
+        (dropped when the key is full)."""
         with self._mutex:
             idle = self._idle.setdefault(key, [])
             if len(idle) >= self.MAX_IDLE_PER_KEY:
                 return
             idle.append(machine)
-            self._released.append((key, machine))
-            while self._idle_count() > self.MAX_IDLE_TOTAL and self._released:
-                old_key, old_machine = self._released.popleft()
-                old_idle = self._idle.get(old_key, [])
-                if old_machine in old_idle:  # skip stale (re-acquired) entries
-                    old_idle.remove(old_machine)
-                    if not old_idle:
-                        del self._idle[old_key]
-
-    def _idle_count(self) -> int:
-        return sum(len(v) for v in self._idle.values())
+            self._released[machine] = key
+            while len(self._released) > self.MAX_IDLE_TOTAL:
+                old_machine, old_key = self._released.popitem(last=False)
+                old_idle = self._idle[old_key]
+                old_idle.remove(old_machine)
+                if not old_idle:
+                    del self._idle[old_key]
 
     def stats(self) -> dict:
         with self._mutex:
             return {"builds": self.builds, "reuses": self.reuses,
-                    "idle": self._idle_count(), "keys": len(self._idle)}
+                    "idle": len(self._released), "keys": len(self._idle)}

@@ -1,9 +1,12 @@
 """Tests for the curve-fitting utilities."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.experiments import fit_damped_cosine, fit_exponential_decay, fit_rb_decay
+from repro.experiments.rabi import _fit_oscillation
 from repro.utils.errors import CalibrationError
 
 
@@ -79,6 +82,28 @@ def test_rb_fit_with_noise():
 def test_rb_fit_needs_points():
     with pytest.raises(CalibrationError):
         fit_rb_decay(np.array([1, 2]), np.array([1.0, 0.9]))
+
+
+def test_three_point_fits_warn_nothing():
+    """A fit with as many points as parameters has no covariance estimate;
+    the fits discard it, so scipy's warning about it is not raised, and
+    the fitted values are unchanged."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rabi = _fit_oscillation(np.array([0.0, 0.25, 0.5]),
+                                np.array([0.05, 0.5, 0.95]), 0.5)
+        decay = fit_exponential_decay(np.array([0.0, 1000.0, 2000.0]),
+                                      np.array([0.9, 0.5, 0.3]))
+        rb = fit_rb_decay(np.array([1, 10, 50]), np.array([0.95, 0.85, 0.6]))
+    assert rabi["pi_amplitude"] == pytest.approx(0.5, rel=1e-9)
+    assert rabi["visibility"] == pytest.approx(0.9, rel=1e-9)
+    assert rabi["offset"] == pytest.approx(0.05, rel=1e-9)
+    assert decay.amplitude == pytest.approx(0.8, rel=1e-9)
+    assert decay.tau == pytest.approx(1000.0 / np.log(2.0), rel=1e-9)
+    assert decay.offset == pytest.approx(0.1, rel=1e-9)
+    assert rb.amplitude == pytest.approx(0.5071724234483841, rel=1e-9)
+    assert rb.p == pytest.approx(0.9752150242300034, rel=1e-9)
+    assert rb.offset == pytest.approx(0.4553978329286787, rel=1e-9)
 
 
 def test_allxy_session_leaves_scipy_optimize_unloaded():

@@ -9,6 +9,7 @@ from repro.service import (
     JobSpec,
     ReplayCache,
     microprograms_fingerprint,
+    pool_key,
 )
 from repro.utils.errors import ReproError
 
@@ -70,14 +71,16 @@ class TestExecution:
         # resolve in the next job's programs on a reused machine.
         service = ExperimentService()
         service.run_job(uprog_spec(X_BODY))
-        machine, reused = service.engine.worker.pool.acquire(uprog_spec(X_BODY).config)
+        config = uprog_spec(X_BODY).config
+        pool = service.engine.worker.pool
+        machine, reused = pool.acquire(config, pool_key(config))
         try:
             assert reused
             assert "FLIP" in machine.store  # left over from the last job
             machine.reset()
             assert "FLIP" not in machine.store
         finally:
-            service.engine.worker.pool.release(machine)
+            pool.release(machine, pool_key(config))
 
 
 class TestCacheKeys:
@@ -96,8 +99,9 @@ class TestCacheKeys:
 
     def test_replay_cache_key_includes_microprograms(self):
         cache = ReplayCache()
-        assert cache.key_for(uprog_spec(X_BODY)) != \
-            cache.key_for(uprog_spec(I_BODY))
+        x_spec, i_spec = uprog_spec(X_BODY), uprog_spec(I_BODY)
+        assert cache.key_for(x_spec, pool_key(x_spec.config)) != \
+            cache.key_for(i_spec, pool_key(i_spec.config))
 
 
 class TestReplayIneligibility:

@@ -1,5 +1,11 @@
 """Machine pool: reuse, keying, and rebuild equivalence."""
 
+import gc
+import sys
+import threading
+import time
+import weakref
+
 import numpy as np
 
 from repro.core import MachineConfig, QuMA
@@ -42,48 +48,115 @@ class TestPoolKey:
 class TestMachinePool:
     def test_acquire_builds_then_reuses(self):
         pool = MachinePool()
-        m1, reused1 = pool.acquire(config())
-        pool.release(m1)
-        m2, reused2 = pool.acquire(config())
+        key = pool_key(config())
+        m1, reused1 = pool.acquire(config(), key)
+        pool.release(m1, key)
+        m2, reused2 = pool.acquire(config(), key)
         assert not reused1 and reused2
         assert m2 is m1
         assert pool.stats() == {"builds": 1, "reuses": 1, "idle": 0, "keys": 1}
 
     def test_incompatible_config_builds_fresh(self):
         pool = MachinePool()
-        m1, _ = pool.acquire(config(seed=0))
-        pool.release(m1)
-        m2, reused = pool.acquire(config(seed=1))
+        m1, _ = pool.acquire(config(seed=0), pool_key(config(seed=0)))
+        pool.release(m1, pool_key(config(seed=0)))
+        m2, reused = pool.acquire(config(seed=1), pool_key(config(seed=1)))
         assert not reused and m2 is not m1
         assert pool.builds == 2
 
     def test_config_is_copied(self):
         pool = MachinePool()
         mine = config()
-        machine, _ = pool.acquire(mine)
+        machine, _ = pool.acquire(mine, pool_key(mine))
         machine.config.dcu_points = 99
         assert mine.dcu_points == 1
 
     def test_idle_cap_drops_excess(self, monkeypatch):
         monkeypatch.setattr(MachinePool, "MAX_IDLE_PER_KEY", 1)
         pool = MachinePool()
-        m1, _ = pool.acquire(config())
-        m2, _ = pool.acquire(config())
-        pool.release(m1)
-        pool.release(m2)
+        key = pool_key(config())
+        m1, _ = pool.acquire(config(), key)
+        m2, _ = pool.acquire(config(), key)
+        pool.release(m1, key)
+        pool.release(m2, key)
         assert pool.stats()["idle"] == 1
 
     def test_total_cap_evicts_least_recently_released(self, monkeypatch):
         monkeypatch.setattr(MachinePool, "MAX_IDLE_TOTAL", 2)
         pool = MachinePool()
-        machines = [pool.acquire(config(seed=s))[0] for s in range(3)]
-        for m in machines:
-            pool.release(m)
+        keys = [pool_key(config(seed=s)) for s in range(3)]
+        machines = [pool.acquire(config(seed=s), keys[s])[0]
+                    for s in range(3)]
+        for m, key in zip(machines, keys):
+            pool.release(m, key)
         assert pool.stats()["idle"] == 2
         # The oldest release (seed=0) was evicted; seed=1 and 2 survive.
-        _, reused0 = pool.acquire(config(seed=0))
-        _, reused2 = pool.acquire(config(seed=2))
+        _, reused0 = pool.acquire(config(seed=0), keys[0])
+        _, reused2 = pool.acquire(config(seed=2), keys[2])
         assert not reused0 and reused2
+
+    def test_bookkeeping_holds_only_idle_machines(self):
+        pool = MachinePool()
+        key = pool_key(config())
+        for _ in range(500):
+            machine, _ = pool.acquire(config(), key)
+            pool.release(machine, key)
+        assert len(pool._released) == pool.stats()["idle"] == 1
+
+    def test_dropped_machine_is_collected(self):
+        pool = MachinePool()
+        key = pool_key(config())
+        machines = [pool.acquire(config(), key)[0] for _ in range(5)]
+        for i in range(4):
+            pool.release(machines[i], key)
+        again, reused = pool.acquire(config(), key)
+        pool.release(machines[4], key)
+        pool.release(again, key)  # the key is full again: dropped
+        assert reused and pool.stats()["idle"] == 4
+        dropped = weakref.ref(again)
+        del again, machines
+        gc.collect()
+        assert dropped() is None
+
+    def test_bookkeeping_stays_exact_under_contention(self):
+        # More threads than cores and a tiny switch interval: a lost
+        # update would lend one machine twice, or leave an idle machine
+        # and its eviction entry out of step.
+        pool = MachinePool()
+        configs = [config(seed=0), config(seed=1)]
+        keys = [pool_key(c) for c in configs]
+        lent, errors, guard = set(), [], threading.Lock()
+
+        def cycle(offset):
+            for i in range(200):
+                k = (offset + i) % 2
+                machine, _ = pool.acquire(configs[k], keys[k])
+                with guard:
+                    if machine in lent:
+                        errors.append(f"machine lent twice on key {k}")
+                    lent.add(machine)
+                time.sleep(0)  # hold the machine across a thread switch
+                with guard:
+                    lent.discard(machine)
+                pool.release(machine, keys[k])
+
+        threads = [threading.Thread(target=cycle, args=(t,))
+                   for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        idle = [m for machines in pool._idle.values() for m in machines]
+        assert len(set(idle)) == len(idle) == pool.stats()["idle"]
+        assert set(pool._released) == set(idle)
+        assert pool.builds + pool.reuses == 4 * 200
 
 
 class TestResetEquivalence:

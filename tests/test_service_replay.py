@@ -1,11 +1,20 @@
 """Service-level tests for the round-replay fast path and its plan cache."""
 
+from dataclasses import replace
+
 import numpy as np
 
 from repro.compiler.codegen import CompilerOptions
 from repro.core import MachineConfig
 from repro.experiments.allxy import build_allxy_program
-from repro.service import ExperimentService, JobSpec, ReplayCache, derive_job_seed
+from repro.service import (
+    ExperimentService,
+    JobSpec,
+    ReplayCache,
+    Worker,
+    derive_job_seed,
+    pool_key,
+)
 
 
 def small_config(**overrides):
@@ -121,14 +130,16 @@ class TestServiceReplay:
         up_b = JobSpec(config=small_config(dcu_points=1), asm="halt",
                        n_rounds=4,
                        uploads=(LUTUpload(2, "P", (0.2 + 0j,)),))
-        keys = {cache.key_for(base), cache.key_for(up_a), cache.key_for(up_b)}
+        keys = {cache.key_for(spec, pool_key(spec.config))
+                for spec in (base, up_a, up_b)}
         assert len(keys) == 3
 
     def test_replay_cache_key_ignores_run_seed_and_rounds(self):
         cache = ReplayCache()
         a = allxy_spec(8, seed=1)
         b = allxy_spec(200, seed=2)
-        assert cache.key_for(a) == cache.key_for(b)
+        assert (cache.key_for(a, pool_key(a.config))
+                == cache.key_for(b, pool_key(b.config)))
 
     def test_replay_cache_key_separates_construction_seeds(self):
         """config.seed fixes the readout calibration — differently-seeded
@@ -136,4 +147,41 @@ class TestServiceReplay:
         cache = ReplayCache()
         a = JobSpec(config=small_config(seed=0), program=build_allxy_program(2))
         b = JobSpec(config=small_config(seed=1), program=build_allxy_program(2))
-        assert cache.key_for(a) != cache.key_for(b)
+        assert (cache.key_for(a, pool_key(a.config))
+                != cache.key_for(b, pool_key(b.config)))
+
+
+class TestOneConfigKey:
+    """A job hashes its machine config once: the pool and the replay
+    cache share the key the worker computes."""
+
+    def test_each_job_fingerprints_its_config_once(self, monkeypatch):
+        worker = Worker()
+        worker.run(allxy_spec(6, seed=1))  # builds the machine and the plan
+        calls = []
+        fingerprint = MachineConfig.fingerprint
+
+        def counted(config, **kwargs):
+            calls.append(kwargs)
+            return fingerprint(config, **kwargs)
+
+        monkeypatch.setattr(MachineConfig, "fingerprint", counted)
+        warm = worker.run(allxy_spec(6, seed=2))
+        assert warm.replay_plan_hit and len(calls) == 1
+        calls.clear()
+        off = worker.run(allxy_spec(6, seed=3, replay=False))
+        assert off.replayed_rounds == 0 and len(calls) == 1
+
+    def test_traced_twin_counts_no_replay_hit(self):
+        """A tracing machine never replays, so its job must not count a
+        hit on the plan its untraced twin stored."""
+        worker = Worker()
+        spec = allxy_spec(6, seed=1)
+        untraced = worker.run(spec)
+        traced = worker.run(replace(
+            spec, config=replace(spec.config, trace_enabled=True)))
+        assert traced.replay_fallback_reason == "architectural tracing enabled"
+        jobs = (untraced, traced)
+        assert (worker.replay_cache.stats()["hits"]
+                == sum(job.replay_plan_hit for job in jobs) == 0)
+        assert np.array_equal(untraced.averages, traced.averages)
