@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from repro.core.config import MachineConfig
 from repro.core.quma import QuMA
@@ -82,7 +83,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         from repro.core.config_io import load_config
 
         config = load_config(args.config)
-        config.trace_enabled = args.trace or config.trace_enabled
+        config = replace(config,
+                         trace_enabled=args.trace or config.trace_enabled)
     else:
         config = MachineConfig(qubits=_parse_qubits(args.qubits),
                                seed=args.seed,

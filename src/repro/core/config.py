@@ -12,13 +12,16 @@ from repro.readout.resonator import ReadoutParams
 from repro.utils.errors import ConfigurationError
 
 
-@dataclass
+@dataclass(frozen=True)
 class MachineConfig:
     """Everything needed to instantiate a :class:`repro.core.quma.QuMA`.
 
     Defaults reproduce the paper's implemented control box (Section 7) and
     the AllXY experimental setup (Section 8): qubit 2 of the 10-transmon
     chip, 5 ns cycle, 80 ns CTPG delay, -50 MHz SSB, 300-cycle measurement.
+
+    Frozen (change one with ``dataclasses.replace``), so one config
+    object serves every job of a sweep and keeps its :meth:`fingerprint`.
     """
 
     #: Chip labels of the wired qubits (the AllXY run uses qubit 2).
@@ -88,12 +91,13 @@ class MachineConfig:
         if len(set(self.qubits)) != len(self.qubits):
             raise ConfigurationError("duplicate qubit labels")
         if not self.transmons:
-            self.transmons = tuple(
-                TransmonParams(kappa=self.calibration.kappa) for _ in self.qubits)
+            object.__setattr__(self, "transmons", tuple(
+                TransmonParams(kappa=self.calibration.kappa) for _ in self.qubits))
         if len(self.transmons) != len(self.qubits):
             raise ConfigurationError("transmons must parallel qubits")
         if not self.readouts:
-            self.readouts = tuple(self.readout for _ in self.qubits)
+            object.__setattr__(self, "readouts",
+                               tuple(self.readout for _ in self.qubits))
         if len(self.readouts) != len(self.qubits):
             raise ConfigurationError("readouts must parallel qubits")
         for pair in self.flux_pairs:
@@ -103,7 +107,8 @@ class MachineConfig:
                 if q not in self.qubits:
                     raise ConfigurationError(f"flux pair {pair} uses unwired qubit {q}")
         if self.msmt_path_delay_ns is None:
-            self.msmt_path_delay_ns = self.uop_delay_ns + self.ctpg_delay_ns
+            object.__setattr__(self, "msmt_path_delay_ns",
+                               self.uop_delay_ns + self.ctpg_delay_ns)
         if self.queue_capacity < 2:
             raise ConfigurationError("queue capacity must be at least 2")
         if self.classical_issue_ns < 1:
@@ -120,11 +125,16 @@ class MachineConfig:
         the service layer's compile cache and machine pool.  ``exclude``
         drops named top-level fields, e.g. ``("dcu_points",)`` for pool
         compatibility where the data collection unit is resized per job.
+        The digest is kept on the (frozen) instance per ``exclude``, not
+        as a field, and a pickled config carries it along.
         """
-        data = {name: value for name, value in sorted(asdict(self).items())
-                if name not in exclude}
-        blob = json.dumps(data, sort_keys=True, default=repr)
-        return hashlib.sha256(blob.encode()).hexdigest()
+        digests = self.__dict__.setdefault("_digests", {})
+        if exclude not in digests:
+            data = {name: value for name, value in sorted(asdict(self).items())
+                    if name not in exclude}
+            blob = json.dumps(data, sort_keys=True, default=repr)
+            digests[exclude] = hashlib.sha256(blob.encode()).hexdigest()
+        return digests[exclude]
 
     def device_index(self, chip_label: int) -> int:
         """Map a chip qubit label (e.g. q2) to the device's dense index."""

@@ -83,8 +83,8 @@ def readout_calibrations(config: MachineConfig, qubits=None
 
     QuMA, the mitigation layer and the baseline all take their records
     from this one bounded, process-wide memo.  It is keyed on
-    :func:`calibration_key` at each call, never on the (mutable) config
-    object, so equal-content configs share a record.  Records are
+    :func:`calibration_key` at each call, never on the config object,
+    so equal-content configs share a record.  Records are
     immutable; never modify one.
     """
     qubits = config.qubits if qubits is None else qubits
@@ -194,14 +194,13 @@ class QuMA:
         :func:`readout_calibrations` and outlive any one machine.
 
         ``dcu_points`` resizes the data collection unit for the next
-        program's K (and updates ``config.dcu_points`` to match).
+        program's K; K is machine state, and the config is never written.
         """
         seed = self.config.seed if seed is None else seed
         self.sim.reset()
         self.trace.clear()
         self.device.restart(seed)
-        if dcu_points is not None and dcu_points != self.config.dcu_points:
-            self.config.dcu_points = dcu_points
+        if dcu_points is not None and dcu_points != self.dcu.k_points:
             self.dcu = DataCollectionUnit(dcu_points)
             self.measurement.dcu = self.dcu
         else:

@@ -620,7 +620,7 @@ def run_with_replay(machine: QuMA, n_rounds: int | None,
         report.fallback_reason = reason
         return machine.run(), None, report
 
-    k = machine.config.dcu_points
+    k = machine.dcu.k_points
     if plan is not None and plan.k_points == k and n_rounds >= 1:
         # Warm start: a verified plan replays every round — no events at
         # all.  Round 1's lead-in acts on the ground state, which idle

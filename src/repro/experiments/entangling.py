@@ -33,7 +33,7 @@ experiment param) to force the full event-driven simulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -183,7 +183,7 @@ class EntanglingExperiment(Experiment):
         """
         n_rounds = int(self.params["n_rounds"])
         return JobSpec(
-            config=replace(self.config, dcu_points=len(target)),
+            config=self.config,
             asm=_register_asm(body_lines, target, n_rounds),
             k_points=len(target),
             n_rounds=n_rounds,

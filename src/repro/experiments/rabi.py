@@ -14,7 +14,7 @@ declarative form (``session.run("rabi", ...)``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,7 @@ def rabi_job(config: MachineConfig, qubit: int, amplitude: float,
     cal = config.calibration
     samples = gaussian(cal.duration_ns, cal.sigma_ns, float(amplitude))
     return JobSpec(
-        config=replace(config, dcu_points=1),
+        config=config,
         asm=_point_asm(qubit, n_rounds),
         n_rounds=n_rounds,
         uploads=(LUTUpload.from_array(qubit, RABI_OP, samples),),
@@ -124,8 +124,12 @@ class RabiExperiment(Experiment):
                           expected_pi_amplitude=self.expected_pi)
 
     def estimate_target(self, indexed_jobs, target: Target) -> dict | None:
-        if len(indexed_jobs) < 3:
-            return None  # the 3-parameter fit is underdetermined
+        # Mid-sweep, wait for more points than the 3 fitted parameters (an
+        # exact fit passes through the noise); a complete sweep fits as
+        # analyze does.
+        n = len(indexed_jobs)
+        if n < 3 or (n == 3 and n < len(self.params["amplitudes"])):
+            return None
         amps = np.asarray([job.params["amplitude"]
                            for _, job in indexed_jobs], dtype=float)
         pops = np.asarray([job.normalized[0] for _, job in indexed_jobs])

@@ -12,7 +12,7 @@ requested qubit so decay curves are directly comparable).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,7 @@ def rb_sequence_job(config: MachineConfig, qubit: int,
     the rest.
     """
     return JobSpec(
-        config=replace(config, dcu_points=1),
+        config=config,
         asm=_sequence_asm(qubit, pulse_names, n_rounds),
         n_rounds=n_rounds,
         params={"length": length, "pulses": len(pulse_names)},
@@ -158,8 +158,13 @@ class RBExperiment(Experiment):
         survival = [float(np.mean([1.0 - job.normalized[0]
                                    for job in groups[g]]))
                     for g in sorted(groups)]
-        if len(lengths) < 3:
-            return None  # fit_rb_decay needs three sequence lengths
+        # fit_rb_decay needs three lengths.  Mid-sweep, a free offset makes
+        # 3 parameters, so wait for a fourth (a pinned one leaves 2); a
+        # complete sweep fits as analyze does.
+        free = 2 if self.params["fixed_offset"] is not None else 3
+        if len(lengths) < 3 or (len(lengths) <= free
+                                and len(indexed_jobs) < len(self._sequences)):
+            return None
         _, _, fit = self._fit(lengths, survival)
         return {"error_per_clifford": fit.error_per_clifford,
                 "p": fit.p, "amplitude": fit.amplitude, "offset": fit.offset}

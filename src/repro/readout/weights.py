@@ -62,15 +62,15 @@ def integrate(trace: np.ndarray, weights: np.ndarray) -> float:
 def integrate_batch(traces: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted integration of a ``(n_shots, n_samples)`` trace block.
 
-    Row ``i`` equals ``integrate(traces[i], weights)`` *bit-for-bit*: the
-    rows go through the same ``np.dot`` kernel as the scalar path rather
-    than one BLAS matrix-vector product, whose different accumulation
-    order drifts at the 1e-16 level.  Bit-identity is what lets replayed
-    and fully-simulated rounds (and the serial and process service
-    backends, which mix the two) produce byte-equal averages.
+    Row ``i`` equals ``integrate(traces[i], weights)`` *bit-for-bit*:
+    ``np.vecdot`` runs numpy's float64 ``dot`` kernel (BLAS ``ddot``,
+    the one ``np.dot`` of two vectors uses) once per row from one C
+    loop, rather than one BLAS matrix-vector product, whose different
+    accumulation order drifts at the 1e-16 level.  Bit-identity is what
+    lets replayed and fully-simulated rounds (and the serial and process
+    service backends, which mix the two) produce byte-equal averages.
     """
     traces = np.asarray(traces, dtype=float)
     weights = np.asarray(weights, dtype=float)
     n = min(traces.shape[1], len(weights))
-    block, w = traces[:, :n], weights[:n]
-    return np.array([np.dot(row, w) for row in block], dtype=float)
+    return np.vecdot(traces[:, :n], weights[:n])

@@ -194,7 +194,7 @@ class ReplayCache:
     with numpy bandwidth instead of per-event Python cost.
 
     Keys build on the job's one config key, ``pool_key(config)``: the
-    config fingerprint minus ``dcu_points``, hashed once per attempt by
+    config fingerprint minus ``dcu_points``, taken once per attempt by
     the worker.  ``config.seed`` stays *in* it — it seeds the readout
     calibration, so differently-seeded configs are different
     instruments; the per-job *run* seed lives on the spec, so a sweep

@@ -31,6 +31,7 @@ import time
 from repro.service.fleet import protocol
 from repro.service.fleet.protocol import parse_address, recv_frame, send_frame
 from repro.service.job import JobSpec
+from repro.service.pool import pool_key
 from repro.utils.errors import ProtocolError, WorkerLost
 
 
@@ -225,7 +226,13 @@ class WorkerClient:
 
     def submit(self, token: int, spec: JobSpec, base_attempt: int = 0,
                faults=None) -> None:
-        """Ship one job; its outcome arrives via ``on_reply``."""
+        """Ship one job; its outcome arrives via ``on_reply``.
+
+        The config is keyed before it is pickled, so the worker loads it
+        with its key; a sweep's jobs share one config, hashed once here.
+        """
+        if spec.config is not None:
+            pool_key(spec.config)
         body = {"token": token, "spec": spec, "base_attempt": base_attempt}
         if faults is not None:
             body["faults"] = faults

@@ -11,15 +11,16 @@ Compatibility is keyed on :meth:`MachineConfig.fingerprint` excluding
 ``dcu_points`` (the data collection unit is resized per job by the
 reset).  ``config.seed`` stays *in* the key: it seeds the readout
 calibration, so machines built from different base seeds are physically
-different instruments.  The worker hashes it once per job and passes it
-to acquire, release and the replay cache; the pool never hashes a config.
+different instruments.  The worker takes the key once per job and
+passes it to acquire, release and the replay cache; the pool never
+hashes a config.  Configs are frozen and keep their key, so machines
+are built on the caller's config itself.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import replace
 
 from repro.core.config import MachineConfig
 from repro.core.quma import QuMA
@@ -60,10 +61,9 @@ class MachinePool:
     def acquire(self, config: MachineConfig, key: str) -> tuple[QuMA, bool]:
         """A machine for ``key`` (``pool_key(config)``), built or reused.
 
-        Returns ``(machine, reused)``.  The machine's config is a private
-        copy — job-side mutation (``dcu_points``) never leaks back into
-        the caller's spec.  The caller must :meth:`release` it under
-        ``key``.
+        Returns ``(machine, reused)``.  A built machine holds the
+        caller's (frozen) config; a job's K lives on the machine.  The
+        caller must :meth:`release` it under ``key``.
         """
         with self._mutex:
             idle = self._idle.get(key)
@@ -73,7 +73,7 @@ class MachinePool:
                 self.reuses += 1
                 return machine, True
             self.builds += 1
-        return QuMA(replace(config)), False
+        return QuMA(config), False
 
     def release(self, machine: QuMA, key: str) -> None:
         """Return a machine to the idle pool under its acquire ``key``

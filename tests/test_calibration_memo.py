@@ -6,6 +6,8 @@ baseline share memoized calibrations and confusion matrices keyed on
 content, so a warm mitigated sweep never recalibrates.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -87,23 +89,24 @@ def test_equal_content_configs_share_one_record():
 
 
 def _change_seed(config):
-    config.seed += 1
+    return replace(config, seed=config.seed + 1)
 
 
 def _change_readouts(config):
-    config.readouts = (ReadoutParams(f_if_hz=52e6),) + config.readouts[1:]
+    return replace(config, readouts=(ReadoutParams(f_if_hz=52e6),)
+                   + config.readouts[1:])
 
 
 def _change_msmt_cycles(config):
-    config.msmt_cycles = 200
+    return replace(config, msmt_cycles=200)
 
 
 def _change_calibration_shots(config):
-    config.calibration_shots = 30
+    return replace(config, calibration_shots=30)
 
 
 def _change_first_wired_qubit(config):
-    config.qubits = (1, 0)
+    return replace(config, qubits=(1, 0))
 
 
 @pytest.mark.parametrize("mutate", [
@@ -115,7 +118,7 @@ def test_mutated_config_recomputes(mutate):
     config = MachineConfig(qubits=(0, 1), seed=271_828, calibration_shots=20)
     before = readout_calibrations(config)
     count = misses()
-    mutate(config)
+    config = mutate(config)
     after = readout_calibrations(config)
     assert misses() > count
     assert any(after[q].threshold != before[q].threshold for q in (0, 1))
@@ -175,7 +178,7 @@ def test_equal_content_mitigators_share_a_matrix_until_content_changes():
     assert ReadoutMitigator(pair_config(seed=424_242), cal_shots=16) \
         .response_for((0, 1)) is first
     count = cached_response.cache_info().misses
-    config.seed = 424_243
+    config = replace(config, seed=424_243)
     changed = ReadoutMitigator(config, cal_shots=16).response_for((0, 1))
     assert cached_response.cache_info().misses == count + 1
     assert changed is not first

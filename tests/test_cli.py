@@ -76,6 +76,25 @@ def test_run_with_trace(source_file, capsys):
     assert "pulse_start" in out
 
 
+def test_run_with_config_file(source_file, tmp_path, capsys):
+    from repro.core.config import MachineConfig
+    from repro.core.config_io import save_config
+
+    config = tmp_path / "machine.json"
+    save_config(MachineConfig(qubits=(2,), trace_enabled=False), str(config))
+    args = ["run", str(source_file), "--config", str(config)]
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main(args + ["--trace"]) == 0
+    traced = capsys.readouterr().out
+    for out in (plain, traced):
+        assert "completed:            True" in out
+        assert "'r7': 1" in out
+    assert "trace:" not in plain
+    # --trace turns tracing on over the file's trace_enabled=False.
+    assert "\ntrace:" in traced and "pulse_start" in traced
+
+
 def test_missing_file_error(capsys):
     rc = main(["run", "/nonexistent/prog.qasm"])
     assert rc == 2
@@ -134,6 +153,25 @@ def test_exp_stream_prints_jobs_and_fits(capsys):
     out = capsys.readouterr().out
     assert "done [quma]" in out
     assert "fit 5/5" in out
+
+
+def test_exp_stream_rabi_fits_only_overdetermined_prefixes(capsys):
+    # Three points determine the 3-parameter model exactly, so the
+    # stream waits for a fourth before it prints a fit.
+    rc = main(["exp", "rabi", "--stream", "--param", "n_rounds=4",
+               "--param", "amplitudes=[0.0, 0.25, 0.5, 0.75, 0.999]"])
+    assert rc == 0
+    fits = [line.strip() for line in capsys.readouterr().out.splitlines()
+            if line.strip().startswith("fit ")]
+    assert fits[:3] == [f"fit {n}/5: (unconstrained)" for n in (1, 2, 3)]
+    assert fits[3:] == [
+        "fit 4/5: {'q2': {'pi_amplitude': 0.8050091625784592, "
+        "'visibility': 1.126707065176635, 'offset': -0.0947306352768506, "
+        "'expected_pi_amplitude': 0.9166028010225036}}",
+        "fit 5/5: {'q2': {'pi_amplitude': 0.8490508078117046, "
+        "'visibility': 1.16384590084854, 'offset': -0.08383953348913263, "
+        "'expected_pi_amplitude': 0.9166028010225036}}",
+    ]
 
 
 def test_exp_multi_qubit(capsys):

@@ -132,11 +132,16 @@ class TestBatchedReadoutKernels:
         from repro.readout.weights import integrate, integrate_batch
 
         rng = np.random.default_rng(3)
-        traces = rng.normal(size=(17, 400))
-        weights = rng.normal(size=350)  # shorter than the traces
-        batch = integrate_batch(traces, weights)
-        scalar = np.array([integrate(t, weights) for t in traces])
-        assert np.array_equal(batch, scalar)
+        shapes = [(17, 400, 350)]  # weights shorter than the traces
+        shapes += [(int(rng.integers(1, 12)), int(rng.integers(1, 2200)),
+                    int(rng.integers(1, 2200))) for _ in range(300)]
+        for rows, n_samples, n_weights in shapes:
+            traces = rng.normal(size=(rows, n_samples + 5))
+            weights = rng.normal(size=n_weights)
+            for block in (traces, traces[:, 5:]):  # unsliced, column-sliced
+                scalar = np.array([integrate(t, weights) for t in block])
+                assert (integrate_batch(block, weights).tobytes()
+                        == scalar.tobytes())
 
     def test_adc_quantize_overwrite_matches(self):
         from repro.readout.adc import adc_quantize
@@ -151,6 +156,30 @@ class TestBatchedReadoutKernels:
         assert np.array_equal(x, before)  # so did the out= path
         inplace = adc_quantize(x.copy(), overwrite=True)
         assert np.array_equal(plain, inplace)
+
+    @pytest.mark.parametrize("bits", range(1, 13))
+    def test_adc_quantize_is_byte_equal_to_the_divide_formula(self, bits):
+        from repro.readout.adc import adc_quantize
+
+        step = 1.0 / (1 << (bits - 1))
+
+        def divided(x):
+            # The reference: divide by the grid step.
+            return np.rint(np.clip(x, -1.0, 1.0 - step) / step) * step
+
+        rng = np.random.default_rng(bits)
+        x = rng.normal(0, 0.6, (12, 1500))
+        # Ties halfway between grid levels (rounded half to even), the
+        # clip edges and subnormals.
+        levels = 1 << (bits - 1)
+        x[0, :400] = (rng.integers(-levels, levels, 400) + 0.5) * step
+        x[1, :8] = [1.0, -1.0, 0.0, -0.0, 5e-324, -5e-324, 2.0, -2.0]
+        expected = divided(x).tobytes()
+        assert adc_quantize(x, bits).tobytes() == expected
+        assert adc_quantize(x, bits, out=np.empty_like(x)).tobytes() \
+            == expected
+        assert adc_quantize(x.copy(), bits, overwrite=True).tobytes() \
+            == expected
 
     def test_dcu_record_batch_matches_record(self):
         from repro.readout.data_collection import DataCollectionUnit

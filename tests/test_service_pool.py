@@ -5,8 +5,10 @@ import sys
 import threading
 import time
 import weakref
+from dataclasses import FrozenInstanceError
 
 import numpy as np
+import pytest
 
 from repro.core import MachineConfig, QuMA
 from repro.service import MachinePool, pool_key
@@ -64,11 +66,15 @@ class TestMachinePool:
         assert not reused and m2 is not m1
         assert pool.builds == 2
 
-    def test_config_is_copied(self):
+    def test_config_is_shared_and_frozen(self):
+        # No copy: the lent machine holds the caller's config, and no
+        # job can change it.
         pool = MachinePool()
         mine = config()
         machine, _ = pool.acquire(mine, pool_key(mine))
-        machine.config.dcu_points = 99
+        assert machine.config is mine
+        with pytest.raises(FrozenInstanceError):
+            machine.config.dcu_points = 99
         assert mine.dcu_points == 1
 
     def test_idle_cap_drops_excess(self, monkeypatch):
@@ -193,9 +199,10 @@ class TestResetEquivalence:
     def test_reset_resizes_dcu(self):
         machine = QuMA(config(dcu_points=1))
         machine.reset(dcu_points=3)
-        assert machine.config.dcu_points == 3
         assert machine.dcu.k_points == 3
         assert machine.measurement.dcu is machine.dcu
+        # K is machine state: the shared config is never written.
+        assert machine.config.dcu_points == 1
 
     def test_reset_clears_trace_and_results(self):
         machine = QuMA(MachineConfig(qubits=(2,)))  # tracing on

@@ -158,6 +158,43 @@ def test_estimate_none_while_underconstrained():
     assert seen[-1].n_specs == len(AMPS)
 
 
+def test_rabi_estimate_waits_for_more_points_than_parameters():
+    with Session(fast_config()) as session:
+        future = session.submit_experiment("rabi", amplitudes=AMPS,
+                                           n_rounds=2)
+        seen = [est for _, est in future.stream(fit=True)]
+        future.result()
+    # Three points fit the 3-parameter model exactly, noise and all.
+    assert [est.values is not None for est in seen] == \
+        [False, False, False, True, True]
+
+
+def test_complete_three_point_rabi_sweep_fits_like_analyze():
+    with Session(fast_config()) as session:
+        future = session.submit_experiment(
+            "rabi", amplitudes=[0.0, 0.4995, 0.999], n_rounds=4)
+        estimates = [est for _, est in future.stream(fit=True)]
+        result = future.result()
+    final = estimates[-1]
+    assert final.complete
+    assert final.values["pi_amplitude"] == result.pi_amplitude
+
+
+@pytest.mark.parametrize("fixed_offset,first_fit", [(0.5, 3), (None, 4)],
+                         ids=["pinned-offset", "free-offset"])
+def test_rb_estimate_waits_for_more_lengths_than_parameters(fixed_offset,
+                                                            first_fit):
+    with Session(fast_config()) as session:
+        future = session.submit_experiment(
+            "rb", lengths=[1, 4, 8, 16, 24], sequences_per_length=1,
+            n_rounds=4, fixed_offset=fixed_offset)
+        seen = [est for _, est in future.stream(fit=True)]
+        result = future.result()
+    fitted = [est.values is not None for est in seen]
+    assert fitted.index(True) == first_fit - 1 and all(fitted[first_fit:])
+    assert seen[-1].values["error_per_clifford"] == result.error_per_clifford
+
+
 def test_on_estimate_hook_enables_fitting():
     estimates = []
     with Session(fast_config()) as session:
