@@ -16,7 +16,13 @@ import numpy as np
 
 
 class DensityMatrix:
-    """Mutable n-qubit density matrix with qubit-local operations."""
+    """n-qubit density matrix with qubit-local operations.
+
+    Every operation rebinds ``data`` to a new array and never writes into
+    the one it read, so an array once held here never changes.  That rule
+    lets a one-qubit ``QuantumDevice`` share read-only stored matrices
+    between states (its exact-state memo); :meth:`copy` stays writable.
+    """
 
     def __init__(self, n_qubits: int, data: np.ndarray | None = None):
         if n_qubits < 1:

@@ -178,9 +178,9 @@ class Session:
     :class:`~repro.service.scheduler.ExperimentService` (it stays the
     caller's to close); otherwise the session builds and owns one from
     ``backend``/``workers``.  ``config`` pins one machine configuration
-    for every run; without it each run builds a fresh
+    for every run; without it the session builds a
     :class:`MachineConfig` wiring the requested ``qubits`` (traces off,
-    ``seed`` applied).
+    ``seed`` applied) and reuses it for later runs of those qubits.
     """
 
     def __init__(self, config: MachineConfig | None = None, *,
@@ -216,6 +216,7 @@ class Session:
         # Neither touches the RNG streams: averages stay bit-identical.
         self.telemetry = telemetry
         self.sim_trace = sim_trace
+        self._configs: dict[tuple, MachineConfig] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -244,9 +245,12 @@ class Session:
     #: multiplexed config (Hz).
     MUX_IF_STEP_HZ = DEFAULT_IF_STEP_HZ
 
+    #: Auto-built configs a session keeps; past this they are dropped.
+    MAX_CONFIGS = 64
+
     def config_for(self, qubits=None, *, targets=None,
                    flux_pairs=None) -> MachineConfig:
-        """The machine config a run will use (session-pinned or fresh).
+        """The machine config a run will use (session-pinned or built).
 
         Without a pinned config the session builds one wiring every
         requested qubit (traces off, ``seed`` applied), and is
@@ -255,22 +259,39 @@ class Session:
         overrides the chain default), and per-qubit readout parameters
         get staggered intermediate frequencies so multiplexed readout of
         a register can be frequency-discriminated.  Single-qubit-target
-        runs keep the historic shared-readout config bit-for-bit.
+        runs keep the historic shared-readout config bit-for-bit.  A
+        built config is kept and returned again for the same targets,
+        flux pairs, ``seed`` and ``sim_trace``: configs are frozen, so
+        every sweep of a target shares one object and its key.
         """
         if self.config is not None:
             return self.config
-        kwargs: dict = {"trace_enabled": self.sim_trace}
         targets = normalize_targets(targets, qubits)
+        if targets is None:
+            flux_pairs = None
+        elif flux_pairs is None:
+            flux_pairs = merge_flux_pairs(targets)
+        else:
+            flux_pairs = tuple(tuple(pair) for pair in flux_pairs)
+        key = (targets, flux_pairs, self.seed, self.sim_trace)
+        config = self._configs.get(key)
+        if config is None:
+            if len(self._configs) >= self.MAX_CONFIGS:
+                self._configs.clear()
+            config = self._configs[key] = self._build_config(targets,
+                                                             flux_pairs)
+        return config
+
+    def _build_config(self, targets, flux_pairs) -> MachineConfig:
+        kwargs: dict = {"trace_enabled": self.sim_trace}
         if targets is not None:
             wired: dict[int, None] = {}
             for target in targets:
                 for q in target:
                     wired.setdefault(q)
             kwargs["qubits"] = tuple(wired)
-            if flux_pairs is None:
-                flux_pairs = merge_flux_pairs(targets)
             if flux_pairs:
-                kwargs["flux_pairs"] = tuple(flux_pairs)
+                kwargs["flux_pairs"] = flux_pairs
             if any(len(target) > 1 for target in targets):
                 kwargs["readouts"] = staggered_readouts(
                     len(kwargs["qubits"]), self.MUX_IF_STEP_HZ)

@@ -95,6 +95,8 @@ def test_a_warm_rabi_sweep_hashes_its_config_once(asdict_calls):
     worker = Worker()
     with Session(seed=12) as session:
         cold = session.create("rabi", n_rounds=4).build_specs()
+    # A second session builds a new config equal to the first.
+    with Session(seed=12) as session:
         warm = session.create("rabi", n_rounds=4).build_specs()
     assert len(warm) == 21 and warm[0].config is not cold[0].config
     for spec in cold:
@@ -103,6 +105,24 @@ def test_a_warm_rabi_sweep_hashes_its_config_once(asdict_calls):
     jobs = [worker.run(spec) for spec in warm]
     assert all(job.machine_reused and job.replay_plan_hit for job in jobs)
     assert len(asdict_calls) == 1
+
+
+def test_a_session_reuses_the_configs_it_builds():
+    with Session(seed=14) as session:
+        first = session.create("rabi", n_rounds=4).config
+        assert session.create("allxy", n_rounds=4).config is first
+        pinned = session.create("rabi", qubits=(0,)).config
+        assert session.config_for(qubits=0) is pinned is not first
+        bell = session.create("bell").config
+        assert session.create("bell").config is bell is not first
+        session.seed = 15
+        reseeded = session.create("rabi", n_rounds=4).config
+        assert reseeded is not first and reseeded.seed == 15
+        session.sim_trace = True
+        traced = session.create("rabi", n_rounds=4).config
+        assert traced is not reseeded and traced.trace_enabled
+        session.seed, session.sim_trace = 14, False
+        assert session.create("rabi", n_rounds=4).config is first
 
 
 def test_the_fleet_client_ships_a_keyed_config(asdict_calls):
