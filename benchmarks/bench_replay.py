@@ -21,13 +21,15 @@ largest N.  The committed paper-scale artifact comes from::
         benchmarks/bench_replay.py --benchmark-disable \
         -o faulthandler_timeout=0
 
-(~6-8 minutes in one test, so the override turns off ``pytest.ini``'s
+(~4-8 minutes in one test, so the override turns off ``pytest.ini``'s
 120 s stack-dump watchdog, which can crash the run mid-dump).  Its
-N = 25600 row records a 6.43x warm speedup (250.7 s full simulation,
-39.0 s warm replay): below the 10x floor, so a paper-scale run fails
+N = 25600 row records a 4.76x warm speedup (127.8 s full simulation,
+26.9 s warm replay): below the 10x floor, so a paper-scale run fails
 that assertion.  The ratio fell as full simulation got faster (the
-one-qubit device's exact-state memo), not because replay slowed.  The ``paper_scale_reference`` block keeps an earlier
-run's 10.3x.
+one-qubit device's exact-state memo, then batched readout), not because
+replay slowed.  Rows up to N = 1600, the scale CI guards, record the
+median of three timings of each path (``samples``).  The
+``paper_scale_reference`` block keeps an earlier run's 10.3x.
 """
 
 import json
@@ -65,10 +67,39 @@ def speedup_floor(n_rounds: int) -> float:
     return 1.0
 
 
+#: Rows up to this N (CI's guarded scale) time each path this many
+#: times and record the medians: one sample of a seconds-long run can
+#: move a speedup by 20% on a shared host.
+SAMPLED_ROUNDS = 1600
+SAMPLES = 3
+
+
 def timed(fn):
     t0 = time.perf_counter()
     out = fn()
     return out, time.perf_counter() - t0
+
+
+def timed_row(config, n: int) -> tuple[float, float, float]:
+    """One sample of full simulation, cold replay (a fresh service) and
+    warm replay (its cached plan) at ``n`` rounds, parity asserted."""
+    svc_off = ExperimentService()
+    svc_on = ExperimentService()
+    off, t_off = timed(lambda: run_allxy(config, n_rounds=n,
+                                         service=svc_off, replay=False))
+    cold, t_cold = timed(lambda: run_allxy(config, n_rounds=n,
+                                           service=svc_on))
+    warm, t_warm = timed(lambda: run_allxy(config, n_rounds=n,
+                                           service=svc_on))
+    # The parity guarantee: replay on/off share the derived RNG
+    # streams, so the averages are *identical*, not just statistically
+    # compatible — cold (2 recorded + N-2 replayed) and warm (all N
+    # replayed from the cached plan) included.
+    assert np.array_equal(off.averages, cold.averages)
+    assert np.array_equal(off.averages, warm.averages)
+    assert cold.run.result.replayed_rounds == n - 2
+    assert warm.run.result.replayed_rounds == n
+    return t_off, t_cold, t_warm
 
 
 def test_replay_speedup_and_parity():
@@ -77,24 +108,12 @@ def test_replay_speedup_and_parity():
                      MAX_ROUNDS})
     trajectory = []
     for n in points:
-        svc_off = ExperimentService()
-        svc_on = ExperimentService()
-        off, t_off = timed(lambda: run_allxy(config, n_rounds=n,
-                                             service=svc_off, replay=False))
-        cold, t_cold = timed(lambda: run_allxy(config, n_rounds=n,
-                                               service=svc_on))
-        warm, t_warm = timed(lambda: run_allxy(config, n_rounds=n,
-                                               service=svc_on))
-        # The parity guarantee: replay on/off share the derived RNG
-        # streams, so the averages are *identical*, not just statistically
-        # compatible — cold (2 recorded + N-2 replayed) and warm (all N
-        # replayed from the cached plan) included.
-        assert np.array_equal(off.averages, cold.averages)
-        assert np.array_equal(off.averages, warm.averages)
-        assert cold.run.result.replayed_rounds == n - 2
-        assert warm.run.result.replayed_rounds == n
+        samples = SAMPLES if n <= SAMPLED_ROUNDS else 1
+        t_off, t_cold, t_warm = np.median(
+            [timed_row(config, n) for _ in range(samples)], axis=0)
         trajectory.append({
             "n_rounds": n,
+            "samples": samples,
             "t_full_s": round(t_off, 3),
             "t_cold_replay_s": round(t_cold, 3),
             "t_warm_replay_s": round(t_warm, 3),
@@ -106,7 +125,8 @@ def test_replay_speedup_and_parity():
         })
         emit(f"N={n:>6}: full {t_off:7.2f} s | cold replay {t_cold:6.2f} s "
              f"({t_off / t_cold:4.1f}x) | warm replay {t_warm:6.2f} s "
-             f"({t_off / t_warm:4.1f}x) | averages bit-identical")
+             f"({t_off / t_warm:4.1f}x) | median of {samples} | "
+             f"averages bit-identical")
 
     final = trajectory[-1]
     floor = speedup_floor(MAX_ROUNDS)

@@ -24,11 +24,11 @@ from repro.core.quma import readout_calibrations
 from repro.pulse.lut import SINGLE_QUBIT_PULSES, PulseCalibration, build_single_qubit_lut
 from repro.pulse.waveform import Waveform
 from repro.qubit.device import QuantumDevice
-from repro.readout.adc import adc_quantize
 from repro.readout.calibration import ReadoutCalibration
 from repro.readout.data_collection import DataCollectionUnit
-from repro.readout.resonator import transmitted_trace
-from repro.readout.weights import integrate
+from repro.readout.multiplex import multiplexed_signal_table
+from repro.readout.pipeline import readout_statistics
+from repro.readout.weights import prepare_weights
 from repro.utils.errors import ConfigurationError
 from repro.utils.rng import derive_rng
 from repro.utils.units import cycles_to_ns
@@ -116,11 +116,9 @@ class WaveformSequencer:
                                f_ssb_hz=self.config.f_ssb_hz,
                                drive_detuning_hz=self.config.drive_detuning_hz,
                                seed=self.config.seed)
-        rng = derive_rng(self.config.seed, "readout_noise")
-        dcu = DataCollectionUnit(len(self._waveforms))
         init_ns = cycles_to_ns(40000)
         msmt_ns = cycles_to_ns(self.config.msmt_cycles)
-        readout = self.config.readout_for(self.qubit)
+        outcomes = []
         now = 0
         for _ in range(n_rounds):
             for waveform in self._waveforms:
@@ -128,12 +126,19 @@ class WaveformSequencer:
                 if waveform.duration_ns:
                     device.play_waveform((0,), waveform, now)
                     now += waveform.duration_ns
-                outcome = device.measure_project(0, now)
-                trace = transmitted_trace(readout, outcome, msmt_ns, 0, rng)
-                statistic = integrate(adc_quantize(trace),
-                                      self.readout_calibration.weights)
-                dcu.record(statistic)
+                outcomes.append(device.measure_project(0, now))
                 now += msmt_ns
+        # The device and readout-noise streams are independent, so every
+        # record's statistic comes from one call, in record order.
+        table, noise_std = multiplexed_signal_table(
+            {self.qubit: self.config.readout_for(self.qubit)}, msmt_ns)
+        statistics = readout_statistics(
+            table, np.asarray(outcomes, dtype=np.intp), noise_std,
+            derive_rng(self.config.seed, "readout_noise"),
+            (prepare_weights(self.readout_calibration.weights),),
+            (8,))  # the 8-bit ADC of QuMA's MDUs
+        dcu = DataCollectionUnit(len(self._waveforms))
+        dcu.record_batch(statistics[:, 0])
         return SequencerRunResult(
             averages=dcu.averages(),
             memory_bytes=self.memory_bytes(),

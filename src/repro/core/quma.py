@@ -280,6 +280,9 @@ class QuMA:
         return self._result()
 
     def _result(self) -> RunResult:
+        # Paused or complete, a run ends with every noted record's
+        # statistic computed and every write-back delivered.
+        self.measurement.flush()
         averages = None
         if self.dcu.rounds_completed > 0:
             averages = self.dcu.averages()

@@ -70,7 +70,9 @@ from repro.qubit.state import DensityMatrix
 from repro.readout.adc import adc_quantize
 from repro.readout.multiplex import multiplexed_signal_table
 from repro.readout.pipeline import readout_statistics
-# transmitted_trace_batch: unused, but perfbench patches it on this module.
+# transmitted_trace_batch: unused, but perfbench patches it on this module
+# until the layer probes of the ROADMAP's "One profiler" item retire its
+# monkeypatches.
 from repro.readout.resonator import (synthesize_trace_batch,  # noqa: F401
                                      transmitted_trace_batch)
 from repro.readout.weights import integrate_batch, prepare_weights

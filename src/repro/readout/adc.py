@@ -28,7 +28,9 @@ def adc_quantize(samples: np.ndarray, bits: int = 8, *,
     samples = np.asarray(samples, dtype=float)
     if out is None:
         out = samples if overwrite else np.empty_like(samples)
-    np.clip(samples, -1.0, 1.0 - step, out=out)
+    # The method skips np.clip's Python wrapper (the same ufunc, so the
+    # same bits): a one-record readout pays that on every write-back.
+    samples.clip(-1.0, 1.0 - step, out=out)
     np.multiply(out, levels, out=out)
     np.rint(out, out=out)
     np.multiply(out, step, out=out)

@@ -1,12 +1,13 @@
 """The readout block pipeline: synthesize, digitize, integrate.
 
-Replay, readout calibration and the mitigation layer's confusion matrix
-push thousands of records through the same chain as the event kernel's
-per-shot path — a signal row plus one noise realization, ADC
-quantization, one weighted integration per register qubit — and keep
-only the statistics.  :func:`readout_statistics` runs that chain over
-small blocks of records in one buffer per call, refilled in place, so a
-call's memory is one block however many records it draws.
+This is the one readout chain: a signal row plus one noise realization,
+ADC quantization, one weighted integration per register qubit, keeping
+only the statistics.  Full simulation (its deferred records, a flush at
+a time), replay, readout calibration, the mitigation layer's confusion
+matrix and the APS2 baseline all call it.  :func:`readout_statistics`
+runs that chain over small blocks of records in one buffer per call,
+refilled in place, so a call's memory is one block however many
+records it draws.
 """
 
 from __future__ import annotations
@@ -52,6 +53,15 @@ def readout_statistics(signal_table: np.ndarray, indices: np.ndarray,
     n = len(indices)
     n_samples = signal_table.shape[1]
     rows = max(1, BLOCK_FLOATS // n_samples)
+    if n <= rows and len(set(adc_bits)) == 1:
+        # One block at one depth (a single record, say): no buffer to
+        # carve up.
+        digitized = quantize(synthesize(signal_table, indices, noise_std,
+                                        rng), adc_bits[0], overwrite=True)
+        stats = np.empty((n, len(weights)))
+        for j, w in enumerate(weights):
+            stats[:, j] = integrate(digitized, w)
+        return stats
     buffer = np.empty((min(rows, n), n_samples))
     *others, last = dict.fromkeys(adc_bits)
     scratch = np.empty_like(buffer) if others else None

@@ -1,5 +1,7 @@
 """Tests for the executable full-waveform baseline (Section 4.2.2)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,46 @@ def test_allxy_staircase_via_waveform_method():
     assert abs(fidelity[10:34].mean() - 0.5) < 0.12
     assert fidelity[34:].mean() > 0.85
     assert result.memory_bytes == 5040.0  # doubled: 2 x 2520 B
+
+
+#: sha256 of each run's averages, taken when the sequencer read out
+#: shot by shot; it now takes every statistic from one
+#: ``readout_statistics`` call per run.
+SEQUENCER_DIGESTS = {
+    "x180":
+        "b324f46e9987371ffbfe0c26f6cab54eb0800554575d0912ea6ccd2db54450d0",
+    "identity":
+        "c7890bc78d05742e8d33f747b3e171a12de23b59a4f35ac8653567478d3202a4",
+    "own_readout_chain":
+        "2ae87516a0637f2b8e6a2d34e526bab8f0305c0bf860a156e3db05e7d07af9f1",
+    "allxy_doubled_48":
+        "b5c3ff29c3c6227888e6dd638a38ee96a43b15795fae71c321c8f3639ab578d2",
+    "allxy_64":
+        "1ab90c26c467e53ed21455e4807c81adb6cd939382b7e13e39ddb16753c12065",
+}
+
+
+def _sequencer_run(case: str):
+    if case == "x180":
+        seq, sequences, n_rounds = make_sequencer(), [("X180",)], 4
+    elif case == "identity":
+        seq, sequences, n_rounds = make_sequencer(), [("I", "I")], 4
+    elif case == "own_readout_chain":
+        seq = WaveformSequencer(MachineConfig(
+            qubits=(2,), readouts=(ReadoutParams(f_if_hz=52e6),)))
+        sequences, n_rounds = [("X180",)], 4
+    elif case == "allxy_doubled_48":
+        seq = make_sequencer(trace_enabled=False)
+        sequences = [s for s in ALLXY_SEQUENCES for _ in range(2)]
+        n_rounds = 48
+    else:
+        seq, sequences, n_rounds = make_sequencer(seed=7), ALLXY_SEQUENCES, 64
+    seq.upload(sequences)
+    return seq.run(n_rounds=n_rounds)
+
+
+@pytest.mark.parametrize("case", sorted(SEQUENCER_DIGESTS))
+def test_sequencer_averages_are_pinned(case):
+    averages = np.asarray(_sequencer_run(case).averages, dtype=float)
+    digest = hashlib.sha256(averages.tobytes()).hexdigest()
+    assert digest == SEQUENCER_DIGESTS[case]

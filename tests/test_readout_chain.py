@@ -13,6 +13,7 @@ from repro.readout import (
     matched_filter_weights,
     transmitted_trace,
 )
+from repro.readout.pipeline import readout_statistics
 from repro.readout.resonator import mean_trace
 from repro.utils import derive_rng
 from repro.utils.errors import ConfigurationError
@@ -120,6 +121,16 @@ def test_calibration_separates_states():
     assert cal.assignment_fidelity > 0.95
 
 
+def _mdu_statistics(mdu, outcomes, rng):
+    """The statistics the MDU's chain integrates, one per outcome: each
+    record is digitized at the MDU's depth and integrated against its
+    prepared weights."""
+    table = np.stack([mean_trace(PARAMS, o, DURATION, 0) for o in (0, 1)])
+    stats = readout_statistics(table, np.asarray(outcomes), PARAMS.noise_std,
+                               rng, (mdu.weights,), (mdu.adc_bits,))
+    return stats[:, 0].tolist()
+
+
 def test_mdu_discriminates_both_states():
     cal = calibrate_readout(PARAMS, DURATION, n_shots=100, seed=3)
     mdu = MeasurementDiscriminationUnit(qubit=2, calibration=cal)
@@ -127,9 +138,8 @@ def test_mdu_discriminates_both_states():
     correct = 0
     n = 50
     for outcome in (0, 1):
-        for _ in range(n):
-            trace = transmitted_trace(PARAMS, outcome, DURATION, 0, rng)
-            res = mdu.discriminate(trace, trigger_ns=0)
+        for statistic in _mdu_statistics(mdu, [outcome] * n, rng):
+            res = mdu.result(statistic, trigger_ns=0, integration_ns=DURATION)
             correct += res.value == outcome
     assert correct / (2 * n) > 0.95
 
@@ -146,7 +156,8 @@ def test_mdu_result_fields():
     cal = calibrate_readout(PARAMS, DURATION, n_shots=10, seed=3)
     mdu = MeasurementDiscriminationUnit(qubit=2, calibration=cal)
     rng = derive_rng(5, "r")
-    res = mdu.discriminate(transmitted_trace(PARAMS, 1, DURATION, 0, rng), 100)
+    (statistic,) = _mdu_statistics(mdu, [1], rng)
+    res = mdu.result(statistic, 100, DURATION)
     assert res.qubit == 2
     assert res.trigger_ns == 100
     assert res.ready_ns == 100 + mdu.latency_ns(DURATION)
